@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .augment import shuffle_divide
 from .cluster import spherical_kmeans
-from .contrastive import TrainConfig, train
+from .contrastive import TrainConfig, epoch_rng, sad_batches, train
 from .corpus import (
     Corpus,
     filter_min_sentences,
@@ -36,7 +37,6 @@ from .encoder import (
     save_checkpoint,
 )
 from .evaluate import evaluate_clustering
-from .rng import derive_rng
 from .synth import generate_synthetic_corpus
 from .tfidf import fit_tfidf, similarity_matrix, top1_from_matrix, transform_corpus
 
@@ -172,13 +172,23 @@ def _dump_tfidf(corpus: Corpus, path) -> None:
 
 
 def _dump_pairs(corpus: Corpus, config: TrainConfig, path) -> None:
-    """Debugging dump of epoch-1-style positives (own rng stream)."""
+    """Debugging dump of the positives training builds in epoch 1.
+
+    sad pairs are drawn as training draws them (same stream, batch order
+    and skipped final batch) and written in corpus order with their
+    batch index; a document in a skipped batch has no pair and no line.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         if config.method == "sad":
-            rng = derive_rng(config.seed, "dump-pairs")
-            for doc in corpus.documents:
-                pair = shuffle_divide(doc, rng)
+            rng = epoch_rng(config.seed, 1)
+            pairs = {}
+            for b, idx in sad_batches(len(corpus), config.batch_size, rng):
+                for i in idx:
+                    pairs[int(i)] = (b, shuffle_divide(corpus.documents[i], rng))
+            for i in sorted(pairs):
+                b, pair = pairs[i]
                 record = {
+                    "batch": b,
                     "source_id": pair.source_id,
                     "view_a": pair.view_a,
                     "view_b": pair.view_b,
@@ -227,7 +237,11 @@ def cmd_train(args) -> int:
 
     result = train(corpus, config)
     save_checkpoint(result.best_params, out_dir / "best.ckpt")
-    save_checkpoint(result.final_params, out_dir / "final.ckpt")
+    if result.final_params.same_bits(result.best_params):
+        # the best epoch was the last: the same bytes, serialized once
+        shutil.copyfile(out_dir / "best.ckpt", out_dir / "final.ckpt")
+    else:
+        save_checkpoint(result.final_params, out_dir / "final.ckpt")
     save_vocab(result.vocab, out_dir / "vocab.json")
     _write_json(
         {

@@ -27,6 +27,8 @@ from .encoder import (
     encode_batch_backward,
     encode_batch_forward,
     init_params,
+    pad_sequence,
+    text_ids,
     tokenize,
 )
 from .evaluate import silhouette_score
@@ -116,25 +118,59 @@ class TrainResult:
     best_epoch: int
 
 
+def epoch_rng(seed: int, epoch: int) -> np.random.Generator:
+    """The stream an epoch draws its batch order and its views from."""
+    return derive_rng(seed, "epoch", epoch)
+
+
+def sad_batches(n: int, batch_size: int,
+                rng: np.random.Generator) -> list[tuple[int, np.ndarray]]:
+    """One sad epoch's batches as (batch index, document indices).
+
+    Draws the epoch's document order from ``rng``, which the batches'
+    shuffle & divide draws then continue, batch by batch. A final batch
+    of one document is skipped: the loss needs 2 pairs.
+    """
+    order = rng.permutation(n)
+    batches = enumerate(order[start:start + batch_size]
+                        for start in range(0, n, batch_size))
+    return [(b, idx) for b, idx in batches if idx.size >= 2]
+
+
 def build_batch_sad(docs, rng: np.random.Generator, vocab: Vocabulary,
-                    max_len_train: int) -> ContrastiveBatch:
-    """Shuffle-and-divide batch: each document contributes both halves."""
+                    max_len_train: int,
+                    doc_sentence_ids: list[list[np.ndarray]] | None = None
+                    ) -> ContrastiveBatch:
+    """Shuffle-and-divide batch: each document contributes both halves.
+
+    A half's ids are its sentences' ids concatenated, then truncated:
+    the same as tokenizing the space-joined half, since no token spans a
+    space. ``doc_sentence_ids[k]`` are the sentence ids of ``docs[k]``
+    when already computed; otherwise the sentences are tokenized here.
+    """
     views = []
     source_ids = []
-    for doc in docs:
+    for k, doc in enumerate(docs):
         pair = shuffle_divide(doc, rng)
-        views.append(tokenize(pair.view_a, vocab, max_len_train))
-        views.append(tokenize(pair.view_b, vocab, max_len_train))
+        if doc_sentence_ids is None:
+            ids = [text_ids(s, vocab) for s in doc.sentences]
+        else:
+            ids = doc_sentence_ids[k]
+        for half in (pair.sentence_ids_a, pair.sentence_ids_b):
+            views.append(pad_sequence(np.concatenate([ids[i] for i in half]),
+                                      max_len_train))
         source_ids.extend([doc.id, doc.id])
     return ContrastiveBatch(views=views, source_ids=source_ids)
 
 
 def build_batch_tps(pairing: PositivePairing, documents, anchors,
-                    vocab: Vocabulary, max_len: int) -> ContrastiveBatch:
+                    vocab: Vocabulary, max_len: int,
+                    doc_ids: list[np.ndarray] | None = None) -> ContrastiveBatch:
     """TPS batch from anchor indices: views (2i, 2i+1) = (D_n, D_partner[n]).
 
     A document may appear at most once in a batch, whether as anchor or
-    partner; a collision raises.
+    partner; a collision raises. ``doc_ids`` are the documents' token ids
+    when already computed; otherwise each document is tokenized here.
     """
     views = []
     source_ids = []
@@ -148,8 +184,9 @@ def build_batch_tps(pairing: PositivePairing, documents, anchors,
                 "already sampled"
             )
         used.update((n, m))
-        views.append(tokenize(documents[n].text, vocab, max_len))
-        views.append(tokenize(documents[m].text, vocab, max_len))
+        for k in (n, m):
+            ids = text_ids(documents[k].text, vocab) if doc_ids is None else doc_ids[k]
+            views.append(pad_sequence(ids, max_len))
         source_ids.extend([documents[n].id, documents[m].id])
     return ContrastiveBatch(views=views, source_ids=source_ids)
 
@@ -242,6 +279,14 @@ class OptimizerState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    # two scratch blocks per tensor that every AdamW step computes into
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+
+# AdamW makes a dozen elementwise passes; running all of them on one block
+# of rows before the next keeps the block in cache. About 64k elements
+# (512 KB) per block.
+ADAMW_BLOCK_ELEMENTS = 1 << 16
 
 
 def init_optimizer_state() -> OptimizerState:
@@ -261,32 +306,58 @@ def optimizer_step(params, grads: dict[str, np.ndarray], config: TrainConfig,
             raise FloatingPointError(f"non-finite gradient for {name}")
         if tensors[name].shape != grad.shape:
             raise ValueError(f"shape mismatch for {name}")
-    lr = config.learning_rate
-    wd = config.weight_decay
     if config.optimizer == "sgd":
+        lr, wd = config.learning_rate, config.weight_decay
         for name, grad in grads.items():
             tensors[name] -= lr * (grad + wd * tensors[name])
     else:
         state.step += 1
-        t = state.step
-        b1, b2 = config.beta1, config.beta2
         for name, grad in grads.items():
             if name not in state.m:
                 state.m[name] = np.zeros_like(grad)
                 state.v[name] = np.zeros_like(grad)
-            m = state.m[name]
-            v = state.v[name]
-            m *= b1
-            m += (1 - b1) * grad
-            v *= b2
-            v += (1 - b2) * grad**2
-            m_hat = m / (1 - b1**t)
-            v_hat = v / (1 - b2**t)
-            tensors[name] -= lr * (m_hat / (np.sqrt(v_hat) + config.eps)
-                                   + wd * tensors[name])
+            # row blocks of 1-d views, so 0-d tensors are updated in place too
+            p, g, m, v = np.atleast_1d(tensors[name], grad, state.m[name], state.v[name])
+            rows = max(1, ADAMW_BLOCK_ELEMENTS // max(1, math.prod(g.shape[1:])))
+            if name not in state.scratch:
+                state.scratch[name] = (np.empty_like(g[:rows]), np.empty_like(g[:rows]))
+            a, b = state.scratch[name]
+            for start in range(0, len(g), rows):
+                block = slice(start, start + rows)
+                n = min(rows, len(g) - start)
+                _adamw_block(p[block], g[block], m[block], v[block], a[:n], b[:n],
+                             state.step, config)
     for name, tensor in tensors.items():
         if not np.all(np.isfinite(tensor)):
             raise FloatingPointError(f"non-finite values in {name} after update")
+
+
+def _adamw_block(p, g, m, v, a, b, t: int, config: TrainConfig) -> None:
+    """AdamW on one block, in place, with ``a`` and ``b`` as scratch.
+
+    The same operations in the same order as the whole-array form
+        m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g**2,
+        p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p),
+    so the result is bit-identical to it.
+    """
+    b1, b2 = config.beta1, config.beta2
+    np.multiply(g, 1 - b1, out=a)
+    m *= b1
+    m += a
+    np.square(g, out=a)
+    a *= 1 - b2
+    v *= b2
+    v += a
+    np.divide(v, 1 - b2**t, out=a)
+    np.sqrt(a, out=a)
+    a += config.eps
+    np.divide(m, 1 - b1**t, out=b)
+    b /= a
+    if config.weight_decay:  # adding wd p = 0 to a finite step changes nothing
+        np.multiply(p, config.weight_decay, out=a)
+        b += a
+    b *= config.learning_rate
+    p -= b
 
 
 def _train_step(params: EncoderParams, state: OptimizerState,
@@ -297,6 +368,30 @@ def _train_step(params: EncoderParams, state: OptimizerState,
     grads = encode_batch_backward(params, cache, grad_out)
     optimizer_step(params, grads, config, state)
     return loss
+
+
+def _preflight(corpus: Corpus, doc_ids: list[np.ndarray],
+               doc_sentence_ids: list[list[np.ndarray]] | None) -> None:
+    """Reject, before any training, every document that would abort it.
+
+    A document needs tokens to be embedded. With sentence ids (sad), a
+    half of m >= 2 sentences can also come out empty: the smaller half
+    has floor(m/2) sentences, so this happens iff at least floor(m/2) of
+    them have no tokens.
+    """
+    problems = []
+    for k, doc in enumerate(corpus.documents):
+        if doc_ids[k].size == 0:
+            problems.append(f"{doc.id!r} has no tokens")
+        elif doc_sentence_ids is not None and len(doc_sentence_ids[k]) >= 2:
+            m = len(doc_sentence_ids[k])
+            empty = sum(ids.size == 0 for ids in doc_sentence_ids[k])
+            if empty >= m // 2:
+                problems.append(f"{doc.id!r} has {empty} of {m} sentences without "
+                                "tokens, so a half can be empty")
+    if problems:
+        raise ValueError(f"{len(problems)} document(s) cannot be trained on: "
+                         + "; ".join(problems))
 
 
 def default_epochs(method: str, corpus_size: int, batch_size: int) -> int:
@@ -313,7 +408,9 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
     top-1 resampling for tps), steps through the mini-batches, then
     embeds the whole corpus, clusters it, and records the silhouette.
     The returned ``best_params`` are from the best-silhouette epoch
-    (ties to the earliest); history has one record per epoch.
+    (ties to the earliest); history has one record per epoch. Documents
+    that would abort training (no tokens; for sad, a half that can come
+    out empty) are all rejected together before the first epoch.
     """
     if config.num_clusters is None or config.num_clusters < 2:
         raise ValueError("config.num_clusters must be set (>= 2) for training")
@@ -321,6 +418,13 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
     if n < max(2, config.num_clusters):
         raise ValueError(f"corpus too small: {n} documents")
     vocab = build_vocab(corpus, config.max_vocab)
+    # every text is tokenized once; views and embeddings reuse the ids
+    doc_ids = [text_ids(doc.text, vocab) for doc in corpus.documents]
+    sent_ids = None
+    if config.method == "sad":
+        sent_ids = [[text_ids(s, vocab) for s in doc.sentences]
+                    for doc in corpus.documents]
+    _preflight(corpus, doc_ids, sent_ids)
     params = init_params(len(vocab), config.embed_dim, config.output_dim,
                          seed=config.seed)
     state = init_optimizer_state()
@@ -342,21 +446,18 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
     best_silhouette = -np.inf
     best_params = params.copy()
 
+    embeddings = None
     for epoch in range(1, epochs + 1):
-        rng = derive_rng(config.seed, "epoch", epoch)
+        rng = epoch_rng(config.seed, epoch)
         batch_losses: list[float] = []
         match_rate = None
 
         if config.method == "sad":
-            order = rng.permutation(n)
-            batch_starts = range(0, n, config.batch_size)
-            for b, start in enumerate(batch_starts):
-                idx = order[start:start + config.batch_size]
-                if idx.size < 2:
-                    continue  # loss undefined below 2 pairs
+            for b, idx in sad_batches(n, config.batch_size, rng):
                 docs = [corpus.documents[i] for i in idx]
                 try:
-                    batch = build_batch_sad(docs, rng, vocab, config.max_len_train)
+                    batch = build_batch_sad(docs, rng, vocab, config.max_len_train,
+                                            [sent_ids[i] for i in idx])
                     batch_losses.append(_train_step(params, state, batch, config))
                 except (ValueError, FloatingPointError) as err:
                     raise RuntimeError(f"epoch {epoch}, batch {b}: {err}") from err
@@ -364,7 +465,7 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
             if epoch == 1:
                 sims = sim_tfidf.copy()
             else:
-                embeddings = embed_corpus(params, vocab, corpus, config.max_len_test)
+                # the last epoch's embeddings: no update happened since
                 sims = blended_similarity(sim_tfidf, similarity_matrix(embeddings),
                                           config.alpha, epoch)
             pairing = top1_from_matrix(sims)
@@ -373,12 +474,12 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
             for b, anchors in enumerate(plan_tps_batches(pairing, config.batch_size, rng)):
                 try:
                     batch = build_batch_tps(pairing, corpus.documents, anchors,
-                                            vocab, config.max_len_train)
+                                            vocab, config.max_len_train, doc_ids)
                     batch_losses.append(_train_step(params, state, batch, config))
                 except (ValueError, FloatingPointError) as err:
                     raise RuntimeError(f"epoch {epoch}, batch {b}: {err}") from err
 
-        embeddings = embed_corpus(params, vocab, corpus, config.max_len_test)
+        embeddings = embed_corpus(params, vocab, corpus, config.max_len_test, doc_ids)
         kmeans_seed = derive_seed(config.seed, "kmeans-epoch", epoch)
         silhouette_seed = derive_seed(config.seed, "silhouette-epoch", epoch)
         cluster_model = spherical_kmeans(embeddings, k=config.num_clusters,

@@ -1,10 +1,12 @@
 """Token vocabulary and the trainable mean-pooling encoder.
 
 The built-in encoder is deliberately small: an embedding table, a mean
-pool over non-pad token positions, and an optional affine projection
-with tanh. It trains from scratch with exact analytic gradients, and the
-same interfaces accept externally computed document embeddings (e.g.
-from a pre-trained transformer run out of process).
+pool over the real (non-pad) tokens, and an optional affine projection
+with tanh. Pooling is a product with a sparse matrix holding one unit
+entry per real token, so no padded batch is ever gathered. It trains
+from scratch with exact analytic gradients, and the same interfaces
+accept externally computed document embeddings (e.g. from a pre-trained
+transformer run out of process).
 """
 
 import json
@@ -12,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .corpus import Corpus
 from .rng import derive_rng
@@ -89,6 +92,13 @@ class EncoderParams:
             out["projection_b"] = self.projection_b
         return out
 
+    def same_bits(self, other: "EncoderParams") -> bool:
+        """True if both hold the same tensors with bitwise-equal values."""
+        mine, theirs = self.tensors(), other.tensors()
+        return mine.keys() == theirs.keys() and all(
+            mine[k].dtype == theirs[k].dtype and mine[k].shape == theirs[k].shape
+            and mine[k].tobytes() == theirs[k].tobytes() for k in mine)
+
     def copy(self) -> "EncoderParams":
         return EncoderParams(
             embedding_table=self.embedding_table.copy(),
@@ -113,16 +123,26 @@ def build_vocab(corpus: Corpus, max_vocab: int = 30000) -> Vocabulary:
     return Vocabulary(token_to_id)
 
 
-def tokenize(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
-    """Tokenize, truncate to ``max_len``, map OOV to unk, pad to length."""
+def text_ids(text: str, vocab: Vocabulary) -> np.ndarray:
+    """Ids of every token of ``text``, OOV mapped to unk, not truncated."""
+    get, unk = vocab.token_to_id.get, vocab.unk_id
+    return np.array([get(token, unk) for token in tokenize_text(text)],
+                    dtype=np.int64)
+
+
+def pad_sequence(ids: np.ndarray, max_len: int) -> TokenSequence:
+    """Truncate token ids to ``max_len`` and pad them to a TokenSequence."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    tokens = tokenize_text(text)[:max_len]
-    ids = np.zeros(max_len, dtype=np.int64)
-    unk = vocab.unk_id
-    for i, token in enumerate(tokens):
-        ids[i] = vocab.token_to_id.get(token, unk)
-    return TokenSequence(ids=ids, length=len(tokens), max_len=max_len)
+    real = ids[:max_len]
+    padded = np.zeros(max_len, dtype=np.int64)
+    padded[:real.size] = real
+    return TokenSequence(ids=padded, length=real.size, max_len=max_len)
+
+
+def tokenize(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
+    """Tokenize, truncate to ``max_len``, map OOV to unk, pad to length."""
+    return pad_sequence(text_ids(text, vocab), max_len)
 
 
 def init_params(vocab_size: int, embed_dim: int, output_dim: int | None,
@@ -144,33 +164,43 @@ def init_params(vocab_size: int, embed_dim: int, output_dim: int | None,
     return EncoderParams(embedding_table=table, projection_w=w, projection_b=b)
 
 
-def _stack(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
-    for i, seq in enumerate(seqs):
-        if seq.length == 0:
-            raise ValueError(f"sequence {i}: all-pad input cannot be encoded")
-    ids = np.stack([seq.ids for seq in seqs])
+def _pooling_matrix(seqs: list[TokenSequence], vocab_size: int):
+    """Sum-pooling matrix of a batch, and the real-token count of each row.
+
+    Row i holds a 1.0 at column ``id`` for every real token of
+    ``seqs[i]``, repeats included, in token order. ``P @ table`` then
+    adds each row's token vectors one by one in sequence order, as a
+    padded gather followed by a masked sum does, so dividing by the
+    lengths afterwards gives bit-identical means.
+    """
     lengths = np.array([seq.length for seq in seqs], dtype=np.int64)
-    return ids, lengths
+    empty = np.flatnonzero(lengths == 0)
+    if empty.size:
+        raise ValueError(f"sequence {empty[0]}: all-pad input cannot be encoded")
+    ids = np.concatenate([seq.ids[:seq.length] for seq in seqs])
+    if ids.min() < 0 or ids.max() >= vocab_size:
+        raise IndexError(f"token ids must lie in [0, {vocab_size}) for this "
+                         f"embedding table, got [{ids.min()}, {ids.max()}]")
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    pool = scipy.sparse.csr_array((np.ones(ids.size), ids, indptr),
+                                  shape=(len(seqs), vocab_size))
+    return pool, lengths
 
 
 def encode_batch_forward(params: EncoderParams, seqs: list[TokenSequence]):
     """Forward pass for a batch; returns (outputs, cache for backward)."""
-    ids, lengths = _stack(seqs)
-    mask = np.arange(ids.shape[1])[None, :] < lengths[:, None]
-    gathered = params.embedding_table[ids] * mask[:, :, None]
-    pooled = gathered.sum(axis=1) / lengths[:, None]
+    pool, lengths = _pooling_matrix(seqs, params.embedding_table.shape[0])
+    pooled = (pool @ params.embedding_table) / lengths[:, None]
     if params.projection_w is None:
-        return pooled, {"ids": ids, "lengths": lengths, "mask": mask}
+        return pooled, {"pool": pool, "lengths": lengths}
     out = np.tanh(pooled @ params.projection_w + params.projection_b)
-    cache = {"ids": ids, "lengths": lengths, "mask": mask,
-             "pooled": pooled, "out": out}
+    cache = {"pool": pool, "lengths": lengths, "pooled": pooled, "out": out}
     return out, cache
 
 
 def encode_batch_backward(params: EncoderParams, cache: dict,
                           grad_out: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss w.r.t. all tensors, given dL/d(outputs)."""
-    ids, lengths, mask = cache["ids"], cache["lengths"], cache["mask"]
     if params.projection_w is None:
         grad_pooled = grad_out
         grads = {}
@@ -181,10 +211,9 @@ def encode_batch_backward(params: EncoderParams, cache: dict,
             "projection_b": grad_affine.sum(axis=0),
         }
         grad_pooled = grad_affine @ params.projection_w.T
-    per_position = (grad_pooled / lengths[:, None])[:, None, :] * mask[:, :, None]
-    grad_table = np.zeros_like(params.embedding_table)
-    np.add.at(grad_table, ids.ravel(), per_position.reshape(-1, per_position.shape[2]))
-    grads["embedding_table"] = grad_table
+    # P.T walks the batch rows in order and each row's tokens in order,
+    # the same summation order as a scatter-add over the flattened batch
+    grads["embedding_table"] = cache["pool"].T @ (grad_pooled / cache["lengths"][:, None])
     return grads
 
 
@@ -200,14 +229,19 @@ def encode(params: EncoderParams, seq: TokenSequence) -> Embedding:
 
 
 def embed_corpus(params: EncoderParams, vocab: Vocabulary, corpus: Corpus,
-                 max_len: int) -> np.ndarray:
-    """Embed every document of a corpus at the given max length."""
+                 max_len: int, doc_ids: list[np.ndarray] | None = None) -> np.ndarray:
+    """Embed every document of a corpus at the given max length.
+
+    ``doc_ids`` are the documents' ``text_ids`` when the caller already
+    has them; otherwise the corpus is tokenized here.
+    """
+    if doc_ids is None:
+        doc_ids = [text_ids(doc.text, vocab) for doc in corpus.documents]
     seqs = []
-    for doc in corpus.documents:
-        seq = tokenize(doc.text, vocab, max_len)
-        if seq.length == 0:
+    for doc, ids in zip(corpus.documents, doc_ids):
+        if ids.size == 0:
             raise ValueError(f"document {doc.id!r} has no tokens")
-        seqs.append(seq)
+        seqs.append(pad_sequence(ids, max_len))
     return encode_batch(params, seqs)
 
 

@@ -1,0 +1,208 @@
+"""Oracles that pin the fast encoder and optimizer to the reference maths.
+
+The references below are the straightforward implementations: a padded
+gather with a masked sum for the forward pass, ``np.add.at`` for the
+embedding gradient, and AdamW/SGD written as whole-array expressions.
+The sparse pooling and the in-place optimizer must reproduce them bit for
+bit, step after step, and views built from per-sentence token ids must
+equal tokenizing the joined view.
+"""
+
+import numpy as np
+import pytest
+
+from sadcluster.augment import shuffle_divide
+from sadcluster.contrastive import (
+    TrainConfig,
+    build_batch_sad,
+    init_optimizer_state,
+    nt_xent_gradient,
+    optimizer_step,
+)
+from sadcluster.corpus import Corpus, Document
+from sadcluster.encoder import (
+    TokenSequence,
+    build_vocab,
+    embed_corpus,
+    encode_batch_backward,
+    encode_batch_forward,
+    init_params,
+    text_ids,
+    tokenize,
+)
+from sadcluster.rng import derive_rng
+
+
+def reference_forward(params, seqs):
+    ids = np.stack([seq.ids for seq in seqs])
+    lengths = np.array([seq.length for seq in seqs], dtype=np.int64)
+    mask = np.arange(ids.shape[1])[None, :] < lengths[:, None]
+    gathered = params.embedding_table[ids] * mask[:, :, None]
+    pooled = gathered.sum(axis=1) / lengths[:, None]
+    if params.projection_w is None:
+        return pooled, {"ids": ids, "lengths": lengths, "mask": mask}
+    out = np.tanh(pooled @ params.projection_w + params.projection_b)
+    return out, {"ids": ids, "lengths": lengths, "mask": mask,
+                 "pooled": pooled, "out": out}
+
+
+def reference_backward(params, cache, grad_out):
+    ids, lengths, mask = cache["ids"], cache["lengths"], cache["mask"]
+    if params.projection_w is None:
+        grad_pooled = grad_out
+        grads = {}
+    else:
+        grad_affine = grad_out * (1.0 - cache["out"] ** 2)
+        grads = {
+            "projection_w": cache["pooled"].T @ grad_affine,
+            "projection_b": grad_affine.sum(axis=0),
+        }
+        grad_pooled = grad_affine @ params.projection_w.T
+    per_position = (grad_pooled / lengths[:, None])[:, None, :] * mask[:, :, None]
+    grad_table = np.zeros_like(params.embedding_table)
+    np.add.at(grad_table, ids.ravel(), per_position.reshape(-1, per_position.shape[2]))
+    grads["embedding_table"] = grad_table
+    return grads
+
+
+def reference_optimizer_step(tensors, grads, config, state):
+    lr = config.learning_rate
+    wd = config.weight_decay
+    if config.optimizer == "sgd":
+        for name, grad in grads.items():
+            tensors[name] -= lr * (grad + wd * tensors[name])
+        return
+    state["step"] += 1
+    t = state["step"]
+    b1, b2 = config.beta1, config.beta2
+    for name, grad in grads.items():
+        if name not in state["m"]:
+            state["m"][name] = np.zeros_like(grad)
+            state["v"][name] = np.zeros_like(grad)
+        m = state["m"][name]
+        v = state["v"][name]
+        m *= b1
+        m += (1 - b1) * grad
+        v *= b2
+        v += (1 - b2) * grad**2
+        m_hat = m / (1 - b1**t)
+        v_hat = v / (1 - b2**t)
+        tensors[name] -= lr * (m_hat / (np.sqrt(v_hat) + config.eps)
+                               + wd * tensors[name])
+
+
+def random_views(rng, n, vocab_size, max_len):
+    """Views with many repeated ids, so pooling order matters."""
+    views = []
+    for _ in range(n):
+        length = int(rng.integers(1, max_len + 1))
+        ids = np.zeros(max_len, dtype=np.int64)
+        ids[:length] = rng.integers(1, min(vocab_size, 12), size=length)
+        views.append(TokenSequence(ids=ids, length=length, max_len=max_len))
+    return views
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("output_dim", [None, 8])
+@pytest.mark.parametrize("optimizer,weight_decay", [("adamw", 0.0), ("adamw", 0.01),
+                                                    ("sgd", 0.0), ("sgd", 0.01)])
+def test_training_steps_match_the_reference(output_dim, optimizer, weight_decay):
+    rng = np.random.default_rng(17)
+    config = TrainConfig(optimizer=optimizer, weight_decay=weight_decay,
+                         learning_rate=0.05, temperature=0.5)
+    fast = init_params(40, 6, output_dim, seed=3)
+    ref = fast.copy()
+    ref_tensors = ref.tensors()
+    state = init_optimizer_state()
+    ref_state = {"step": 0, "m": {}, "v": {}}
+    for _ in range(8):
+        views = random_views(rng, 8, 40, 9)
+        out, cache = encode_batch_forward(fast, views)
+        ref_out, ref_cache = reference_forward(ref, views)
+        assert same_bits(out, ref_out)
+        grad_out = nt_xent_gradient(out, config.temperature)
+        grads = encode_batch_backward(fast, cache, grad_out)
+        ref_grads = reference_backward(ref, ref_cache, grad_out)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert same_bits(grads[name], ref_grads[name]), name
+        optimizer_step(fast, grads, config, state)
+        reference_optimizer_step(ref_tensors, ref_grads, config, ref_state)
+        for name, tensor in fast.tensors().items():
+            assert same_bits(tensor, ref_tensors[name]), name
+
+
+@pytest.mark.parametrize("optimizer,weight_decay", [("adamw", 0.0), ("adamw", 0.1),
+                                                    ("sgd", 0.1)])
+def test_optimizer_matches_the_reference_over_many_steps(optimizer, weight_decay):
+    rng = np.random.default_rng(5)
+    config = TrainConfig(optimizer=optimizer, weight_decay=weight_decay,
+                         learning_rate=1e-2)
+    # the table spans several AdamW blocks, the last one partial
+    fast = {"table": rng.normal(size=(9000, 16)), "bias": rng.normal(size=16),
+            "scale": np.array(rng.normal())}
+    ref = {name: tensor.copy() for name, tensor in fast.items()}
+    state = init_optimizer_state()
+    ref_state = {"step": 0, "m": {}, "v": {}}
+    for _ in range(20):
+        grads = {name: rng.normal(size=t.shape) * (rng.random(t.shape) < 0.3)
+                 for name, t in fast.items()}
+        optimizer_step(fast, grads, config, state)
+        reference_optimizer_step(ref, grads, config, ref_state)
+        for name in fast:
+            assert same_bits(fast[name], ref[name]), name
+
+
+def test_embed_corpus_matches_the_reference():
+    texts = ["alpha beta beta gamma. delta alpha!", "beta beta beta.",
+             "gamma delta epsilon zeta eta theta alpha beta."]
+    corpus = Corpus([Document(f"d{i}", t, [t]) for i, t in enumerate(texts)])
+    vocab = build_vocab(corpus, 100)
+    for output_dim in (None, 5):
+        params = init_params(len(vocab), 7, output_dim, seed=1)
+        seqs = [tokenize(t, vocab, 4) for t in texts]
+        expected, _ = reference_forward(params, seqs)
+        assert same_bits(embed_corpus(params, vocab, corpus, 4), expected)
+
+
+# Pieces whose lowercasing or tokenizing is unusual: Greek final sigma,
+# dotted capital I (lowercases to two code points), sharp s, digits,
+# underscores (token separators), combining marks and punctuation.
+PIECES = ["ΟΔΟΣ", "ΣΑΣ", "Σ", "İstanbul", "İ", "STRAßE", "ß", "42", "3.14",
+          "snake_case", "_", "naïve", "café", "ǅemal", "ﬁne", "word",
+          "Word", "WORD.", "'Σ'", "x.Σ", "!!!", "...", "?", "—", "«»", "😀"]
+
+
+def random_sentence(rng):
+    if rng.random() < 0.2:
+        return str(rng.choice(["!!!", "...", "?!", "— «»", "_ _"]))
+    words = rng.choice(PIECES, size=int(rng.integers(1, 6)))
+    return " ".join(str(w) for w in words) + str(rng.choice([".", "!", "?", ""]))
+
+
+def test_sentence_ids_concatenate_to_the_joined_view():
+    rng = np.random.default_rng(23)
+    docs = []
+    for d in range(60):
+        sentences = [random_sentence(rng) for _ in range(int(rng.integers(2, 8)))]
+        docs.append(Document(f"d{d}", " ".join(sentences), sentences))
+    corpus = Corpus(docs)
+    vocab = build_vocab(corpus, 1000)
+    assert len(vocab) > 20  # the non-ASCII pieces are real tokens, not unk
+    for doc in docs:
+        joined = np.concatenate([text_ids(s, vocab) for s in doc.sentences])
+        for max_len in (1, 3, 8, 64):
+            expected = tokenize(doc.text, vocab, max_len)
+            assert np.array_equal(joined[:max_len], expected.ids[:expected.length])
+    for max_len in (2, 5, 64):
+        batch = build_batch_sad(docs, derive_rng(9, "views"), vocab, max_len)
+        rng_views = derive_rng(9, "views")
+        for k, doc in enumerate(docs):
+            pair = shuffle_divide(doc, rng_views)
+            for view, text in zip(batch.views[2 * k:2 * k + 2], (pair.view_a, pair.view_b)):
+                expected = tokenize(text, vocab, max_len)
+                assert np.array_equal(view.ids, expected.ids)
+                assert view.length == expected.length

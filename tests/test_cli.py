@@ -5,7 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+from sadcluster import cli, contrastive
+from sadcluster.augment import shuffle_divide
 from sadcluster.cli import main, read_embeddings
+from sadcluster.contrastive import TrainConfig, train
+from sadcluster.encoder import tokenize
 from sadcluster.corpus import load_corpus, save_corpus, make_document, Corpus
 
 
@@ -186,6 +190,56 @@ class TestTrainCommand:
             doc = by_id[record["source_id"]]
             ids = record["sentence_ids_a"] + record["sentence_ids_b"]
             assert sorted(ids) == list(range(len(doc.sentences)))
+
+    def test_sad_dump_pairs_are_the_views_epoch_one_trains_on(self, capsys, tmp_path,
+                                                              monkeypatch):
+        # 37 documents in batches of 12: the last batch, of one, is skipped
+        corpus_path = make_synth(capsys, tmp_path)
+        corpus_path.write_text("\n".join(corpus_path.read_text().splitlines()[:37]) + "\n")
+        seen, batches = [], []
+        real_divide, real_build = contrastive.shuffle_divide, contrastive.build_batch_sad
+        monkeypatch.setattr(contrastive, "shuffle_divide",
+                            lambda doc, rng: seen.append(real_divide(doc, rng)) or seen[-1])
+
+        def recording(docs, rng, vocab, max_len, *rest):
+            batches.append((real_build(docs, rng, vocab, max_len, *rest), vocab, max_len))
+            return batches[-1][0]
+
+        monkeypatch.setattr(contrastive, "build_batch_sad", recording)
+        pairs = tmp_path / "pairs.jsonl"
+        code, _, err = run(capsys, *train_args(corpus_path, tmp_path / "run", epochs="1",
+                                               **{"batch-size": 12}),
+                           "--dump-pairs", str(pairs))
+        assert code == 0, err
+        records = [json.loads(line) for line in pairs.read_text().splitlines()]
+        assert len(batches) == 3 and len(seen) == len(records) == 36
+        by_id = {record["source_id"]: record for record in records}
+        for i, pair in enumerate(seen):
+            record = by_id[pair.source_id]
+            assert record["batch"] == i // 12
+            assert (record["view_a"], record["view_b"]) == (pair.view_a, pair.view_b)
+            assert record["sentence_ids_a"] == pair.sentence_ids_a
+            batch, vocab, max_len = batches[i // 12]
+            for view, text in zip(batch.views[2 * (i % 12):], (pair.view_a, pair.view_b)):
+                assert np.array_equal(view.ids, tokenize(text, vocab, max_len).ids)
+
+    def test_checkpoint_written_once_when_best_is_final(self, capsys, tmp_path,
+                                                        monkeypatch):
+        corpus_path = make_synth(capsys, tmp_path)
+        saved = []
+        real = cli.save_checkpoint
+        monkeypatch.setattr(cli, "save_checkpoint",
+                            lambda params, path: saved.append(path) or real(params, path))
+        out_dir = tmp_path / "run"
+        code, _, err = run(capsys, *train_args(corpus_path, out_dir, epochs="1"))
+        assert code == 0, err
+        assert saved == [out_dir / "best.ckpt"]
+        config = TrainConfig(method="sad", batch_size=16, learning_rate=5e-3, epochs=1,
+                             seed=0, max_len_train=64, max_len_test=128, num_clusters=4)
+        real(train(load_corpus(corpus_path), config).final_params, tmp_path / "expected")
+        expected = (tmp_path / "expected").read_bytes()
+        assert (out_dir / "final.ckpt").read_bytes() == expected
+        assert (out_dir / "best.ckpt").read_bytes() == expected
 
     def test_dump_tfidf_vectors(self, capsys, tmp_path):
         corpus = make_synth(capsys, tmp_path)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sadcluster import contrastive
 from sadcluster.contrastive import (
     ContrastiveBatch,
     TrainConfig,
@@ -21,7 +22,7 @@ from sadcluster.corpus import Corpus, make_document
 from sadcluster.encoder import build_vocab, init_params, tokenize
 from sadcluster.rng import derive_rng
 from sadcluster.synth import generate_synthetic_corpus
-from sadcluster.tfidf import PositivePairing
+from sadcluster.tfidf import PositivePairing, similarity_matrix
 
 
 def reference_nt_xent(embeddings, temperature):
@@ -512,6 +513,57 @@ class TestTrain:
         corpus = Corpus(documents=tuple(docs))
         with pytest.raises(RuntimeError, match=r"epoch 1, batch \d+"):
             train(corpus, self.small_config(num_clusters=2, epochs=1))
+
+    def test_token_free_sentences_fail_before_training(self, monkeypatch):
+        docs = [make_document(f"d{i}", "Alpha beta. Gamma delta. Five six. Seven eight.")
+                for i in range(6)]
+        # one half of 3 sentences has a single sentence, so it can be "!!!"
+        docs.append(make_document("probe", "real words here. !!! ..."))
+        # 1 token-free sentence of 4: both halves keep a worded sentence
+        docs.append(make_document("fine", "Alpha beta. !!! Gamma delta. Five six."))
+        docs.append(make_document("empty", "!!! ... ???"))
+        corpus = Corpus(documents=tuple(docs))
+        steps = []
+        monkeypatch.setattr(contrastive, "build_batch_sad",
+                            lambda *a, **k: steps.append(a))
+        with pytest.raises(ValueError) as err:
+            train(corpus, self.small_config(num_clusters=2, epochs=1))
+        message = str(err.value)
+        assert message.startswith("2 document(s) cannot be trained on")
+        assert "'probe' has 2 of 3 sentences without tokens" in message
+        assert "'empty' has no tokens" in message
+        assert "'fine'" not in message
+        assert steps == []
+
+    def test_tps_document_without_tokens_fails_before_training(self):
+        docs = [make_document(f"d{i}", f"word{i} alpha. beta gamma.") for i in range(5)]
+        docs.append(make_document("empty", "... !!!"))
+        corpus = Corpus(documents=tuple(docs))
+        with pytest.raises(ValueError, match=r"1 document\(s\).*'empty' has no tokens"):
+            train(corpus, self.small_config(method="tps", num_clusters=2,
+                                            batch_size=2, epochs=1))
+
+    def test_tps_pairs_on_the_last_epochs_embedding(self, monkeypatch):
+        corpus = generate_synthetic_corpus(docs_per_topic=6, seed=4)
+        calls = []
+        real = contrastive.embed_corpus
+
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append(out)
+            return out
+
+        blended = []
+        real_blend = contrastive.blended_similarity
+        monkeypatch.setattr(contrastive, "embed_corpus", counting)
+        monkeypatch.setattr(contrastive, "blended_similarity",
+                            lambda s_tfidf, s_model, *a: blended.append(s_model)
+                            or real_blend(s_tfidf, s_model, *a))
+        train(corpus, self.small_config(method="tps", epochs=3))
+        assert len(calls) == 3  # once per epoch, none for pairing
+        assert len(blended) == 2
+        for epoch_embeddings, s_model in zip(calls, blended):
+            assert np.array_equal(s_model, similarity_matrix(epoch_embeddings))
 
     def test_tps_records_label_match_rate(self):
         corpus = generate_synthetic_corpus(docs_per_topic=10, seed=4)

@@ -162,6 +162,13 @@ class TestEncode:
         with pytest.raises(ValueError, match="sequence 1"):
             encode_batch(params, [good, bad])
 
+    def test_token_id_outside_the_table_raises(self):
+        # e.g. a vocab.json that does not belong to the checkpoint
+        params = random_params(np.random.default_rng(1), vocab_size=5, embed_dim=3)
+        seq = TokenSequence(ids=np.array([2, 5, 0]), length=2, max_len=3)
+        with pytest.raises(IndexError):
+            encode_batch(params, [seq])
+
     def test_batch_order_matches_input(self):
         rng = np.random.default_rng(6)
         params = random_params(rng, vocab_size=8, embed_dim=4, output_dim=3)
