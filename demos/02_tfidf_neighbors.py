@@ -19,13 +19,13 @@ from sadcluster import (
 
 corpus = generate_synthetic_corpus(topics=4, docs_per_topic=10, seed=7)
 model = fit_tfidf(corpus)
-vectors = transform_corpus(model, corpus)
+x = transform_corpus(model, corpus)
 
 print(f"corpus: {len(corpus)} docs, vocabulary {len(model.vocabulary)} tokens")
-nnz = [len(v.indices) for v in vectors]
-print(f"sparse vectors: {min(nnz)}-{max(nnz)} nonzeros per doc")
+nnz = np.diff(x.indptr)
+print(f"sparse TF-IDF rows: {nnz.min()}-{nnz.max()} nonzeros per doc")
 
-sims = similarity_matrix(vectors)
+sims = similarity_matrix(x)
 pairing = top1_from_matrix(sims)
 rate = label_match_rate(pairing, corpus.labels_array())
 print(f"top-1 neighbor shares the gold label for {rate:.0%} of documents")

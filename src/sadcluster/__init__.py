@@ -61,16 +61,12 @@ from .rng import derive_rng, derive_seed, fisher_yates
 from .synth import generate_synthetic_corpus
 from .tfidf import (
     PositivePairing,
-    SparseVector,
     TfIdfModel,
     blended_similarity,
-    cosine_similarity,
     fit_tfidf,
     label_match_rate,
     similarity_matrix,
     top1_from_matrix,
-    top1_positive_sampling,
-    transform,
     transform_corpus,
 )
 
@@ -85,7 +81,6 @@ __all__ = [
     "EncoderParams",
     "EvalReport",
     "PositivePairing",
-    "SparseVector",
     "TfIdfModel",
     "TrainConfig",
     "TrainResult",
@@ -98,7 +93,6 @@ __all__ = [
     "build_vocab",
     "clustering_accuracy",
     "confusion_matrix",
-    "cosine_similarity",
     "derive_rng",
     "derive_seed",
     "embed_corpus",
@@ -134,8 +128,6 @@ __all__ = [
     "supervised_finetune",
     "tokenize",
     "top1_from_matrix",
-    "top1_positive_sampling",
     "train",
-    "transform",
     "transform_corpus",
 ]

@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import shutil
 import sys
 from pathlib import Path
@@ -41,20 +40,6 @@ from .synth import generate_synthetic_corpus
 from .tfidf import fit_tfidf, similarity_matrix, top1_from_matrix, transform_corpus
 
 METRICS_SCHEMA_VERSION = 1
-
-
-def _read_threads_env() -> int:
-    """Validate SADCLUSTER_THREADS; execution is deterministic either way."""
-    raw = os.environ.get("SADCLUSTER_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ValueError(f"SADCLUSTER_THREADS must be an integer, got {raw!r}")
-    if threads < 1:
-        raise ValueError("SADCLUSTER_THREADS must be >= 1")
-    return threads
 
 
 def _write_json(payload: dict, path) -> None:
@@ -160,13 +145,13 @@ def cmd_preprocess(args) -> int:
 
 def _dump_tfidf(corpus: Corpus, path) -> None:
     model = fit_tfidf(corpus)
-    vectors = transform_corpus(model, corpus)
+    x = transform_corpus(model, corpus)
     with open(path, "w", encoding="utf-8") as fh:
-        for doc, vec in zip(corpus.documents, vectors):
+        for doc, start, stop in zip(corpus.documents, x.indptr[:-1], x.indptr[1:]):
             record = {
                 "id": doc.id,
-                "indices": [int(i) for i in vec.indices],
-                "values": [float(v) for v in vec.values],
+                "indices": x.indices[start:stop].tolist(),
+                "values": x.data[start:stop].tolist(),
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -438,7 +423,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _read_threads_env()
         return args.func(args)
     except Exception as err:  # surfaced as machine-readable JSON
         print(json.dumps({"error": type(err).__name__, "message": str(err)},

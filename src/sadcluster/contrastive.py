@@ -374,19 +374,22 @@ def _preflight(corpus: Corpus, doc_ids: list[np.ndarray],
                doc_sentence_ids: list[list[np.ndarray]] | None) -> None:
     """Reject, before any training, every document that would abort it.
 
-    A document needs tokens to be embedded. With sentence ids (sad), a
-    half of m >= 2 sentences can also come out empty: the smaller half
-    has floor(m/2) sentences, so this happens iff at least floor(m/2) of
-    them have no tokens.
+    A document needs tokens to be embedded. With sentence ids (sad), it
+    needs m >= 2 sentences to be divided, and a half can also come out
+    empty: the smaller half has floor(m/2) sentences, so this happens
+    iff at least floor(m/2) of them have no tokens.
     """
     problems = []
     for k, doc in enumerate(corpus.documents):
         if doc_ids[k].size == 0:
             problems.append(f"{doc.id!r} has no tokens")
-        elif doc_sentence_ids is not None and len(doc_sentence_ids[k]) >= 2:
+        elif doc_sentence_ids is not None:
             m = len(doc_sentence_ids[k])
             empty = sum(ids.size == 0 for ids in doc_sentence_ids[k])
-            if empty >= m // 2:
+            if m < 2:
+                problems.append(f"{doc.id!r} has {m} sentence(s); need at least 2 "
+                                "to divide")
+            elif empty >= m // 2:
                 problems.append(f"{doc.id!r} has {empty} of {m} sentences without "
                                 "tokens, so a half can be empty")
     if problems:
@@ -409,8 +412,9 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
     embeds the whole corpus, clusters it, and records the silhouette.
     The returned ``best_params`` are from the best-silhouette epoch
     (ties to the earliest); history has one record per epoch. Documents
-    that would abort training (no tokens; for sad, a half that can come
-    out empty) are all rejected together before the first epoch.
+    that would abort training (no tokens; for sad, fewer than 2 sentences
+    or a half that can come out empty) are all rejected together before
+    the first epoch.
     """
     if config.num_clusters is None or config.num_clusters < 2:
         raise ValueError("config.num_clusters must be set (>= 2) for training")

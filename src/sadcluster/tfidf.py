@@ -1,10 +1,11 @@
-"""TF-IDF vectors, cosine similarity, and top-1 positive sampling.
+"""TF-IDF matrix, cosine similarity, and top-1 positive sampling.
 
 Provides the lexical half of positive-pair construction: each document
-gets a smoothed TF-IDF vector, every document is paired with its most
-cosine-similar neighbor, and across epochs the lexical similarity is
-blended with model-embedding similarity by a decaying weight so the
-pairing shifts from lexical to semantic as training progresses.
+gets a smoothed TF-IDF row in one CSR matrix, every document is paired
+with its most cosine-similar neighbor, and across epochs the lexical
+similarity is blended with model-embedding similarity by a decaying
+weight so the pairing shifts from lexical to semantic as training
+progresses.
 """
 
 import re
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .corpus import Corpus, Document
+from .corpus import Corpus
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -29,39 +30,6 @@ class TfIdfModel:
     vocabulary: dict[str, int]
     idf: np.ndarray
     num_docs: int
-
-
-@dataclass
-class SparseVector:
-    """L2 vector stored as sorted (index, value) pairs.
-
-    ``indices`` are strictly increasing and < dim; ``values`` are finite
-    and strictly positive. Empty support encodes the zero vector.
-    """
-
-    indices: np.ndarray
-    values: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.indices.shape != self.values.shape:
-            raise ValueError("indices and values must have the same length")
-        if self.indices.size:
-            if not np.all(np.diff(self.indices) > 0):
-                raise ValueError("indices must be strictly increasing")
-            if self.indices[0] < 0 or self.indices[-1] >= self.dim:
-                raise ValueError("index out of range")
-            if not np.all(np.isfinite(self.values)) or not np.all(self.values > 0):
-                raise ValueError("values must be finite and positive")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.indices.size == 0
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.dot(self.values, self.values)))
 
 
 @dataclass
@@ -100,87 +68,54 @@ def fit_tfidf(corpus: Corpus) -> TfIdfModel:
     return TfIdfModel(vocabulary=vocabulary, idf=idf, num_docs=n)
 
 
-def transform(model: TfIdfModel, doc: Document) -> SparseVector:
-    """TF-IDF vector of one document, L2-normalized; OOV tokens ignored."""
-    counts: Counter = Counter()
-    for token in tokenize_text(doc.text):
-        idx = model.vocabulary.get(token)
-        if idx is not None:
-            counts[idx] += 1
-    dim = len(model.vocabulary)
-    if not counts:
-        return SparseVector(np.empty(0, dtype=np.int64), np.empty(0), dim)
-    indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array([counts[i] for i in indices], dtype=np.float64) * model.idf[indices]
-    values /= np.sqrt(np.dot(values, values))
-    return SparseVector(indices, values, dim)
+def transform_corpus(model: TfIdfModel, corpus: Corpus) -> scipy.sparse.csr_matrix:
+    """TF-IDF matrix with one L2-normalized row per document.
 
-
-def transform_corpus(model: TfIdfModel, corpus: Corpus) -> list[SparseVector]:
-    return [transform(model, doc) for doc in corpus.documents]
-
-
-def _sparse_dot(a: SparseVector, b: SparseVector) -> float:
-    # merged walk over the two sorted index lists
-    total = 0.0
-    i = j = 0
-    ai, av, bi, bv = a.indices, a.values, b.indices, b.values
-    while i < ai.size and j < bi.size:
-        if ai[i] == bi[j]:
-            total += av[i] * bv[j]
-            i += 1
-            j += 1
-        elif ai[i] < bi[j]:
-            i += 1
-        else:
-            j += 1
-    return total
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of two vectors (sparse or dense); 0.0 if either has zero norm."""
-    if isinstance(a, SparseVector) and isinstance(b, SparseVector):
-        na, nb = a.norm(), b.norm()
-        if na == 0.0 or nb == 0.0:
-            return 0.0
-        return _sparse_dot(a, b) / (na * nb)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
-def _to_csr(vectors: list[SparseVector]) -> scipy.sparse.csr_matrix:
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    for i, v in enumerate(vectors):
-        indptr[i + 1] = indptr[i] + v.indices.size
-    indices = np.concatenate([v.indices for v in vectors]) if vectors else np.empty(0, np.int64)
-    data = np.concatenate([v.values for v in vectors]) if vectors else np.empty(0)
-    dim = vectors[0].dim if vectors else 0
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(vectors), dim))
+    Row k holds document k's in-vocabulary term counts times idf, at
+    sorted columns; OOV tokens are ignored, so a document without an
+    in-vocabulary token gives an empty row.
+    """
+    n, dim = len(corpus), len(model.vocabulary)
+    ids, lengths = [], []
+    for doc in corpus.documents:
+        cols = [i for token in tokenize_text(doc.text)
+                if (i := model.vocabulary.get(token)) is not None]
+        ids.extend(cols)
+        lengths.append(len(cols))
+    # one key per (row, column), sorted and counted in a single pass
+    rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    keys, counts = np.unique(rows * dim + np.asarray(ids, dtype=np.int64),
+                             return_counts=True)
+    indices = keys % dim
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // dim, minlength=n), out=indptr[1:])
+    data = counts.astype(np.float64) * model.idf[indices]
+    for start, stop in zip(indptr[:-1], indptr[1:]):
+        if stop > start:
+            row = data[start:stop]
+            row /= np.sqrt(np.dot(row, row))
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, dim))
 
 
 def similarity_matrix(vectors) -> np.ndarray:
-    """Dense n x n cosine similarity matrix; zero-norm rows give 0 rows."""
+    """Dense n x n cosine similarity of the rows of a dense or sparse matrix.
+
+    Zero-norm rows give 0 rows and columns.
+    """
     if isinstance(vectors, np.ndarray):
         x = np.asarray(vectors, dtype=np.float64)
         norms = np.linalg.norm(x, axis=1)
         safe = np.where(norms > 0, norms, 1.0)
         unit = x / safe[:, None]
         sims = unit @ unit.T
-    else:
-        if any(not isinstance(v, SparseVector) for v in vectors):
-            raise TypeError("expected a list of SparseVector or a 2-D array")
-        if len({v.dim for v in vectors}) > 1:
-            raise ValueError("all vectors must share the same dimension")
-        x = _to_csr(vectors)
+    elif scipy.sparse.issparse(vectors):
+        x = vectors
         norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
         safe = np.where(norms > 0, norms, 1.0)
         unit = scipy.sparse.diags(1.0 / safe) @ x
         sims = np.asarray((unit @ unit.T).todense())
+    else:
+        raise TypeError("expected a 2-D array or a scipy sparse matrix")
     zero = norms == 0
     if np.any(zero):
         sims[zero, :] = 0.0
@@ -199,11 +134,6 @@ def top1_from_matrix(sims: np.ndarray) -> PositivePairing:
     np.fill_diagonal(masked, -np.inf)
     partner = np.argmax(masked, axis=1)
     return PositivePairing(partner, masked[np.arange(n), partner])
-
-
-def top1_positive_sampling(vectors) -> PositivePairing:
-    """Pair each document with its most cosine-similar other document."""
-    return top1_from_matrix(similarity_matrix(vectors))
 
 
 def blended_similarity(sim_tfidf: np.ndarray, sim_model: np.ndarray,

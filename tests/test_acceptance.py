@@ -51,7 +51,6 @@ from sadcluster.tfidf import (
     blended_similarity,
     top1_from_matrix,
     tokenize_text,
-    transform,
     transform_corpus,
 )
 
@@ -312,11 +311,9 @@ def test_criterion_08_tfidf_matches_counting_oracle():
     for text in texts:
         df.update(set(tokenize_text(text)))
     worst = 0.0
-    for doc in corpus.documents:
-        vec = transform(model, doc)
-        dense = np.zeros(len(model.vocabulary))
-        dense[vec.indices] = vec.values
-
+    x = transform_corpus(model, corpus)
+    assert x.shape == (n, len(model.vocabulary))
+    for doc, dense in zip(corpus.documents, x.toarray()):
         tf = Counter(tokenize_text(doc.text))
         oracle = np.zeros(len(model.vocabulary))
         for token, count in tf.items():

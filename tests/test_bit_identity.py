@@ -2,14 +2,18 @@
 
 The references below are the straightforward implementations: a padded
 gather with a masked sum for the forward pass, ``np.add.at`` for the
-embedding gradient, and AdamW/SGD written as whole-array expressions.
-The sparse pooling and the in-place optimizer must reproduce them bit for
-bit, step after step, and views built from per-sentence token ids must
-equal tokenizing the joined view.
+embedding gradient, AdamW/SGD written as whole-array expressions, and
+TF-IDF built one document vector at a time. The sparse pooling and the
+in-place optimizer must reproduce them bit for bit, step after step,
+views built from per-sentence token ids must equal tokenizing the joined
+view, and the one-pass TF-IDF matrix must give the same similarities.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from sadcluster.augment import shuffle_divide
 from sadcluster.contrastive import (
@@ -31,6 +35,13 @@ from sadcluster.encoder import (
     tokenize,
 )
 from sadcluster.rng import derive_rng
+from sadcluster.synth import generate_synthetic_corpus
+from sadcluster.tfidf import (
+    fit_tfidf,
+    similarity_matrix,
+    tokenize_text,
+    transform_corpus,
+)
 
 
 def reference_forward(params, seqs):
@@ -206,3 +217,74 @@ def test_sentence_ids_concatenate_to_the_joined_view():
                 expected = tokenize(text, vocab, max_len)
                 assert np.array_equal(view.ids, expected.ids)
                 assert view.length == expected.length
+
+
+def reference_transform(model, doc):
+    """One document's TF-IDF vector as sorted (indices, values)."""
+    counts = Counter()
+    for token in tokenize_text(doc.text):
+        idx = model.vocabulary.get(token)
+        if idx is not None:
+            counts[idx] += 1
+    if not counts:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    indices = np.array(sorted(counts), dtype=np.int64)
+    values = np.array([counts[i] for i in indices], dtype=np.float64) * model.idf[indices]
+    values /= np.sqrt(np.dot(values, values))
+    return indices, values
+
+
+def reference_similarity(model, corpus):
+    """Per-document vectors stacked into CSR, then the sparse cosine."""
+    vectors = [reference_transform(model, doc) for doc in corpus.documents]
+    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
+    for i, (indices, _) in enumerate(vectors):
+        indptr[i + 1] = indptr[i] + indices.size
+    x = scipy.sparse.csr_matrix(
+        (np.concatenate([v for _, v in vectors]), np.concatenate([i for i, _ in vectors]),
+         indptr), shape=(len(vectors), len(model.vocabulary)))
+    norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
+    safe = np.where(norms > 0, norms, 1.0)
+    unit = scipy.sparse.diags(1.0 / safe) @ x
+    sims = np.asarray((unit @ unit.T).todense())
+    zero = norms == 0
+    sims[zero, :] = 0.0
+    sims[:, zero] = 0.0
+    return x, sims
+
+
+def corpus_of(*texts):
+    return Corpus([Document(f"d{i}", t, [t]) for i, t in enumerate(texts)])
+
+
+def tfidf_case(name):
+    """(model, corpus) pairs: the model is fitted on the first corpus."""
+    rng = np.random.default_rng(31)
+    words = [f"w{i}" for i in range(60)]
+    random_docs = corpus_of(*(" ".join(rng.choice(words, size=int(rng.integers(1, 30))))
+                              for _ in range(40)))
+    if name == "repeated-tokens":
+        corpus = corpus_of("a a a b b c", "c c c c a", "b a b a b a", "a b c a b c d d")
+        return fit_tfidf(corpus), corpus
+    if name == "oov-only-and-zero-rows":
+        applied = corpus_of("w1 w1 w2 zzz", "zzz qqq", "w3 w59 w59 w59", "!!! ...", "w0")
+        return fit_tfidf(random_docs), applied
+    if name == "random-words":
+        return fit_tfidf(random_docs), random_docs
+    corpus = generate_synthetic_corpus(topics=3, docs_per_topic=40, vocab_per_topic=80,
+                                       sentences_per_doc=4, seed=3)
+    assert len(corpus) > 100
+    return fit_tfidf(corpus), corpus
+
+
+@pytest.mark.parametrize("case", ["repeated-tokens", "oov-only-and-zero-rows",
+                                  "random-words", "synthetic-n120"])
+def test_tfidf_matrix_matches_the_per_document_reference(case):
+    model, corpus = tfidf_case(case)
+    expected_x, expected_sims = reference_similarity(model, corpus)
+    x = transform_corpus(model, corpus)
+    assert x.shape == expected_x.shape
+    assert np.array_equal(x.indptr, expected_x.indptr)
+    assert np.array_equal(x.indices, expected_x.indices)
+    assert same_bits(x.data, expected_x.data)
+    assert same_bits(similarity_matrix(x), expected_sims)

@@ -368,19 +368,6 @@ class TestEmbedClusterEval:
 
 
 class TestCliPlumbing:
-    def test_threads_env_var_validated(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SADCLUSTER_THREADS", "not-a-number")
-        code, _, err = run(capsys, "synth", "--out", str(tmp_path / "c.jsonl"))
-        assert code == 1
-        assert "SADCLUSTER_THREADS" in json.loads(err)["message"]
-
-    def test_threads_env_var_accepts_positive_integer(self, capsys, tmp_path,
-                                                      monkeypatch):
-        monkeypatch.setenv("SADCLUSTER_THREADS", "4")
-        code, _, _ = run(capsys, "synth", "--out", str(tmp_path / "c.jsonl"),
-                         "--docs-per-topic", "2")
-        assert code == 0
-
     def test_missing_input_file_reports_json_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--assignments", "nope.jsonl",
                            "--corpus", "nope.jsonl",

@@ -506,13 +506,30 @@ class TestTrain:
         assert first[0] > first[-1]
         assert result.history[0]["loss"] > result.history[1]["loss"]
 
-    def test_short_document_aborts_with_location(self):
+    def test_short_document_aborts_with_location(self, monkeypatch):
         docs = [make_document(f"d{i}", "Alpha beta. Gamma delta. Five six. Seven eight.")
                 for i in range(7)]
         docs.append(make_document("bad", "Only one sentence here."))
         corpus = Corpus(documents=tuple(docs))
-        with pytest.raises(RuntimeError, match=r"epoch 1, batch \d+"):
+        steps = []
+        monkeypatch.setattr(contrastive, "build_batch_sad",
+                            lambda *a, **k: steps.append(a))
+        with pytest.raises(ValueError) as err:
             train(corpus, self.small_config(num_clusters=2, epochs=1))
+        message = str(err.value)
+        assert message.startswith("1 document(s) cannot be trained on")
+        assert "'bad' has 1 sentence(s); need at least 2 to divide" in message
+        assert steps == []
+
+    def test_failed_step_reports_epoch_and_batch(self, monkeypatch):
+        corpus = generate_synthetic_corpus(docs_per_topic=8, seed=1)
+
+        def overflow(*args, **kwargs):
+            raise FloatingPointError("non-finite values in embedding_table after update")
+
+        monkeypatch.setattr(contrastive, "optimizer_step", overflow)
+        with pytest.raises(RuntimeError, match=r"^epoch 1, batch 0: non-finite"):
+            train(corpus, self.small_config(epochs=1))
 
     def test_token_free_sentences_fail_before_training(self, monkeypatch):
         docs = [make_document(f"d{i}", "Alpha beta. Gamma delta. Five six. Seven eight.")

@@ -2,19 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from sadcluster.corpus import Corpus, make_document
 from sadcluster.tfidf import (
     PositivePairing,
-    SparseVector,
     blended_similarity,
-    cosine_similarity,
     fit_tfidf,
     label_match_rate,
     similarity_matrix,
     tokenize_text,
-    top1_positive_sampling,
-    transform,
+    top1_from_matrix,
     transform_corpus,
 )
 
@@ -25,6 +23,26 @@ def corpus_of(*texts, labels=None):
         label = labels[i] if labels is not None else None
         docs.append(make_document(f"d{i}", text, label=label))
     return Corpus(docs)
+
+
+def row(x, i):
+    """Indices and values of row i of a CSR matrix."""
+    start, stop = x.indptr[i], x.indptr[i + 1]
+    return x.indices[start:stop], x.data[start:stop]
+
+
+def cosine(a, b):
+    """Cosine of two dense or sparse rows through similarity_matrix."""
+    if scipy.sparse.issparse(a):
+        return similarity_matrix(scipy.sparse.vstack([a, b], format="csr"))[0, 1]
+    return similarity_matrix(np.vstack([a, b]).astype(np.float64))[0, 1]
+
+
+def one_hots(columns, dim):
+    """CSR matrix with a single 1.0 per row, at the given columns."""
+    n = len(columns)
+    return scipy.sparse.csr_matrix((np.ones(n), columns, np.arange(n + 1)),
+                                   shape=(n, dim))
 
 
 class TestTokenize:
@@ -69,10 +87,11 @@ class TestFitTfidf:
 class TestTransform:
     def test_hand_computed_vector(self):
         model = fit_tfidf(corpus_of("a b", "a b"))
-        vec = transform(model, make_document("q", "a a b"))
+        x = transform_corpus(model, corpus_of("a a b"))
+        indices, values = row(x, 0)
         # idf(a)=idf(b)=1, tf=(2,1), normalized to (2,1)/sqrt(5)
-        assert vec.indices.tolist() == [model.vocabulary["a"], model.vocabulary["b"]]
-        assert vec.values == pytest.approx([2 / math.sqrt(5), 1 / math.sqrt(5)], abs=1e-12)
+        assert indices.tolist() == [model.vocabulary["a"], model.vocabulary["b"]]
+        assert values == pytest.approx([2 / math.sqrt(5), 1 / math.sqrt(5)], abs=1e-12)
 
     def test_unit_norm(self):
         rng = np.random.default_rng(1)
@@ -80,64 +99,50 @@ class TestTransform:
         texts = [" ".join(rng.choice(words, size=25)) for _ in range(30)]
         corpus = corpus_of(*texts)
         model = fit_tfidf(corpus)
-        for vec in transform_corpus(model, corpus):
-            assert vec.norm() == pytest.approx(1.0, abs=1e-9)
+        x = transform_corpus(model, corpus)
+        assert x.shape == (30, len(model.vocabulary))
+        for i in range(x.shape[0]):
+            _, values = row(x, i)
+            assert np.sqrt(values @ values) == pytest.approx(1.0, abs=1e-9)
 
     def test_oov_only_gives_zero_support(self):
         model = fit_tfidf(corpus_of("a b"))
-        vec = transform(model, make_document("q", "zzz qqq"))
-        assert vec.is_zero
-        assert vec.dim == 2
+        x = transform_corpus(model, corpus_of("a", "zzz qqq", "b"))
+        assert x.shape == (3, 2)
+        assert np.diff(x.indptr).tolist() == [1, 0, 1]
 
     def test_deterministic(self):
         model = fit_tfidf(corpus_of("a b c", "b c d"))
-        doc = make_document("q", "c b a a")
-        v1, v2 = transform(model, doc), transform(model, doc)
-        assert np.array_equal(v1.indices, v2.indices)
-        assert np.array_equal(v1.values, v2.values)
-
-
-class TestSparseVector:
-    def test_rejects_unsorted_indices(self):
-        with pytest.raises(ValueError):
-            SparseVector(np.array([2, 1]), np.array([1.0, 1.0]), 5)
-
-    def test_rejects_nonpositive_values(self):
-        with pytest.raises(ValueError):
-            SparseVector(np.array([0]), np.array([0.0]), 5)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            SparseVector(np.array([5]), np.array([1.0]), 5)
+        corpus = corpus_of("c b a a", "d d c")
+        x1, x2 = transform_corpus(model, corpus), transform_corpus(model, corpus)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(x1, attr), getattr(x2, attr))
 
 
 class TestCosineSimilarity:
     def test_identical_vectors(self):
-        v = SparseVector(np.array([0, 3]), np.array([1.0, 2.0]), 5)
-        assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
+        v = scipy.sparse.csr_matrix(np.array([[1.0, 0.0, 0.0, 2.0, 0.0]]))
+        assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_supports(self):
-        a = SparseVector(np.array([0]), np.array([1.0]), 4)
-        b = SparseVector(np.array([1]), np.array([1.0]), 4)
-        assert cosine_similarity(a, b) == 0.0
+        x = one_hots([0, 1], 4)
+        assert cosine(x[0], x[1]) == 0.0
 
     def test_hand_computed_dense(self):
-        assert cosine_similarity([1, 1, 0], [1, 0, 1]) == pytest.approx(0.5, abs=1e-12)
+        assert cosine([1, 1, 0], [1, 0, 1]) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_norm_defined_as_zero(self):
-        z = SparseVector(np.empty(0, dtype=np.int64), np.empty(0), 4)
-        v = SparseVector(np.array([1]), np.array([1.0]), 4)
-        assert cosine_similarity(z, v) == 0.0
-        assert cosine_similarity([0.0, 0.0], [1.0, 0.0]) == 0.0
+        x = scipy.sparse.csr_matrix((np.ones(1), [1], [0, 0, 1]), shape=(2, 4))
+        assert cosine(x[0], x[1]) == 0.0
+        assert cosine([0.0, 0.0], [1.0, 0.0]) == 0.0
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            a = rng.normal(size=6)
-            b = rng.normal(size=6)
-            s_ab = cosine_similarity(a, b)
-            assert s_ab == pytest.approx(cosine_similarity(b, a), abs=1e-15)
-            assert abs(s_ab) <= 1.0 + 1e-12
+            x = rng.normal(size=(2, 6))
+            s = similarity_matrix(x)
+            assert s[0, 1] == pytest.approx(s[1, 0], abs=1e-15)
+            assert abs(s[0, 1]) <= 1.0 + 1e-12
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
@@ -145,62 +150,51 @@ class TestCosineSimilarity:
             a = rng.normal(size=5)
             b = rng.normal(size=5)
             c = float(rng.uniform(0.1, 100.0))
-            assert cosine_similarity(c * a, b) == pytest.approx(
-                cosine_similarity(a, b), abs=1e-12
-            )
+            assert cosine(c * a, b) == pytest.approx(cosine(a, b), abs=1e-12)
 
     def test_sparse_agrees_with_dense(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             dense_a = np.abs(rng.normal(size=10)) * (rng.random(10) < 0.5)
             dense_b = np.abs(rng.normal(size=10)) * (rng.random(10) < 0.5)
-            def sparsify(d):
-                idx = np.flatnonzero(d)
-                return SparseVector(idx, d[idx], 10)
-            expected = cosine_similarity(dense_a, dense_b)
-            assert cosine_similarity(sparsify(dense_a), sparsify(dense_b)) == pytest.approx(
-                expected, abs=1e-12
+            sparse_a = scipy.sparse.csr_matrix(dense_a[None, :])
+            sparse_b = scipy.sparse.csr_matrix(dense_b[None, :])
+            assert cosine(sparse_a, sparse_b) == pytest.approx(
+                cosine(dense_a, dense_b), abs=1e-12
             )
 
 
 class TestTop1Sampling:
     def test_two_docs_mutual_partners(self):
         corpus = corpus_of("apple banana", "apple cherry")
-        pairing = top1_positive_sampling(transform_corpus(fit_tfidf(corpus), corpus))
-        assert pairing.partner.tolist() == [1, 0]
+        sims = similarity_matrix(transform_corpus(fit_tfidf(corpus), corpus))
+        assert top1_from_matrix(sims).partner.tolist() == [1, 0]
 
     def test_one_hot_tie_breaking(self):
-        vecs = [
-            SparseVector(np.array([0]), np.array([1.0]), 3),
-            SparseVector(np.array([0]), np.array([1.0]), 3),
-            SparseVector(np.array([1]), np.array([1.0]), 3),
-        ]
-        pairing = top1_positive_sampling(vecs)
+        pairing = top1_from_matrix(similarity_matrix(one_hots([0, 0, 1], 3)))
         # doc2 is orthogonal to both others: tie at 0 broken to index 0
         assert pairing.partner.tolist() == [1, 0, 0]
 
     def test_all_identical_smallest_other_index(self):
-        vecs = [SparseVector(np.array([0]), np.array([1.0]), 2) for _ in range(4)]
-        pairing = top1_positive_sampling(vecs)
+        pairing = top1_from_matrix(similarity_matrix(one_hots([0] * 4, 2)))
         assert pairing.partner.tolist() == [1, 0, 0, 0]
 
     def test_fewer_than_two_errors(self):
-        v = SparseVector(np.array([0]), np.array([1.0]), 2)
         with pytest.raises(ValueError):
-            top1_positive_sampling([v])
+            top1_from_matrix(similarity_matrix(one_hots([0], 2)))
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(7)
         for trial in range(20):
             n = int(rng.integers(2, 40))
             x = rng.normal(size=(n, 8))
-            pairing = top1_positive_sampling(x)
+            pairing = top1_from_matrix(similarity_matrix(x))
             for i in range(n):
                 best_j, best_s = -1, -np.inf
                 for j in range(n):
                     if j == i:
                         continue
-                    s = cosine_similarity(x[i], x[j])
+                    s = float(x[i] @ x[j]) / math.sqrt(float(x[i] @ x[i]) * float(x[j] @ x[j]))
                     if s > best_s:
                         best_j, best_s = j, s
                 assert pairing.partner[i] == best_j
@@ -215,13 +209,13 @@ class TestSimilarityMatrix:
     def test_sparse_and_dense_paths_agree(self):
         rng = np.random.default_rng(8)
         dense = np.abs(rng.normal(size=(12, 9))) * (rng.random((12, 9)) < 0.4)
-        vecs = []
-        for row in dense:
-            idx = np.flatnonzero(row)
-            vecs.append(SparseVector(idx, row[idx], 9))
-        s_sparse = similarity_matrix(vecs)
-        s_dense = similarity_matrix(dense)
-        assert np.allclose(s_sparse, s_dense, atol=1e-12)
+        x = scipy.sparse.csr_matrix(dense)
+        assert np.allclose(similarity_matrix(x), similarity_matrix(x.toarray()),
+                           atol=1e-12)
+
+    def test_other_inputs_rejected(self):
+        with pytest.raises(TypeError):
+            similarity_matrix([[1.0, 0.0], [0.0, 1.0]])
 
     def test_zero_rows_give_zero_similarity(self):
         x = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
@@ -284,7 +278,7 @@ class TestLabelMatchRate:
                 labels.append(topic)
         corpus = corpus_of(*texts, labels=labels)
         model = fit_tfidf(corpus)
-        pairing = top1_positive_sampling(transform_corpus(model, corpus))
+        pairing = top1_from_matrix(similarity_matrix(transform_corpus(model, corpus)))
         assert label_match_rate(pairing, labels) == 1.0
 
     def test_missing_label_errors(self):
