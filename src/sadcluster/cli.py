@@ -28,6 +28,8 @@ from .corpus import (
     save_corpus,
 )
 from .encoder import (
+    PAD_TOKEN,
+    UNK_TOKEN,
     Vocabulary,
     embed_corpus,
     load_checkpoint,
@@ -71,7 +73,18 @@ def load_vocab(path) -> Vocabulary:
     tokens = payload.get("tokens")
     if not isinstance(tokens, list) or len(tokens) < 2:
         raise ValueError(f"not a vocabulary file: {path}")
-    return Vocabulary({token: i for i, token in enumerate(tokens)})
+    if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
+        raise ValueError(f"{path}: tokens 0 and 1 must be {PAD_TOKEN!r} and "
+                         f"{UNK_TOKEN!r}, got {tokens[0]!r} and {tokens[1]!r}")
+    token_to_id = {}
+    for i, token in enumerate(tokens):
+        if not isinstance(token, str):
+            raise ValueError(f"{path}: token {i} is not a string: {token!r}")
+        if token in token_to_id:
+            raise ValueError(f"{path}: token {i} {token!r} repeats token "
+                             f"{token_to_id[token]}")
+        token_to_id[token] = i
+    return Vocabulary(token_to_id)
 
 
 def write_embeddings(ids, embeddings: np.ndarray, path) -> None:
@@ -248,6 +261,10 @@ def cmd_embed(args) -> int:
     corpus = load_corpus(args.corpus, format=args.format)
     params = load_checkpoint(args.checkpoint)
     vocab = load_vocab(args.vocab)
+    rows = params.embedding_table.shape[0]
+    if len(vocab) != rows:
+        raise ValueError(f"vocabulary {args.vocab} has {len(vocab)} tokens but the "
+                         f"checkpoint's embedding table has {rows} rows")
     embeddings = embed_corpus(params, vocab, corpus, args.max_len)
     write_embeddings([doc.id for doc in corpus.documents], embeddings, args.out)
     return 0

@@ -10,6 +10,7 @@ and is asserted so on every step.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .rng import derive_rng
 
@@ -70,7 +71,7 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _reseed_empty(x, sims, assignments, centroids):
-    """Move the worst-fit point into each empty cluster."""
+    """Move the worst-fit point into each empty cluster, updating in place."""
     k = centroids.shape[0]
     n = x.shape[0]
     counts = np.bincount(assignments, minlength=k)
@@ -86,49 +87,42 @@ def _reseed_empty(x, sims, assignments, centroids):
         counts[j] = 1
         centroids[j] = x[worst]
         sims[:, j] = x @ x[worst]
-    return sims, assignments, centroids
 
 
 def _update_centroids(x, assignments, centroids):
-    k = centroids.shape[0]
-    for j in range(k):
-        members = x[assignments == j]
-        if members.shape[0] == 0:
-            continue
-        mean = members.sum(axis=0)
-        norm = np.linalg.norm(mean)
-        if norm > 0:
-            centroids[j] = mean / norm
+    """Normalized member sum of each cluster; a zero sum keeps the centroid.
+
+    The k x n indicator product adds each cluster's members in index
+    order, one row after another, as a masked ``sum(axis=0)`` does.
+    """
+    n = x.shape[0]
+    sums = scipy.sparse.csr_array((np.ones(n), (assignments, np.arange(n))),
+                                  shape=(centroids.shape[0], n)) @ x
+    # the norm of one vector is a BLAS dot, which an axis=1 norm does not match
+    norms = np.array([np.linalg.norm(row) for row in sums])
+    nonzero = norms > 0
+    centroids[nonzero] = sums[nonzero] / norms[nonzero, None]
     return centroids
 
 
 def _run_once(x, k, rng, max_iter, tol):
-    n = x.shape[0]
     centroids = _kmeanspp_init(x, k, rng)
-    sims = x @ centroids.T
-    assignments = np.argmax(sims, axis=1)
-    sims, assignments, centroids = _reseed_empty(x, sims, assignments, centroids)
-    objective = float(sims[np.arange(n), assignments].sum())
-    history = [objective]
-    iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        centroids = _update_centroids(x, assignments, centroids)
+    history = []
+    # iteration 0 scores the k-means++ seeding; each later one updates first
+    for iterations in range(max_iter + 1):
+        if iterations:
+            centroids = _update_centroids(x, assignments, centroids)
         sims = x @ centroids.T
-        new_assignments = np.argmax(sims, axis=1)
-        sims, new_assignments, centroids = _reseed_empty(
-            x, sims, new_assignments, centroids
-        )
-        new_objective = float(sims[np.arange(n), new_assignments].sum())
-        assert new_objective >= objective - 1e-9, (
-            f"objective decreased: {objective} -> {new_objective}"
-        )
-        history.append(new_objective)
-        improved = new_objective - objective
-        assignments, objective = new_assignments, new_objective
-        if improved < tol:
-            break
-    return centroids, assignments, objective, iterations, history
+        assignments = np.argmax(sims, axis=1)
+        _reseed_empty(x, sims, assignments, centroids)
+        history.append(float(sims[np.arange(x.shape[0]), assignments].sum()))
+        if iterations:
+            assert history[-1] >= history[-2] - 1e-9, (
+                f"objective decreased: {history[-2]} -> {history[-1]}"
+            )
+            if history[-1] - history[-2] < tol:
+                break
+    return centroids, assignments, history[-1], iterations, history
 
 
 def spherical_kmeans(embeddings: np.ndarray, k: int, seed: int = 0,

@@ -80,11 +80,6 @@ class EncoderParams:
             return self.projection_w.shape[1]
         return self.embedding_table.shape[1]
 
-    def check_finite(self) -> None:
-        for name, tensor in self.tensors().items():
-            if not np.all(np.isfinite(tensor)):
-                raise FloatingPointError(f"non-finite values in {name}")
-
     def tensors(self) -> dict[str, np.ndarray]:
         out = {"embedding_table": self.embedding_table}
         if self.projection_w is not None:

@@ -68,18 +68,11 @@ def clustering_accuracy(labels, clusters) -> tuple[float, dict[int, int]]:
     """Best-mapping accuracy and the cluster-to-label mapping achieving it."""
     counts = confusion_matrix(labels, clusters)
     n_labels, n_clusters = counts.shape
-    size = max(n_labels, n_clusters)
-    padded = np.zeros((size, size), dtype=np.float64)
-    padded[:n_labels, :n_clusters] = counts
-    perm = hungarian(-padded)
-    mapping = {}
-    matched = 0
-    for label_row, cluster_col in enumerate(perm):
-        if label_row < n_labels and cluster_col < n_clusters:
-            mapping[int(cluster_col)] = label_row
-            matched += counts[label_row, cluster_col]
-    acc = matched / counts.sum()
-    return float(acc), mapping
+    perm = hungarian(-counts)
+    rows = np.flatnonzero(perm[:n_labels] < n_clusters)
+    cols = perm[rows]
+    mapping = dict(zip(cols.tolist(), rows.tolist()))
+    return float(counts[rows, cols].sum() / counts.sum()), mapping
 
 
 def entropy(counts: np.ndarray) -> float:
@@ -95,13 +88,9 @@ def mutual_information(counts: np.ndarray) -> float:
     n = counts.sum()
     a = counts.sum(axis=1)
     b = counts.sum(axis=0)
-    mi = 0.0
-    for i in range(counts.shape[0]):
-        for j in range(counts.shape[1]):
-            nij = counts[i, j]
-            if nij > 0:
-                mi += (nij / n) * np.log(n * nij / (a[i] * b[j]))
-    return float(mi)
+    i, j = np.nonzero(counts)
+    nij = counts[i, j]
+    return float(np.sum((nij / n) * np.log(n * nij / (a[i] * b[j]))))
 
 
 def expected_mutual_information(a: np.ndarray, b: np.ndarray, n: int) -> float:
@@ -115,17 +104,16 @@ def expected_mutual_information(a: np.ndarray, b: np.ndarray, n: int) -> float:
     log_n = np.log(n)
     for ai in a:
         for bj in b:
-            lo = max(1, ai + bj - n)
-            hi = min(ai, bj)
-            for nij in range(lo, hi + 1):
-                log_term = (
-                    gammaln(ai + 1) + gammaln(bj + 1)
-                    + gammaln(n - ai + 1) + gammaln(n - bj + 1)
-                    - gammaln(n + 1) - gammaln(nij + 1)
-                    - gammaln(ai - nij + 1) - gammaln(bj - nij + 1)
-                    - gammaln(n - ai - bj + nij + 1)
-                )
-                emi += (nij / n) * (log_n + np.log(nij) - np.log(ai * bj)) * np.exp(log_term)
+            nij = np.arange(max(1, ai + bj - n), min(ai, bj) + 1)
+            log_term = (
+                gammaln(ai + 1) + gammaln(bj + 1)
+                + gammaln(n - ai + 1) + gammaln(n - bj + 1)
+                - gammaln(n + 1) - gammaln(nij + 1)
+                - gammaln(ai - nij + 1) - gammaln(bj - nij + 1)
+                - gammaln(n - ai - bj + nij + 1)
+            )
+            emi += np.sum((nij / n) * (log_n + np.log(nij) - np.log(ai * bj))
+                          * np.exp(log_term))
     return float(emi)
 
 
@@ -162,6 +150,8 @@ def silhouette_score(embeddings: np.ndarray, assignments, sample_cap: int = 2000
     exceeds ``sample_cap``, scores are averaged over a seeded subsample
     of points (distances still use the full dataset).
     """
+    if sample_cap < 1:
+        raise ValueError("sample_cap must be >= 1")
     x = np.asarray(embeddings, dtype=np.float64)
     assignments = np.asarray(assignments, dtype=np.int64)
     n = x.shape[0]
@@ -169,7 +159,8 @@ def silhouette_score(embeddings: np.ndarray, assignments, sample_cap: int = 2000
         raise ValueError("assignments must match embeddings rows")
     if n < 3:
         raise ValueError("need at least 3 points")
-    cluster_ids = np.unique(assignments)
+    cluster_ids, index, sizes = np.unique(assignments, return_inverse=True,
+                                           return_counts=True)
     if cluster_ids.size < 2:
         raise ValueError("silhouette requires at least 2 clusters")
     norms = np.linalg.norm(x, axis=1)
@@ -182,25 +173,19 @@ def silhouette_score(embeddings: np.ndarray, assignments, sample_cap: int = 2000
     else:
         sample = np.arange(n)
 
-    counts = {int(c): int(np.sum(assignments == c)) for c in cluster_ids}
-    sims = unit[sample] @ unit.T
-    dists = 1.0 - sims
-    scores = np.empty(sample.size)
-    for row, i in enumerate(sample):
-        own = int(assignments[i])
-        if counts[own] == 1:
-            scores[row] = 0.0
-            continue
-        d = dists[row]
-        a = (d[assignments == own].sum() - d[i]) / (counts[own] - 1)
-        b = np.inf
-        for c in cluster_ids:
-            c = int(c)
-            if c == own:
-                continue
-            b = min(b, d[assignments == c].mean())
-        top = max(a, b)
-        scores[row] = 0.0 if top == 0.0 else (b - a) / top
+    dists = unit[sample] @ unit.T
+    np.subtract(1.0, dists, out=dists)
+    sums = dists @ (index[:, None] == np.arange(cluster_ids.size))
+    rows = np.arange(sample.size)
+    own = index[sample]
+    own_size = sizes[own]
+    a = (sums[rows, own] - dists[rows, sample]) / np.maximum(own_size - 1, 1)
+    means = sums / sizes
+    means[rows, own] = np.inf
+    b = means.min(axis=1)
+    top = np.maximum(a, b)
+    scores = np.divide(b - a, top, out=np.zeros(sample.size),
+                       where=(own_size > 1) & (top != 0.0))
     return float(scores.mean())
 
 

@@ -2,11 +2,14 @@
 
 The references below are the straightforward implementations: a padded
 gather with a masked sum for the forward pass, ``np.add.at`` for the
-embedding gradient, AdamW/SGD written as whole-array expressions, and
-TF-IDF built one document vector at a time. The sparse pooling and the
-in-place optimizer must reproduce them bit for bit, step after step,
-views built from per-sentence token ids must equal tokenizing the joined
-view, and the one-pass TF-IDF matrix must give the same similarities.
+embedding gradient, AdamW/SGD written as whole-array expressions,
+TF-IDF built one document vector at a time, and k-means, silhouette,
+MI and EMI written as loops over clusters, samples and table cells. The
+sparse pooling and the in-place optimizer must reproduce them bit for
+bit, step after step, views built from per-sentence token ids must equal
+tokenizing the joined view, and the one-pass TF-IDF matrix must give the
+same similarities. k-means must match bit for bit; the metrics, whose
+sums run in another order, must agree within 1e-12.
 """
 
 from collections import Counter
@@ -14,8 +17,16 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse
+from scipy.special import gammaln
 
 from sadcluster.augment import shuffle_divide
+from sadcluster.cluster import (
+    _kmeanspp_init,
+    _normalize_rows,
+    _reseed_empty,
+    _update_centroids,
+    spherical_kmeans,
+)
 from sadcluster.contrastive import (
     TrainConfig,
     build_batch_sad,
@@ -24,6 +35,16 @@ from sadcluster.contrastive import (
     optimizer_step,
 )
 from sadcluster.corpus import Corpus, Document
+from sadcluster.evaluate import (
+    adjusted_mutual_information,
+    clustering_accuracy,
+    confusion_matrix,
+    entropy,
+    expected_mutual_information,
+    hungarian,
+    mutual_information,
+    silhouette_score,
+)
 from sadcluster.encoder import (
     TokenSequence,
     build_vocab,
@@ -288,3 +309,238 @@ def test_tfidf_matrix_matches_the_per_document_reference(case):
     assert np.array_equal(x.indices, expected_x.indices)
     assert same_bits(x.data, expected_x.data)
     assert same_bits(similarity_matrix(x), expected_sims)
+
+
+def reference_update_centroids(x, assignments, centroids):
+    for j in range(centroids.shape[0]):
+        members = x[assignments == j]
+        if members.shape[0] == 0:
+            continue
+        mean = members.sum(axis=0)
+        norm = np.linalg.norm(mean)
+        if norm > 0:
+            centroids[j] = mean / norm
+    return centroids
+
+
+def reference_run_once(x, k, rng, max_iter, tol):
+    n = x.shape[0]
+    centroids = _kmeanspp_init(x, k, rng)
+    sims = x @ centroids.T
+    assignments = np.argmax(sims, axis=1)
+    _reseed_empty(x, sims, assignments, centroids)
+    objective = float(sims[np.arange(n), assignments].sum())
+    history = [objective]
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        centroids = reference_update_centroids(x, assignments, centroids)
+        sims = x @ centroids.T
+        new_assignments = np.argmax(sims, axis=1)
+        _reseed_empty(x, sims, new_assignments, centroids)
+        new_objective = float(sims[np.arange(n), new_assignments].sum())
+        assert new_objective >= objective - 1e-9
+        history.append(new_objective)
+        improved = new_objective - objective
+        assignments, objective = new_assignments, new_objective
+        if improved < tol:
+            break
+    return centroids, assignments, objective, iterations, history
+
+
+def reference_kmeans(embeddings, k, seed, max_iter=100, tol=1e-6, restarts=10):
+    x = _normalize_rows(embeddings)
+    best = None
+    for r in range(restarts):
+        run = reference_run_once(x, k, derive_rng(seed, "kmeans", r), max_iter, tol)
+        if best is None or run[2] > best[2]:
+            best = run
+    return best
+
+
+def reference_silhouette(embeddings, assignments, sample_cap=2000, seed=0):
+    x = np.asarray(embeddings, dtype=np.float64)
+    assignments = np.asarray(assignments, dtype=np.int64)
+    n = x.shape[0]
+    cluster_ids = np.unique(assignments)
+    unit = x / np.linalg.norm(x, axis=1)[:, None]
+    if n > sample_cap:
+        sample = np.sort(derive_rng(seed, "silhouette").choice(n, size=sample_cap,
+                                                                replace=False))
+    else:
+        sample = np.arange(n)
+    counts = {int(c): int(np.sum(assignments == c)) for c in cluster_ids}
+    dists = 1.0 - unit[sample] @ unit.T
+    scores = np.empty(sample.size)
+    for row, i in enumerate(sample):
+        own = int(assignments[i])
+        if counts[own] == 1:
+            scores[row] = 0.0
+            continue
+        d = dists[row]
+        a = (d[assignments == own].sum() - d[i]) / (counts[own] - 1)
+        b = np.inf
+        for c in cluster_ids:
+            c = int(c)
+            if c == own:
+                continue
+            b = min(b, d[assignments == c].mean())
+        top = max(a, b)
+        scores[row] = 0.0 if top == 0.0 else (b - a) / top
+    return float(scores.mean())
+
+
+def reference_mutual_information(counts):
+    n = counts.sum()
+    a = counts.sum(axis=1)
+    b = counts.sum(axis=0)
+    mi = 0.0
+    for i in range(counts.shape[0]):
+        for j in range(counts.shape[1]):
+            nij = counts[i, j]
+            if nij > 0:
+                mi += (nij / n) * np.log(n * nij / (a[i] * b[j]))
+    return float(mi)
+
+
+def reference_expected_mutual_information(a, b, n):
+    emi = 0.0
+    log_n = np.log(n)
+    for ai in np.asarray(a, dtype=np.int64):
+        for bj in np.asarray(b, dtype=np.int64):
+            for nij in range(max(1, ai + bj - n), min(ai, bj) + 1):
+                log_term = (
+                    gammaln(ai + 1) + gammaln(bj + 1)
+                    + gammaln(n - ai + 1) + gammaln(n - bj + 1)
+                    - gammaln(n + 1) - gammaln(nij + 1)
+                    - gammaln(ai - nij + 1) - gammaln(bj - nij + 1)
+                    - gammaln(n - ai - bj + nij + 1)
+                )
+                emi += (nij / n) * (log_n + np.log(nij) - np.log(ai * bj)) * np.exp(log_term)
+    return float(emi)
+
+
+def reference_accuracy(labels, clusters):
+    counts = confusion_matrix(labels, clusters)
+    n_labels, n_clusters = counts.shape
+    size = max(n_labels, n_clusters)
+    padded = np.zeros((size, size), dtype=np.float64)
+    padded[:n_labels, :n_clusters] = counts
+    perm = hungarian(-padded)
+    mapping = {}
+    matched = 0
+    for label_row, cluster_col in enumerate(perm):
+        if label_row < n_labels and cluster_col < n_clusters:
+            mapping[int(cluster_col)] = label_row
+            matched += counts[label_row, cluster_col]
+    return float(matched / counts.sum()), mapping
+
+
+def reference_ami(labels, clusters):
+    counts = confusion_matrix(labels, clusters)
+    a = counts.sum(axis=1)
+    b = counts.sum(axis=0)
+    a, b = a[a > 0], b[b > 0]
+    if a.size == 1 and b.size == 1:
+        return 1.0
+    n = int(counts.sum())
+    mi = reference_mutual_information(counts)
+    emi = reference_expected_mutual_information(a, b, n)
+    denom = (entropy(a) + entropy(b)) / 2.0 - emi
+    return 0.0 if denom == 0.0 else float((mi - emi) / denom)
+
+
+def kmeans_case(name):
+    """(embeddings, k, seed) for one named k-means case."""
+    rng = np.random.default_rng(41)
+    if name == "reseeded-empty-cluster":
+        # three directions for five clusters: k-means++ must repeat a point
+        x = np.repeat(rng.normal(size=(3, 4)), [6, 5, 4], axis=0)
+        x *= rng.uniform(0.5, 2.0, size=(x.shape[0], 1))
+        return x, 5, 0
+    if name == "blobs-d2":
+        centers = rng.normal(size=(4, 2))
+        return np.repeat(centers, 30, axis=0) + rng.normal(scale=0.3, size=(120, 2)), 4, 3
+    if name == "noise-k20":
+        return rng.normal(size=(400, 16)), 20, 7
+    x, k = rng.normal(size=(60, 5)), 6
+    x[-3:] = x[0]  # repeated rows among otherwise random ones
+    return x, k, 11
+
+
+@pytest.mark.parametrize("case", ["reseeded-empty-cluster", "blobs-d2", "noise-k20",
+                                  "repeated-rows"])
+def test_kmeans_matches_the_loop_reference(case):
+    x, k, seed = kmeans_case(case)
+    if case == "reseeded-empty-cluster":
+        unit = _normalize_rows(x)
+        first = _kmeanspp_init(unit, k, derive_rng(seed, "kmeans", 0))
+        assert np.bincount(np.argmax(unit @ first.T, axis=1), minlength=k).min() == 0
+    model = spherical_kmeans(x, k=k, seed=seed)
+    centroids, assignments, objective, iterations, history = reference_kmeans(x, k, seed)
+    assert same_bits(model.centroids, centroids)
+    assert same_bits(model.assignments, assignments)
+    assert model.objective == objective
+    assert model.iterations_run == iterations
+    assert model.objective_history == history
+
+
+def test_update_centroids_matches_the_masked_sums():
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        n, d, k = int(rng.integers(2, 80)), int(rng.integers(2, 20)), int(rng.integers(2, 9))
+        x = _normalize_rows(rng.normal(size=(n, d)))
+        assignments = rng.integers(0, k, size=n)  # some clusters stay empty
+        start = _normalize_rows(rng.normal(size=(k, d)))
+        got = _update_centroids(x, assignments, start.copy())
+        assert same_bits(got, reference_update_centroids(x, assignments, start.copy()))
+
+
+def silhouette_case(name):
+    """(embeddings, assignments, sample_cap) for one named silhouette case."""
+    rng = np.random.default_rng(47)
+    x = rng.normal(size=(90, 6))
+    assignments = rng.integers(0, 4, size=90)
+    if name == "singletons":
+        assignments[:3] = [4, 5, 6]
+        assignments[3:] = np.minimum(assignments[3:], 3)
+        return x, assignments, 2000
+    if name == "identical-points":
+        # two clusters of one repeated point: a = b = 0 everywhere
+        return np.tile(x[:1], (10, 1)), np.repeat([0, 1], 5), 2000
+    if name == "sampled":
+        return x, assignments, 25
+    return x, np.where(assignments % 2 == 0, 0, 5), 2000  # ids {0, 5}
+
+
+@pytest.mark.parametrize("case", ["singletons", "identical-points", "sampled",
+                                  "non-contiguous-ids"])
+def test_silhouette_matches_the_loop_reference(case):
+    x, assignments, cap = silhouette_case(case)
+    for seed in (0, 3):
+        got = silhouette_score(x, assignments, sample_cap=cap, seed=seed)
+        assert abs(got - reference_silhouette(x, assignments, cap, seed)) <= 1e-12
+    if case == "identical-points":
+        assert got == 0.0
+
+
+def test_accuracy_mi_emi_and_ami_match_the_loop_references():
+    rng = np.random.default_rng(53)
+    for trial in range(40):
+        n = int(rng.integers(2, 300))
+        labels = rng.integers(0, int(rng.integers(1, 8)), size=n)
+        clusters = rng.integers(0, int(rng.integers(1, 8)), size=n)
+        if trial % 4 == 0:
+            clusters = np.where(clusters % 2 == 0, 0, 5)  # empty columns between ids
+        acc, mapping = clustering_accuracy(labels, clusters)
+        ref_acc, ref_mapping = reference_accuracy(labels, clusters)
+        assert acc == ref_acc
+        assert list(mapping.items()) == list(ref_mapping.items())
+        counts = confusion_matrix(labels, clusters)
+        assert abs(mutual_information(counts) - reference_mutual_information(counts)) <= 1e-12
+        a, b = counts.sum(axis=1), counts.sum(axis=0)
+        a, b = a[a > 0], b[b > 0]
+        emi = expected_mutual_information(a, b, n)
+        assert abs(emi - reference_expected_mutual_information(a, b, n)) <= 1e-12
+        assert abs(adjusted_mutual_information(labels, clusters)
+                   - reference_ami(labels, clusters)) <= 1e-12

@@ -7,9 +7,9 @@ import pytest
 
 from sadcluster import cli, contrastive
 from sadcluster.augment import shuffle_divide
-from sadcluster.cli import main, read_embeddings
+from sadcluster.cli import main, read_embeddings, write_embeddings
 from sadcluster.contrastive import TrainConfig, train
-from sadcluster.encoder import tokenize
+from sadcluster.encoder import init_params, save_checkpoint, tokenize
 from sadcluster.corpus import load_corpus, save_corpus, make_document, Corpus
 
 
@@ -337,6 +337,26 @@ class TestEmbedClusterEval:
         assert payload["mapping"] == {"0": 0, "1": 1, "2": 2, "3": 3}
         assert np.trace(np.array(payload["confusion"])) == 40
 
+    def test_eval_rejects_sample_cap_below_one(self, capsys, tmp_path):
+        corpus_path = make_synth(capsys, tmp_path)
+        corpus = load_corpus(corpus_path)
+        assign = tmp_path / "gold.jsonl"
+        assign.write_text("".join(json.dumps({"id": d.id, "cluster": d.label}) + "\n"
+                                  for d in corpus.documents))
+        emb = tmp_path / "emb.txt"
+        rng = np.random.default_rng(0)
+        write_embeddings([d.id for d in corpus.documents],
+                         rng.normal(size=(len(corpus), 4)), emb)
+        argv = ["eval", "--assignments", str(assign), "--corpus", str(corpus_path),
+                "--embeddings", str(emb), "--out", str(tmp_path / "m.json")]
+        for cap in ("0", "-1"):
+            code, _, err = run(capsys, *argv, "--sample-cap", cap)
+            assert code == 1
+            assert json.loads(err) == {"error": "ValueError",
+                                       "message": "sample_cap must be >= 1"}
+        code, _, err = run(capsys, *argv, "--sample-cap", "1")
+        assert code == 0, err
+
     def test_eval_missing_assignment_is_an_error(self, capsys, tmp_path):
         corpus_path = make_synth(capsys, tmp_path)
         assign = tmp_path / "partial.jsonl"
@@ -365,6 +385,40 @@ class TestEmbedClusterEval:
         assert code == 0
         payload = json.loads(metrics.read_text())
         assert abs(payload["silhouette"] - record["silhouette"]) <= 1e-9
+
+
+class TestEmbedVocabCheck:
+    def embed(self, capsys, tmp_path, tokens, rows=100):
+        corpus = make_synth(capsys, tmp_path)
+        checkpoint = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(rows, 8, None, seed=0), checkpoint)
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps({"tokens": tokens}))
+        code, _, err = run(capsys, "embed", "--corpus", str(corpus),
+                           "--checkpoint", str(checkpoint), "--vocab", str(vocab),
+                           "--out", str(tmp_path / "emb.txt"))
+        return code, json.loads(err) if err else None
+
+    def test_vocab_size_must_match_the_table(self, capsys, tmp_path):
+        code, err = self.embed(capsys, tmp_path, ["<pad>", "<unk>", "a", "b", "c", "d"])
+        assert code == 1 and err["error"] == "ValueError"
+        assert "has 6 tokens" in err["message"] and "has 100 rows" in err["message"]
+        assert not (tmp_path / "emb.txt").exists()
+
+    def test_repeated_token_rejected(self, capsys, tmp_path):
+        code, err = self.embed(capsys, tmp_path, ["<pad>", "<unk>", "a", "b", "a"], rows=5)
+        assert code == 1 and err["error"] == "ValueError"
+        assert "token 4 'a' repeats token 2" in err["message"]
+
+    def test_reserved_tokens_required(self, capsys, tmp_path):
+        code, err = self.embed(capsys, tmp_path, ["a", "b", "c"], rows=3)
+        assert code == 1 and err["error"] == "ValueError"
+        assert "'<pad>' and '<unk>', got 'a' and 'b'" in err["message"]
+
+    def test_non_string_token_rejected(self, capsys, tmp_path):
+        code, err = self.embed(capsys, tmp_path, ["<pad>", "<unk>", "a", 7], rows=4)
+        assert code == 1 and err["error"] == "ValueError"
+        assert "token 3 is not a string: 7" in err["message"]
 
 
 class TestCliPlumbing:

@@ -247,6 +247,11 @@ class TestSilhouette:
         with pytest.raises(ValueError):
             silhouette_score(np.eye(3), [0, 0, 0])
 
+    def test_sample_cap_below_one_rejected(self):
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="sample_cap must be >= 1"):
+                silhouette_score(np.eye(4), [0, 0, 1, 1], sample_cap=cap)
+
     def test_subsample_deterministic(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(300, 4))
