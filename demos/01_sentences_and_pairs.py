@@ -9,7 +9,7 @@ import json
 
 from sadcluster import (
     Corpus,
-    make_document,
+    Document,
     preprocess_newsgroup_style,
     shuffle_divide,
     split_sentences,
@@ -25,7 +25,7 @@ print("== sentence splitting ==")
 for i, sentence in enumerate(split_sentences(text)):
     print(f"  [{i}] {sentence}")
 
-raw = make_document(
+raw = Document(
     "msg-1",
     "From: someone@example.com\nSubject: results\n\n" + text
     + "\nSee http://example.com/full-report for details.",
@@ -36,7 +36,7 @@ print("\n== newsgroup cleanup ==")
 print("  before:", json.dumps(raw.text[:60]))
 print("  after: ", json.dumps(cleaned.documents[0].text[:60]))
 
-doc = make_document("demo", text)
+doc = Document("demo", text)
 print("\n== shuffle & divide (three epochs, one document) ==")
 for epoch in range(1, 4):
     rng = derive_rng(42, "epoch", epoch)

@@ -8,10 +8,9 @@ embeddings with spherical k-means, and pick the best epoch by silhouette
 score, all without labels.
 """
 
-from .augment import DocumentViewPair, shuffle_divide, shuffle_divide_epoch
+from .augment import DocumentViewPair, shuffle_divide
 from .cluster import ClusterModel, assign, spherical_kmeans
 from .contrastive import (
-    ContrastiveBatch,
     TrainConfig,
     TrainResult,
     build_batch_sad,
@@ -28,7 +27,6 @@ from .corpus import (
     Document,
     filter_min_sentences,
     load_corpus,
-    make_document,
     preprocess_newsgroup_style,
     preprocess_reuters_style,
     save_corpus,
@@ -39,8 +37,6 @@ from .encoder import (
     Vocabulary,
     build_vocab,
     embed_corpus,
-    encode,
-    encode_batch,
     init_params,
     load_checkpoint,
     load_external_embeddings,
@@ -74,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClusterModel",
-    "ContrastiveBatch",
     "Corpus",
     "Document",
     "DocumentViewPair",
@@ -96,8 +91,6 @@ __all__ = [
     "derive_rng",
     "derive_seed",
     "embed_corpus",
-    "encode",
-    "encode_batch",
     "evaluate_clustering",
     "filter_min_sentences",
     "fisher_yates",
@@ -110,7 +103,6 @@ __all__ = [
     "load_corpus",
     "load_external_embeddings",
     "lookup_external",
-    "make_document",
     "nt_xent_gradient",
     "nt_xent_loss",
     "optimizer_step",
@@ -120,7 +112,6 @@ __all__ = [
     "save_checkpoint",
     "save_corpus",
     "shuffle_divide",
-    "shuffle_divide_epoch",
     "silhouette_score",
     "similarity_matrix",
     "spherical_kmeans",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Document
+from .corpus import Document
 from .rng import fisher_yates
 
 
@@ -55,8 +55,3 @@ def shuffle_divide(doc: Document, rng: np.random.Generator) -> DocumentViewPair:
         sentence_ids_a=ids_a,
         sentence_ids_b=ids_b,
     )
-
-
-def shuffle_divide_epoch(corpus: Corpus, rng: np.random.Generator) -> list[DocumentViewPair]:
-    """One shuffled halving per document, drawn sequentially from ``rng``."""
-    return [shuffle_divide(doc, rng) for doc in corpus.documents]

@@ -92,24 +92,6 @@ class TrainConfig:
 
 
 @dataclass
-class ContrastiveBatch:
-    """2B views with positives at (2i, 2i+1), plus their source doc ids."""
-
-    views: list[TokenSequence]
-    source_ids: list[str]
-
-    def __post_init__(self):
-        if len(self.views) != len(self.source_ids):
-            raise ValueError("views and source_ids must align")
-        if len(self.views) % 2 != 0 or len(self.views) < 4:
-            raise ValueError("batch must hold at least 2 pairs")
-
-    @property
-    def num_pairs(self) -> int:
-        return len(self.views) // 2
-
-
-@dataclass
 class TrainResult:
     best_params: EncoderParams
     final_params: EncoderParams
@@ -137,43 +119,33 @@ def sad_batches(n: int, batch_size: int,
     return [(b, idx) for b, idx in batches if idx.size >= 2]
 
 
-def build_batch_sad(docs, rng: np.random.Generator, vocab: Vocabulary,
-                    max_len_train: int,
-                    doc_sentence_ids: list[list[np.ndarray]] | None = None
-                    ) -> ContrastiveBatch:
-    """Shuffle-and-divide batch: each document contributes both halves.
+def build_batch_sad(docs, rng: np.random.Generator,
+                    doc_sentence_ids: list[list[np.ndarray]],
+                    max_len_train: int) -> list[TokenSequence]:
+    """Shuffle-and-divide batch: the halves of ``docs[k]`` at rows (2k, 2k+1).
 
-    A half's ids are its sentences' ids concatenated, then truncated:
-    the same as tokenizing the space-joined half, since no token spans a
-    space. ``doc_sentence_ids[k]`` are the sentence ids of ``docs[k]``
-    when already computed; otherwise the sentences are tokenized here.
+    ``doc_sentence_ids[k]`` are the sentence ids of ``docs[k]``. A half's
+    ids are its sentences' ids concatenated, then truncated: the same as
+    tokenizing the space-joined half, since no token spans a space.
     """
     views = []
-    source_ids = []
-    for k, doc in enumerate(docs):
+    for doc, ids in zip(docs, doc_sentence_ids, strict=True):
         pair = shuffle_divide(doc, rng)
-        if doc_sentence_ids is None:
-            ids = [text_ids(s, vocab) for s in doc.sentences]
-        else:
-            ids = doc_sentence_ids[k]
         for half in (pair.sentence_ids_a, pair.sentence_ids_b):
             views.append(pad_sequence(np.concatenate([ids[i] for i in half]),
                                       max_len_train))
-        source_ids.extend([doc.id, doc.id])
-    return ContrastiveBatch(views=views, source_ids=source_ids)
+    return views
 
 
-def build_batch_tps(pairing: PositivePairing, documents, anchors,
-                    vocab: Vocabulary, max_len: int,
-                    doc_ids: list[np.ndarray] | None = None) -> ContrastiveBatch:
+def build_batch_tps(pairing: PositivePairing, anchors,
+                    doc_ids: list[np.ndarray], max_len: int) -> list[TokenSequence]:
     """TPS batch from anchor indices: views (2i, 2i+1) = (D_n, D_partner[n]).
 
-    A document may appear at most once in a batch, whether as anchor or
-    partner; a collision raises. ``doc_ids`` are the documents' token ids
-    when already computed; otherwise each document is tokenized here.
+    ``doc_ids[k]`` are the token ids of document k. A document may appear
+    at most once in a batch, whether as anchor or partner; a collision
+    raises.
     """
     views = []
-    source_ids = []
     used: set[int] = set()
     for n in anchors:
         n = int(n)
@@ -184,11 +156,8 @@ def build_batch_tps(pairing: PositivePairing, documents, anchors,
                 "already sampled"
             )
         used.update((n, m))
-        for k in (n, m):
-            ids = text_ids(documents[k].text, vocab) if doc_ids is None else doc_ids[k]
-            views.append(pad_sequence(ids, max_len))
-        source_ids.extend([documents[n].id, documents[m].id])
-    return ContrastiveBatch(views=views, source_ids=source_ids)
+        views += [pad_sequence(doc_ids[n], max_len), pad_sequence(doc_ids[m], max_len)]
+    return views
 
 
 def plan_tps_batches(pairing: PositivePairing, batch_size: int,
@@ -361,8 +330,8 @@ def _adamw_block(p, g, m, v, a, b, t: int, config: TrainConfig) -> None:
 
 
 def _train_step(params: EncoderParams, state: OptimizerState,
-                batch: ContrastiveBatch, config: TrainConfig) -> float:
-    out, cache = encode_batch_forward(params, batch.views)
+                views: list[TokenSequence], config: TrainConfig) -> float:
+    out, cache = encode_batch_forward(params, views)
     loss = nt_xent_loss(out, config.temperature)
     grad_out = nt_xent_gradient(out, config.temperature)
     grads = encode_batch_backward(params, cache, grad_out)
@@ -460,9 +429,9 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
             for b, idx in sad_batches(n, config.batch_size, rng):
                 docs = [corpus.documents[i] for i in idx]
                 try:
-                    batch = build_batch_sad(docs, rng, vocab, config.max_len_train,
-                                            [sent_ids[i] for i in idx])
-                    batch_losses.append(_train_step(params, state, batch, config))
+                    views = build_batch_sad(docs, rng, [sent_ids[i] for i in idx],
+                                            config.max_len_train)
+                    batch_losses.append(_train_step(params, state, views, config))
                 except (ValueError, FloatingPointError) as err:
                     raise RuntimeError(f"epoch {epoch}, batch {b}: {err}") from err
         else:
@@ -477,9 +446,9 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
                 match_rate = label_match_rate(pairing, corpus.labels_array())
             for b, anchors in enumerate(plan_tps_batches(pairing, config.batch_size, rng)):
                 try:
-                    batch = build_batch_tps(pairing, corpus.documents, anchors,
-                                            vocab, config.max_len_train, doc_ids)
-                    batch_losses.append(_train_step(params, state, batch, config))
+                    views = build_batch_tps(pairing, anchors, doc_ids,
+                                            config.max_len_train)
+                    batch_losses.append(_train_step(params, state, views, config))
                 except (ValueError, FloatingPointError) as err:
                     raise RuntimeError(f"epoch {epoch}, batch {b}: {err}") from err
 

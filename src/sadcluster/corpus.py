@@ -10,7 +10,8 @@ multi-label and duplicate filtering, top-k class selection.
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 
@@ -36,7 +37,7 @@ _EMAIL_RE = re.compile(r"[^\s@]+@[^\s@]+\.[^\s@]+")
 
 @dataclass
 class Document:
-    """One text document with its sentence segmentation.
+    """One text document as it was read.
 
     ``label`` is the single class index when known; ``labels`` keeps the
     raw multi-label list from ingestion (newswire-style data) so the
@@ -45,10 +46,13 @@ class Document:
 
     id: str
     text: str
-    sentences: list[str]
     label: int | None = None
-    word_count: int = 0
     labels: tuple[int, ...] | None = None
+
+    @cached_property
+    def sentences(self) -> list[str]:
+        """``split_sentences(text)``, split on first use and kept."""
+        return split_sentences(self.text)
 
 
 @dataclass
@@ -126,19 +130,6 @@ def split_sentences(text: str) -> list[str]:
     return sentences
 
 
-def make_document(doc_id: str, text: str, label: int | None = None,
-                  labels: tuple[int, ...] | None = None) -> Document:
-    """Build a Document with sentences and word count derived from text."""
-    return Document(
-        id=doc_id,
-        text=text,
-        sentences=split_sentences(text),
-        label=label,
-        word_count=len(text.split()),
-        labels=labels,
-    )
-
-
 def _parse_jsonl_line(line: str, lineno: int) -> Document:
     try:
         record = json.loads(line)
@@ -162,7 +153,7 @@ def _parse_jsonl_line(line: str, lineno: int) -> Document:
         labels = tuple(labels)
         if len(labels) == 1:
             label = labels[0]
-    return make_document(doc_id, text, label=label, labels=labels)
+    return Document(doc_id, text, label=label, labels=labels)
 
 
 def load_corpus(path, format: str = "jsonl") -> Corpus:
@@ -204,7 +195,7 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
         for label, class_dir in enumerate(class_dirs):
             for file in sorted(class_dir.glob("*.txt")):
                 text = file.read_text(encoding="utf-8", errors="replace")
-                documents.append(make_document(f"{class_dir.name}/{file.name}", text, label=label))
+                documents.append(Document(f"{class_dir.name}/{file.name}", text, label=label))
         return Corpus(documents, label_names=label_names, num_classes=len(class_dirs))
     raise ValueError(f"unknown corpus format {format!r}")
 
@@ -263,9 +254,9 @@ def preprocess_newsgroup_style(corpus: Corpus, min_words: int = 10) -> Corpus:
         text = _strip_footer(text)
         text = _URL_RE.sub(" ", text)
         text = _EMAIL_RE.sub(" ", text)
-        cleaned = make_document(doc.id, text.strip(), label=doc.label, labels=doc.labels)
-        if cleaned.word_count >= min_words:
-            kept.append(cleaned)
+        text = text.strip()
+        if len(text.split()) >= min_words:
+            kept.append(Document(doc.id, text, label=doc.label, labels=doc.labels))
     return Corpus(kept, label_names=corpus.label_names, num_classes=corpus.num_classes)
 
 
@@ -311,10 +302,8 @@ def preprocess_reuters_style(corpus: Corpus, top_k_classes: int = 10) -> Corpus:
         if doc.label not in relabel:
             continue
         new_label = relabel[doc.label]
-        kept.append(Document(
-            id=doc.id, text=doc.text, sentences=doc.sentences,
-            label=new_label, word_count=doc.word_count, labels=(new_label,) if doc.labels is not None else None,
-        ))
+        kept.append(Document(doc.id, doc.text, label=new_label,
+                             labels=(new_label,) if doc.labels is not None else None))
 
     names = None
     if corpus.label_names is not None:

@@ -23,9 +23,6 @@ from .tfidf import tokenize_text
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
-# Embeddings are plain float64 arrays of dimension d'.
-Embedding = np.ndarray
-
 CHECKPOINT_FORMAT = "sadcluster-checkpoint"
 CHECKPOINT_VERSION = 1
 
@@ -212,17 +209,6 @@ def encode_batch_backward(params: EncoderParams, cache: dict,
     return grads
 
 
-def encode_batch(params: EncoderParams, seqs: list[TokenSequence]) -> np.ndarray:
-    """Embed a batch of sequences; row order matches input order."""
-    out, _ = encode_batch_forward(params, seqs)
-    return out
-
-
-def encode(params: EncoderParams, seq: TokenSequence) -> Embedding:
-    """Embed one sequence: mean of its token rows, projected if configured."""
-    return encode_batch(params, [seq])[0]
-
-
 def embed_corpus(params: EncoderParams, vocab: Vocabulary, corpus: Corpus,
                  max_len: int, doc_ids: list[np.ndarray] | None = None) -> np.ndarray:
     """Embed every document of a corpus at the given max length.
@@ -237,7 +223,7 @@ def embed_corpus(params: EncoderParams, vocab: Vocabulary, corpus: Corpus,
         if ids.size == 0:
             raise ValueError(f"document {doc.id!r} has no tokens")
         seqs.append(pad_sequence(ids, max_len))
-    return encode_batch(params, seqs)
+    return encode_batch_forward(params, seqs)[0]
 
 
 def load_external_embeddings(path) -> dict[str, np.ndarray]:

@@ -191,7 +191,13 @@ def silhouette_score(embeddings: np.ndarray, assignments, sample_cap: int = 2000
 
 def evaluate_clustering(labels, clusters, embeddings: np.ndarray | None = None,
                         sample_cap: int = 2000, seed: int = 0) -> EvalReport:
-    """Full metric report; silhouette is NaN when embeddings are omitted."""
+    """Full metric report; silhouette is NaN when embeddings are omitted.
+
+    ``sample_cap`` is checked even without embeddings, so a bad value
+    fails the same way whether or not a silhouette is asked for.
+    """
+    if sample_cap < 1:
+        raise ValueError("sample_cap must be >= 1")
     acc, mapping = clustering_accuracy(labels, clusters)
     ami = adjusted_mutual_information(labels, clusters)
     if embeddings is not None:

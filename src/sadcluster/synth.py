@@ -7,7 +7,7 @@ otherwise, so ``overlap`` directly controls how much the topics bleed
 into each other. Generation is fully determined by the seed.
 """
 
-from .corpus import Corpus, make_document
+from .corpus import Corpus, Document
 from .rng import derive_rng
 
 
@@ -46,7 +46,7 @@ def generate_synthetic_corpus(topics: int = 4, docs_per_topic: int = 50,
                     else:
                         tokens.append(topic_vocab[t][int(rng.integers(0, vocab_per_topic))])
                 sentences.append(" ".join(tokens) + ".")
-            documents.append(make_document(f"t{t}d{d}", " ".join(sentences), label=t))
+            documents.append(Document(f"t{t}d{d}", " ".join(sentences), label=t))
     return Corpus(
         documents,
         label_names=[f"topic{t}" for t in range(topics)],

@@ -24,7 +24,7 @@ from sadcluster.contrastive import (
     supervised_finetune,
     train,
 )
-from sadcluster.corpus import Corpus, load_corpus, make_document
+from sadcluster.corpus import Corpus, load_corpus, Document
 from sadcluster.encoder import (
     TokenSequence,
     build_vocab,
@@ -211,7 +211,7 @@ def test_criterion_05_shuffle_divide_invariants_bulk():
         for variant in range(30):
             text = " ".join(f"Sent{variant} number{j} end."
                             for j in range(m))
-            pool.append(make_document(f"m{m}v{variant}", text))
+            pool.append(Document(f"m{m}v{variant}", text))
     violations = 0
     draws = 100_000
     picker = np.random.default_rng(47)
@@ -302,7 +302,7 @@ def test_criterion_08_tfidf_matches_counting_oracle():
         "the red fox runs quick",
         "a cat and a dog play",
     ]
-    docs = tuple(make_document(f"d{i}", t) for i, t in enumerate(texts))
+    docs = tuple(Document(f"d{i}", t) for i, t in enumerate(texts))
     corpus = Corpus(documents=docs)
     model = fit_tfidf(corpus)
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sadcluster.augment import shuffle_divide, shuffle_divide_epoch
-from sadcluster.corpus import Corpus, make_document
+from sadcluster.augment import shuffle_divide
+from sadcluster.corpus import Document
 
 
 def reference_shuffle(n, rng):
@@ -16,7 +16,7 @@ def reference_shuffle(n, rng):
 
 def make_doc(n_sentences, doc_id="d0"):
     text = " ".join(f"s{i} body." for i in range(n_sentences))
-    return make_document(doc_id, text)
+    return Document(doc_id, text)
 
 
 class TestShuffleDivide:
@@ -93,35 +93,27 @@ class TestShuffleDivide:
 
 
 class TestShuffleDivideEpoch:
-    def _corpus(self, n_docs=5, m=6):
-        docs = [make_doc(m, doc_id=f"d{i}") for i in range(n_docs)]
-        return Corpus(docs)
+    """shuffle_divide over several documents on one stream, as an epoch draws."""
 
-    def test_one_pair_per_document(self):
-        corpus = self._corpus(n_docs=7)
-        pairs = shuffle_divide_epoch(corpus, np.random.default_rng(0))
-        assert len(pairs) == 7
-        assert [p.source_id for p in pairs] == [d.id for d in corpus.documents]
+    def _halves(self, docs, rng):
+        return [shuffle_divide(doc, rng) for doc in docs]
 
-    def test_same_seed_identical_output(self):
-        corpus = self._corpus()
-        a = shuffle_divide_epoch(corpus, np.random.default_rng(3))
-        b = shuffle_divide_epoch(corpus, np.random.default_rng(3))
-        assert a == b
+    def _docs(self, n_docs=5, m=6):
+        return [make_doc(m, doc_id=f"d{i}") for i in range(n_docs)]
 
     def test_different_seeds_differ(self):
-        corpus = self._corpus(n_docs=20, m=8)
-        a = shuffle_divide_epoch(corpus, np.random.default_rng(1))
-        b = shuffle_divide_epoch(corpus, np.random.default_rng(2))
+        docs = self._docs(n_docs=20, m=8)
+        a = self._halves(docs, np.random.default_rng(1))
+        b = self._halves(docs, np.random.default_rng(2))
         assert a != b
 
     def test_distinct_partitions_across_epochs(self):
         # a 6-sentence doc has 6!/(3!*3!*2) = 10 distinct unordered halvings;
         # 1000 epochs must see at least 2 (in practice all 10)
-        corpus = Corpus([make_doc(6)])
+        doc = make_doc(6)
         seen = set()
         for epoch in range(1000):
-            pair = shuffle_divide_epoch(corpus, np.random.default_rng(10_000 + epoch))[0]
+            pair = shuffle_divide(doc, np.random.default_rng(10_000 + epoch))
             key = tuple(sorted((
                 tuple(sorted(pair.sentence_ids_a)),
                 tuple(sorted(pair.sentence_ids_b)),
@@ -132,7 +124,6 @@ class TestShuffleDivideEpoch:
 
     def test_draws_are_per_document(self):
         # consuming one shared stream, later docs see different draws
-        corpus = self._corpus(n_docs=30, m=6)
-        pairs = shuffle_divide_epoch(corpus, np.random.default_rng(8))
+        pairs = self._halves(self._docs(n_docs=30, m=6), np.random.default_rng(8))
         orders = {tuple(p.sentence_ids_a + p.sentence_ids_b) for p in pairs}
         assert len(orders) > 1

@@ -220,7 +220,9 @@ def test_sentence_ids_concatenate_to_the_joined_view():
     docs = []
     for d in range(60):
         sentences = [random_sentence(rng) for _ in range(int(rng.integers(2, 8)))]
-        docs.append(Document(f"d{d}", " ".join(sentences), sentences))
+        doc = Document(f"d{d}", " ".join(sentences))
+        doc.sentences = sentences
+        docs.append(doc)
     corpus = Corpus(docs)
     vocab = build_vocab(corpus, 1000)
     assert len(vocab) > 20  # the non-ASCII pieces are real tokens, not unk
@@ -229,12 +231,13 @@ def test_sentence_ids_concatenate_to_the_joined_view():
         for max_len in (1, 3, 8, 64):
             expected = tokenize(doc.text, vocab, max_len)
             assert np.array_equal(joined[:max_len], expected.ids[:expected.length])
+    sentence_ids = [[text_ids(s, vocab) for s in doc.sentences] for doc in docs]
     for max_len in (2, 5, 64):
-        batch = build_batch_sad(docs, derive_rng(9, "views"), vocab, max_len)
+        views = build_batch_sad(docs, derive_rng(9, "views"), sentence_ids, max_len)
         rng_views = derive_rng(9, "views")
         for k, doc in enumerate(docs):
             pair = shuffle_divide(doc, rng_views)
-            for view, text in zip(batch.views[2 * k:2 * k + 2], (pair.view_a, pair.view_b)):
+            for view, text in zip(views[2 * k:2 * k + 2], (pair.view_a, pair.view_b)):
                 expected = tokenize(text, vocab, max_len)
                 assert np.array_equal(view.ids, expected.ids)
                 assert view.length == expected.length

@@ -1,16 +1,21 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sadcluster import cli, contrastive
+from sadcluster import corpus as corpus_module
 from sadcluster.augment import shuffle_divide
 from sadcluster.cli import main, read_embeddings, write_embeddings
 from sadcluster.contrastive import TrainConfig, train
 from sadcluster.encoder import init_params, save_checkpoint, tokenize
-from sadcluster.corpus import load_corpus, save_corpus, make_document, Corpus
+from sadcluster.corpus import load_corpus, save_corpus, Corpus
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -201,8 +206,8 @@ class TestTrainCommand:
         monkeypatch.setattr(contrastive, "shuffle_divide",
                             lambda doc, rng: seen.append(real_divide(doc, rng)) or seen[-1])
 
-        def recording(docs, rng, vocab, max_len, *rest):
-            batches.append((real_build(docs, rng, vocab, max_len, *rest), vocab, max_len))
+        def recording(docs, rng, doc_sentence_ids, max_len):
+            batches.append((real_build(docs, rng, doc_sentence_ids, max_len), max_len))
             return batches[-1][0]
 
         monkeypatch.setattr(contrastive, "build_batch_sad", recording)
@@ -211,6 +216,7 @@ class TestTrainCommand:
                                                **{"batch-size": 12}),
                            "--dump-pairs", str(pairs))
         assert code == 0, err
+        vocab = cli.load_vocab(tmp_path / "run" / "vocab.json")
         records = [json.loads(line) for line in pairs.read_text().splitlines()]
         assert len(batches) == 3 and len(seen) == len(records) == 36
         by_id = {record["source_id"]: record for record in records}
@@ -219,8 +225,8 @@ class TestTrainCommand:
             assert record["batch"] == i // 12
             assert (record["view_a"], record["view_b"]) == (pair.view_a, pair.view_b)
             assert record["sentence_ids_a"] == pair.sentence_ids_a
-            batch, vocab, max_len = batches[i // 12]
-            for view, text in zip(batch.views[2 * (i % 12):], (pair.view_a, pair.view_b)):
+            views, max_len = batches[i // 12]
+            for view, text in zip(views[2 * (i % 12):], (pair.view_a, pair.view_b)):
                 assert np.array_equal(view.ids, tokenize(text, vocab, max_len).ids)
 
     def test_checkpoint_written_once_when_best_is_final(self, capsys, tmp_path,
@@ -348,14 +354,16 @@ class TestEmbedClusterEval:
         write_embeddings([d.id for d in corpus.documents],
                          rng.normal(size=(len(corpus), 4)), emb)
         argv = ["eval", "--assignments", str(assign), "--corpus", str(corpus_path),
-                "--embeddings", str(emb), "--out", str(tmp_path / "m.json")]
-        for cap in ("0", "-1"):
-            code, _, err = run(capsys, *argv, "--sample-cap", cap)
-            assert code == 1
-            assert json.loads(err) == {"error": "ValueError",
-                                       "message": "sample_cap must be >= 1"}
-        code, _, err = run(capsys, *argv, "--sample-cap", "1")
-        assert code == 0, err
+                "--out", str(tmp_path / "m.json")]
+        # the cap is checked whether or not a silhouette is asked for
+        for args in (argv + ["--embeddings", str(emb)], argv):
+            for cap in ("0", "-1"):
+                code, _, err = run(capsys, *args, "--sample-cap", cap)
+                assert code == 1
+                assert json.loads(err) == {"error": "ValueError",
+                                           "message": "sample_cap must be >= 1"}
+            code, _, err = run(capsys, *args, "--sample-cap", "1")
+            assert code == 0, err
 
     def test_eval_missing_assignment_is_an_error(self, capsys, tmp_path):
         corpus_path = make_synth(capsys, tmp_path)
@@ -421,6 +429,40 @@ class TestEmbedVocabCheck:
         assert "token 3 is not a string: 7" in err["message"]
 
 
+class TestSentenceSplitting:
+    """Only sad training reads a document's sentences."""
+
+    def test_only_sad_training_splits_sentences(self, capsys, tmp_path, monkeypatch):
+        corpus_path = make_synth(capsys, tmp_path)
+        texts = sorted(doc.text for doc in load_corpus(corpus_path).documents)
+        real = corpus_module.split_sentences
+
+        def refuse(text):
+            raise AssertionError("split_sentences called")
+
+        monkeypatch.setattr(corpus_module, "split_sentences", refuse)
+        out_dir = tmp_path / "tps"
+        emb, assign = tmp_path / "emb.txt", tmp_path / "assign.jsonl"
+        for argv in (
+            train_args(corpus_path, out_dir, method="tps", epochs="2"),
+            ["embed", "--corpus", str(corpus_path), "--checkpoint",
+             str(out_dir / "best.ckpt"), "--vocab", str(out_dir / "vocab.json"),
+             "--out", str(emb)],
+            ["cluster", "--embeddings", str(emb), "--k", "4", "--out", str(assign)],
+            ["eval", "--assignments", str(assign), "--corpus", str(corpus_path),
+             "--embeddings", str(emb), "--out", str(tmp_path / "eval.json")],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+
+        split = []
+        monkeypatch.setattr(corpus_module, "split_sentences",
+                            lambda text: split.append(text) or real(text))
+        code, _, err = run(capsys, *train_args(corpus_path, tmp_path / "sad"))
+        assert code == 0, err
+        assert sorted(split) == texts
+
+
 class TestCliPlumbing:
     def test_missing_input_file_reports_json_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--assignments", "nope.jsonl",
@@ -432,10 +474,12 @@ class TestCliPlumbing:
 
     def test_module_entrypoint_runs_as_subprocess(self, tmp_path):
         out = tmp_path / "c.jsonl"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "sadcluster.cli", "synth", "--out", str(out),
              "--docs-per-topic", "2"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()

@@ -5,7 +5,6 @@ import pytest
 
 from sadcluster import contrastive
 from sadcluster.contrastive import (
-    ContrastiveBatch,
     TrainConfig,
     build_batch_sad,
     build_batch_tps,
@@ -18,8 +17,8 @@ from sadcluster.contrastive import (
     supervised_finetune,
     train,
 )
-from sadcluster.corpus import Corpus, make_document
-from sadcluster.encoder import build_vocab, init_params, tokenize
+from sadcluster.corpus import Corpus, Document
+from sadcluster.encoder import build_vocab, init_params, text_ids, tokenize
 from sadcluster.rng import derive_rng
 from sadcluster.synth import generate_synthetic_corpus
 from sadcluster.tfidf import PositivePairing, similarity_matrix
@@ -59,7 +58,7 @@ def toy_corpus(num_docs=8, sentences=4, label=None):
     for d in range(num_docs):
         text = " ".join(f"doc{d} token{d} word{s} filler{s}."
                         for s in range(sentences))
-        docs.append(make_document(f"d{d}", text,
+        docs.append(Document(f"d{d}", text,
                                   label=None if label is None else d % label))
     names = None if label is None else tuple(f"c{i}" for i in range(label))
     return Corpus(documents=tuple(docs), label_names=names)
@@ -108,62 +107,86 @@ class TestTrainConfig:
         assert TrainConfig(epochs=0).epochs == 0
 
 
+def sentence_ids(docs, vocab):
+    return [[text_ids(s, vocab) for s in doc.sentences] for doc in docs]
+
+
 class TestContrastiveBatch:
+    """A batch is a plain list of 2B views, positives at rows (2i, 2i+1).
+
+    A training step checks that shape before it changes any parameter.
+    """
+
+    def step_rejects(self, n_views, match):
+        corpus = toy_corpus(2)
+        vocab = build_vocab(corpus, 100)
+        params = init_params(len(vocab), 4, 3, seed=0)
+        before = params.copy()
+        views = [tokenize("doc0 token0", vocab, 8) for _ in range(n_views)]
+        with pytest.raises(ValueError, match=match):
+            contrastive._train_step(params, init_optimizer_state(), views,
+                                    TrainConfig(learning_rate=1e-2))
+        assert params.same_bits(before)
+
     def test_requires_alignment(self):
-        vocab = build_vocab(toy_corpus(2), 100)
-        seqs = [tokenize("doc0 token0", vocab, 8) for _ in range(4)]
-        with pytest.raises(ValueError, match="align"):
-            ContrastiveBatch(views=seqs, source_ids=["a", "a", "b"])
+        self.step_rejects(5, "2B")
 
     def test_requires_two_pairs(self):
-        vocab = build_vocab(toy_corpus(2), 100)
-        seqs = [tokenize("doc0 token0", vocab, 8) for _ in range(2)]
-        with pytest.raises(ValueError, match="2 pairs"):
-            ContrastiveBatch(views=seqs, source_ids=["a", "a"])
+        self.step_rejects(2, "2 pairs")
 
     def test_num_pairs(self):
-        vocab = build_vocab(toy_corpus(2), 100)
-        seqs = [tokenize("doc0 token0", vocab, 8) for _ in range(6)]
-        batch = ContrastiveBatch(views=seqs, source_ids=list("aabbcc"))
-        assert batch.num_pairs == 3
+        corpus = toy_corpus(3)
+        vocab = build_vocab(corpus, 1000)
+        views = build_batch_sad(corpus.documents, derive_rng(0, "test"),
+                                sentence_ids(corpus.documents, vocab), 32)
+        assert len(views) == 6
+        params = init_params(len(vocab), 4, 3, seed=0)
+        loss = contrastive._train_step(params, init_optimizer_state(), views,
+                                       TrainConfig(learning_rate=1e-2))
+        assert math.isfinite(loss)
 
 
 class TestBuildBatchSad:
     def test_layout_two_views_per_document(self):
         corpus = toy_corpus(4)
         vocab = build_vocab(corpus, 1000)
-        rng = derive_rng(0, "test")
-        batch = build_batch_sad(corpus.documents, rng, vocab, 32)
-        assert len(batch.views) == 8
-        assert batch.num_pairs == 4
-        for i, doc in enumerate(corpus.documents):
-            assert batch.source_ids[2 * i] == doc.id
-            assert batch.source_ids[2 * i + 1] == doc.id
+        ids = sentence_ids(corpus.documents, vocab)
+        views = build_batch_sad(corpus.documents, derive_rng(0, "test"), ids, 32)
+        assert len(views) == 8
+        # rows (2k, 2k+1) hold the two halves of document k: together
+        # they are its sentences' ids, each once
+        for k, doc_ids in enumerate(ids):
+            rows = views[2 * k:2 * k + 2]
+            got = np.concatenate([v.ids[:v.length] for v in rows])
+            assert sorted(got) == sorted(np.concatenate(doc_ids))
 
     def test_views_are_tokenized_halves(self):
         corpus = toy_corpus(2, sentences=6)
         vocab = build_vocab(corpus, 1000)
         rng = derive_rng(1, "test")
-        batch = build_batch_sad(corpus.documents, rng, vocab, 64)
-        for seq in batch.views:
+        views = build_batch_sad(corpus.documents, rng,
+                                sentence_ids(corpus.documents, vocab), 64)
+        for seq in views:
             assert seq.ids.shape == (64,)
             assert np.any(seq.ids != 0)
 
     def test_same_rng_state_reproduces_batch(self):
         corpus = toy_corpus(5)
         vocab = build_vocab(corpus, 1000)
-        a = build_batch_sad(corpus.documents, derive_rng(7, "x"), vocab, 32)
-        b = build_batch_sad(corpus.documents, derive_rng(7, "x"), vocab, 32)
-        for sa, sb in zip(a.views, b.views):
+        ids = sentence_ids(corpus.documents, vocab)
+        a = build_batch_sad(corpus.documents, derive_rng(7, "x"), ids, 32)
+        b = build_batch_sad(corpus.documents, derive_rng(7, "x"), ids, 32)
+        for sa, sb in zip(a, b):
             assert np.array_equal(sa.ids, sb.ids)
 
     def test_single_sentence_document_rejected(self):
-        docs = (make_document("a", "One sentence only."),
-                make_document("b", "First. Second. Third. Fourth."))
+        docs = (Document("a", "One sentence only."),
+                Document("b", "First. Second. Third. Fourth."))
         corpus = Corpus(documents=docs)
         vocab = build_vocab(corpus, 100)
         with pytest.raises(ValueError, match="at least 2"):
-            build_batch_sad(corpus.documents, derive_rng(0, "x"), vocab, 16)
+            build_batch_sad(corpus.documents, derive_rng(0, "x"),
+                            sentence_ids(docs, vocab), 16)
 
 
 class TestBuildBatchTps:
@@ -172,28 +195,34 @@ class TestBuildBatchTps:
         return PositivePairing(partner=partner,
                                similarity=np.full(partner.shape, 0.5))
 
+    def doc_ids(self, corpus, vocab):
+        return [text_ids(doc.text, vocab) for doc in corpus.documents]
+
     def test_anchor_then_partner_layout(self):
         corpus = toy_corpus(4)
         vocab = build_vocab(corpus, 1000)
         pairing = self.make_pairing([1, 0, 3, 2])
-        batch = build_batch_tps(pairing, corpus.documents, [0, 2], vocab, 32)
-        assert batch.source_ids == ["d0", "d1", "d2", "d3"]
-        expected = tokenize(corpus.documents[1].text, vocab, 32)
-        assert np.array_equal(batch.views[1].ids, expected.ids)
+        views = build_batch_tps(pairing, [0, 2], self.doc_ids(corpus, vocab), 32)
+        # rows (2k, 2k+1) = (anchor k, its partner): documents 0, 1, 2, 3
+        assert len(views) == 4
+        for row, doc in zip(views, corpus.documents):
+            expected = tokenize(doc.text, vocab, 32)
+            assert np.array_equal(row.ids, expected.ids)
+            assert row.length == expected.length
 
     def test_collision_raises(self):
         corpus = toy_corpus(4)
         vocab = build_vocab(corpus, 1000)
         pairing = self.make_pairing([1, 0, 1, 2])
         with pytest.raises(ValueError, match="collision"):
-            build_batch_tps(pairing, corpus.documents, [0, 2], vocab, 32)
+            build_batch_tps(pairing, [0, 2], self.doc_ids(corpus, vocab), 32)
 
     def test_anchor_repeat_raises(self):
         corpus = toy_corpus(4)
         vocab = build_vocab(corpus, 1000)
         pairing = self.make_pairing([1, 0, 3, 2])
         with pytest.raises(ValueError, match="collision"):
-            build_batch_tps(pairing, corpus.documents, [0, 0], vocab, 32)
+            build_batch_tps(pairing, [0, 0], self.doc_ids(corpus, vocab), 32)
 
 
 class TestPlanTpsBatches:
@@ -507,9 +536,9 @@ class TestTrain:
         assert result.history[0]["loss"] > result.history[1]["loss"]
 
     def test_short_document_aborts_with_location(self, monkeypatch):
-        docs = [make_document(f"d{i}", "Alpha beta. Gamma delta. Five six. Seven eight.")
+        docs = [Document(f"d{i}", "Alpha beta. Gamma delta. Five six. Seven eight.")
                 for i in range(7)]
-        docs.append(make_document("bad", "Only one sentence here."))
+        docs.append(Document("bad", "Only one sentence here."))
         corpus = Corpus(documents=tuple(docs))
         steps = []
         monkeypatch.setattr(contrastive, "build_batch_sad",
@@ -532,13 +561,13 @@ class TestTrain:
             train(corpus, self.small_config(epochs=1))
 
     def test_token_free_sentences_fail_before_training(self, monkeypatch):
-        docs = [make_document(f"d{i}", "Alpha beta. Gamma delta. Five six. Seven eight.")
+        docs = [Document(f"d{i}", "Alpha beta. Gamma delta. Five six. Seven eight.")
                 for i in range(6)]
         # one half of 3 sentences has a single sentence, so it can be "!!!"
-        docs.append(make_document("probe", "real words here. !!! ..."))
+        docs.append(Document("probe", "real words here. !!! ..."))
         # 1 token-free sentence of 4: both halves keep a worded sentence
-        docs.append(make_document("fine", "Alpha beta. !!! Gamma delta. Five six."))
-        docs.append(make_document("empty", "!!! ... ???"))
+        docs.append(Document("fine", "Alpha beta. !!! Gamma delta. Five six."))
+        docs.append(Document("empty", "!!! ... ???"))
         corpus = Corpus(documents=tuple(docs))
         steps = []
         monkeypatch.setattr(contrastive, "build_batch_sad",
@@ -553,8 +582,8 @@ class TestTrain:
         assert steps == []
 
     def test_tps_document_without_tokens_fails_before_training(self):
-        docs = [make_document(f"d{i}", f"word{i} alpha. beta gamma.") for i in range(5)]
-        docs.append(make_document("empty", "... !!!"))
+        docs = [Document(f"d{i}", f"word{i} alpha. beta gamma.") for i in range(5)]
+        docs.append(Document("empty", "... !!!"))
         corpus = Corpus(documents=tuple(docs))
         with pytest.raises(ValueError, match=r"1 document\(s\).*'empty' has no tokens"):
             train(corpus, self.small_config(method="tps", num_clusters=2,

@@ -3,9 +3,9 @@ import pytest
 
 from sadcluster.corpus import (
     Corpus,
+    Document,
     filter_min_sentences,
     load_corpus,
-    make_document,
     preprocess_newsgroup_style,
     preprocess_reuters_style,
     save_corpus,
@@ -81,7 +81,6 @@ class TestLoadCorpus:
         assert doc.id == "a"
         assert doc.sentences == ["One two.", "Three four."]
         assert doc.label == 0
-        assert doc.word_count == 4
 
     def test_jsonl_duplicate_id_cites_line(self, tmp_path):
         p = tmp_path / "c.jsonl"
@@ -154,23 +153,23 @@ class TestLoadCorpus:
 
 class TestCorpusValidation:
     def test_duplicate_ids_rejected(self):
-        docs = [make_document("a", "x"), make_document("a", "y")]
+        docs = [Document("a", "x"), Document("a", "y")]
         with pytest.raises(ValueError, match="duplicate"):
             Corpus(docs)
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            Corpus([make_document("a", "x", label=5)], num_classes=2)
+            Corpus([Document("a", "x", label=5)], num_classes=2)
 
     def test_labels_array_requires_all_labels(self):
-        corpus = Corpus([make_document("a", "x", label=0), make_document("b", "y")])
+        corpus = Corpus([Document("a", "x", label=0), Document("b", "y")])
         with pytest.raises(ValueError, match="no label"):
             corpus.labels_array()
 
 
 class TestNewsgroupPreprocess:
     def _corpus(self, text):
-        return Corpus([make_document("d0", text, label=0)], num_classes=1)
+        return Corpus([Document("d0", text, label=0)], num_classes=1)
 
     def test_header_block_stripped(self):
         text = (
@@ -211,7 +210,7 @@ class TestNewsgroupPreprocess:
     def test_short_documents_dropped(self):
         nine = "one two three four five six seven eight nine"
         ten = nine + " ten"
-        corpus = Corpus([make_document("a", nine), make_document("b", ten)])
+        corpus = Corpus([Document("a", nine), Document("b", ten)])
         out = preprocess_newsgroup_style(corpus, min_words=10)
         assert [d.id for d in out.documents] == ["b"]
 
@@ -231,7 +230,7 @@ class TestNewsgroupPreprocess:
         docs = []
         for i in range(50):
             body = " ".join(rng.choice(words, size=rng.integers(1, 30)))
-            docs.append(make_document(f"d{i}", body))
+            docs.append(Document(f"d{i}", body))
         corpus = Corpus(docs)
         out = preprocess_newsgroup_style(corpus)
         assert len(out) <= len(corpus)
@@ -244,18 +243,18 @@ class TestNewsgroupPreprocess:
 class TestReutersPreprocess:
     def test_multilabel_and_empty_removed(self):
         docs = [
-            make_document("a", "kept body", label=0),
-            make_document("b", "two labels", labels=(0, 1)),
-            make_document("c", "   "),
+            Document("a", "kept body", label=0),
+            Document("b", "two labels", labels=(0, 1)),
+            Document("c", "   "),
         ]
         out = preprocess_reuters_style(Corpus(docs), top_k_classes=5)
         assert [d.id for d in out.documents] == ["a"]
 
     def test_duplicates_keep_first(self):
         docs = [
-            make_document("a", "same  text here", label=0),
-            make_document("b", "same text  here", label=0),
-            make_document("c", "different text", label=0),
+            Document("a", "same  text here", label=0),
+            Document("b", "same text  here", label=0),
+            Document("c", "different text", label=0),
         ]
         out = preprocess_reuters_style(Corpus(docs), top_k_classes=1)
         assert [d.id for d in out.documents] == ["a", "c"]
@@ -264,7 +263,7 @@ class TestReutersPreprocess:
         docs = []
         for label, count in [(0, 5), (1, 3), (2, 1)]:
             for i in range(count):
-                docs.append(make_document(f"{label}-{i}", f"text {label} {i}", label=label))
+                docs.append(Document(f"{label}-{i}", f"text {label} {i}", label=label))
         out = preprocess_reuters_style(Corpus(docs), top_k_classes=2)
         assert len(out) == 8
         assert out.num_classes == 2
@@ -274,7 +273,7 @@ class TestReutersPreprocess:
         docs = []
         for label, count in [(4, 2), (7, 5)]:
             for i in range(count):
-                docs.append(make_document(f"{label}-{i}", f"text {label} {i}", label=label))
+                docs.append(Document(f"{label}-{i}", f"text {label} {i}", label=label))
         out = preprocess_reuters_style(Corpus(docs), top_k_classes=2)
         # label 7 is most frequent so it becomes 0; label 4 becomes 1
         remapped = {d.id.split("-")[0]: d.label for d in out.documents}
@@ -282,8 +281,8 @@ class TestReutersPreprocess:
 
     def test_frequency_tie_broken_by_original_label(self):
         docs = [
-            make_document("x0", "text x0", label=3),
-            make_document("y0", "text y0", label=1),
+            Document("x0", "text x0", label=3),
+            Document("y0", "text y0", label=1),
         ]
         out = preprocess_reuters_style(Corpus(docs), top_k_classes=2)
         remapped = {d.id: d.label for d in out.documents}
@@ -291,9 +290,9 @@ class TestReutersPreprocess:
 
     def test_label_names_follow_relabel(self):
         docs = [
-            make_document("a", "t a", label=0),
-            make_document("b1", "t b1", label=1),
-            make_document("b2", "t b2", label=1),
+            Document("a", "t a", label=0),
+            Document("b1", "t b1", label=1),
+            Document("b2", "t b2", label=1),
         ]
         corpus = Corpus(docs, label_names=["zero", "one"], num_classes=2)
         out = preprocess_reuters_style(corpus, top_k_classes=2)
@@ -302,13 +301,13 @@ class TestReutersPreprocess:
 
 class TestFilterMinSentences:
     def test_default_threshold_four(self):
-        three = make_document("a", "One. Two. Three.")
-        four = make_document("b", "One. Two. Three. Four.")
+        three = Document("a", "One. Two. Three.")
+        four = Document("b", "One. Two. Three. Four.")
         out = filter_min_sentences(Corpus([three, four]))
         assert [d.id for d in out.documents] == ["b"]
 
     def test_custom_threshold(self):
-        docs = [make_document("a", "One. Two."), make_document("b", "One.")]
+        docs = [Document("a", "One. Two."), Document("b", "One.")]
         out = filter_min_sentences(Corpus(docs), min_sentences=2)
         assert [d.id for d in out.documents] == ["a"]
 

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from sadcluster.corpus import Corpus, make_document
+from sadcluster.corpus import Corpus, Document
 from sadcluster.encoder import (
     EncoderParams,
     TokenSequence,
     build_vocab,
     embed_corpus,
-    encode,
-    encode_batch,
     encode_batch_backward,
     encode_batch_forward,
     init_params,
@@ -21,7 +19,13 @@ from sadcluster.encoder import (
 
 
 def corpus_of(*texts):
-    return Corpus([make_document(f"d{i}", t) for i, t in enumerate(texts)])
+    return Corpus([Document(f"d{i}", t) for i, t in enumerate(texts)])
+
+
+def encode_one(params, seq):
+    """The encoder's output row for a single sequence."""
+    out, _ = encode_batch_forward(params, [seq])
+    return out[0]
 
 
 def random_params(rng, vocab_size, embed_dim, output_dim=None):
@@ -113,14 +117,14 @@ class TestEncode:
         rng = np.random.default_rng(0)
         params = random_params(rng, vocab_size=6, embed_dim=4)
         seq = TokenSequence(ids=np.array([3, 0, 0]), length=1, max_len=3)
-        out = encode(params, seq)
+        out = encode_one(params, seq)
         assert np.allclose(out, params.embedding_table[3])
 
     def test_two_tokens_mean(self):
         rng = np.random.default_rng(1)
         params = random_params(rng, vocab_size=6, embed_dim=4)
         seq = TokenSequence(ids=np.array([2, 5, 0]), length=2, max_len=3)
-        out = encode(params, seq)
+        out = encode_one(params, seq)
         expected = (params.embedding_table[2] + params.embedding_table[5]) / 2
         assert np.allclose(out, expected)
 
@@ -128,7 +132,7 @@ class TestEncode:
         rng = np.random.default_rng(2)
         params = random_params(rng, vocab_size=6, embed_dim=4, output_dim=3)
         seq = TokenSequence(ids=np.array([2, 0]), length=1, max_len=2)
-        out = encode(params, seq)
+        out = encode_one(params, seq)
         pooled = params.embedding_table[2]
         expected = np.tanh(pooled @ params.projection_w + params.projection_b)
         assert np.allclose(out, expected)
@@ -142,9 +146,9 @@ class TestEncode:
             tokens = rng.integers(1, 10, size=length)
             ids = np.zeros(6, dtype=np.int64)
             ids[:length] = tokens
-            a = encode(params, TokenSequence(ids=ids.copy(), length=length, max_len=6))
+            a = encode_one(params, TokenSequence(ids=ids.copy(), length=length, max_len=6))
             ids[:length] = rng.permutation(tokens)
-            b = encode(params, TokenSequence(ids=ids, length=length, max_len=6))
+            b = encode_one(params, TokenSequence(ids=ids, length=length, max_len=6))
             assert np.allclose(a, b, atol=1e-12)
 
     def test_pad_count_invariance(self):
@@ -152,7 +156,7 @@ class TestEncode:
         params = random_params(rng, vocab_size=10, embed_dim=5)
         short = TokenSequence(ids=np.array([4, 7]), length=2, max_len=2)
         padded = TokenSequence(ids=np.array([4, 7, 0, 0, 0]), length=2, max_len=5)
-        assert np.allclose(encode(params, short), encode(params, padded), atol=1e-15)
+        assert np.allclose(encode_one(params, short), encode_one(params, padded), atol=1e-15)
 
     def test_all_pad_errors_with_index(self):
         rng = np.random.default_rng(5)
@@ -160,22 +164,22 @@ class TestEncode:
         good = TokenSequence(ids=np.array([2, 0]), length=1, max_len=2)
         bad = TokenSequence(ids=np.array([0, 0]), length=0, max_len=2)
         with pytest.raises(ValueError, match="sequence 1"):
-            encode_batch(params, [good, bad])
+            encode_batch_forward(params, [good, bad])
 
     def test_token_id_outside_the_table_raises(self):
         # e.g. a vocab.json that does not belong to the checkpoint
         params = random_params(np.random.default_rng(1), vocab_size=5, embed_dim=3)
         seq = TokenSequence(ids=np.array([2, 5, 0]), length=2, max_len=3)
         with pytest.raises(IndexError):
-            encode_batch(params, [seq])
+            encode_batch_forward(params, [seq])
 
     def test_batch_order_matches_input(self):
         rng = np.random.default_rng(6)
         params = random_params(rng, vocab_size=8, embed_dim=4, output_dim=3)
         seqs = random_seqs(rng, 5, vocab_size=8, max_len=6)
-        batch = encode_batch(params, seqs)
+        batch = encode_batch_forward(params, seqs)[0]
         for i, seq in enumerate(seqs):
-            assert np.allclose(batch[i], encode(params, seq), atol=1e-15)
+            assert np.allclose(batch[i], encode_one(params, seq), atol=1e-15)
 
 
 class TestGradients:
@@ -261,7 +265,7 @@ class TestEmbedCorpus:
         emb = embed_corpus(params, vocab, corpus, max_len=16)
         assert emb.shape == (3, 4)
         seq = tokenize(corpus.documents[1].text, vocab, 16)
-        assert np.allclose(emb[1], encode(params, seq))
+        assert np.allclose(emb[1], encode_one(params, seq))
 
 
 class TestExternalEmbeddings:

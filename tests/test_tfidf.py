@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from sadcluster.corpus import Corpus, make_document
+from sadcluster.corpus import Corpus, Document
 from sadcluster.tfidf import (
     PositivePairing,
     blended_similarity,
@@ -21,7 +21,7 @@ def corpus_of(*texts, labels=None):
     docs = []
     for i, text in enumerate(texts):
         label = labels[i] if labels is not None else None
-        docs.append(make_document(f"d{i}", text, label=label))
+        docs.append(Document(f"d{i}", text, label=label))
     return Corpus(docs)
 
 
