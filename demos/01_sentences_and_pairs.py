@@ -40,13 +40,15 @@ doc = Document("demo", text)
 print("\n== shuffle & divide (three epochs, one document) ==")
 for epoch in range(1, 4):
     rng = derive_rng(42, "epoch", epoch)
-    pair = shuffle_divide(doc, rng)
+    half_a, half_b = shuffle_divide(doc, rng)
     print(f"  epoch {epoch}:")
-    print(f"    view_a <- sentences {list(pair.sentence_ids_a)}")
-    print(f"    view_b <- sentences {list(pair.sentence_ids_b)}")
+    print(f"    view_a <- sentences {half_a.tolist()}")
+    print(f"    view_b <- sentences {half_b.tolist()}")
 
-# the two halves always partition the document, whatever the epoch
-pair = shuffle_divide(doc, derive_rng(42, "epoch", 1))
-ids = sorted(list(pair.sentence_ids_a) + list(pair.sentence_ids_b))
-assert ids == list(range(len(doc.sentences)))
+# the two halves always partition the document, whatever the epoch, and
+# each view (the space-join of its half) splits back into its sentences
+halves = shuffle_divide(doc, derive_rng(42, "epoch", 1))
+assert sorted(i for half in halves for i in half) == list(range(len(doc.sentences)))
+views = [" ".join(doc.sentences[i] for i in half) for half in halves]
+assert sorted(s for view in views for s in split_sentences(view)) == sorted(doc.sentences)
 print("\nhalves are disjoint and cover every sentence: ok")

@@ -8,7 +8,7 @@ embeddings with spherical k-means, and pick the best epoch by silhouette
 score, all without labels.
 """
 
-from .augment import DocumentViewPair, shuffle_divide
+from .augment import shuffle_divide
 from .cluster import ClusterModel, assign, spherical_kmeans
 from .contrastive import (
     TrainConfig,
@@ -72,7 +72,6 @@ __all__ = [
     "ClusterModel",
     "Corpus",
     "Document",
-    "DocumentViewPair",
     "EncoderParams",
     "EvalReport",
     "PositivePairing",

@@ -7,7 +7,6 @@ so the model sees many different halvings of each document.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,29 +14,15 @@ from .corpus import Document
 from .rng import fisher_yates
 
 
-@dataclass
-class DocumentViewPair:
-    """Two half-document views of one source document.
-
-    ``sentence_ids_a`` / ``sentence_ids_b`` index the source document's
-    sentences in shuffled order; the views are the space-joins of those
-    sentences. The two index lists are disjoint, cover all sentences,
-    and differ in length by at most one.
-    """
-
-    source_id: str
-    view_a: str
-    view_b: str
-    sentence_ids_a: list[int]
-    sentence_ids_b: list[int]
-
-
-def shuffle_divide(doc: Document, rng: np.random.Generator) -> DocumentViewPair:
+def shuffle_divide(doc: Document,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Shuffle a document's sentence order and split it into two halves.
 
-    The first ceil(m/2) shuffled sentences become view_a, the rest
-    view_b, keeping shuffled order within each half. Deterministic given
-    the rng state.
+    Returns the sentence indices of each half as int64 arrays: the first
+    ceil(m/2) shuffled sentences, then the rest, each in shuffled order.
+    The halves are disjoint, cover all sentences and differ in length by
+    at most one; a half's view is the space-join of its sentences.
+    Deterministic given the rng state.
     """
     m = len(doc.sentences)
     if m < 2:
@@ -46,12 +31,4 @@ def shuffle_divide(doc: Document, rng: np.random.Generator) -> DocumentViewPair:
         )
     perm = fisher_yates(m, rng)
     half = math.ceil(m / 2)
-    ids_a = [int(i) for i in perm[:half]]
-    ids_b = [int(i) for i in perm[half:]]
-    return DocumentViewPair(
-        source_id=doc.id,
-        view_a=" ".join(doc.sentences[i] for i in ids_a),
-        view_b=" ".join(doc.sentences[i] for i in ids_b),
-        sentence_ids_a=ids_a,
-        sentence_ids_b=ids_b,
-    )
+    return perm[:half], perm[half:]

@@ -88,16 +88,21 @@ def load_vocab(path) -> Vocabulary:
 
 
 def write_embeddings(ids, embeddings: np.ndarray, path) -> None:
-    """Text format: header ``dim=<d>``, then ``<id> <d floats>`` per doc."""
+    """Text format: header ``dim=<d>``, then ``<id> <d floats>`` per doc.
+
+    Every id is checked before ``path`` is opened, so a bad id leaves no
+    partial file behind.
+    """
     embeddings = np.asarray(embeddings, dtype=np.float64)
+    for doc_id in ids:
+        if not doc_id or any(ch.isspace() for ch in doc_id):
+            raise ValueError(
+                f"document id {doc_id!r} is empty or contains whitespace and "
+                "cannot be written to the embeddings format"
+            )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"dim={embeddings.shape[1]}\n")
         for doc_id, row in zip(ids, embeddings):
-            if any(ch.isspace() for ch in doc_id):
-                raise ValueError(
-                    f"document id {doc_id!r} contains whitespace and cannot "
-                    "be written to the embeddings format"
-                )
             fh.write(doc_id + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
 
@@ -184,14 +189,15 @@ def _dump_pairs(corpus: Corpus, config: TrainConfig, path) -> None:
                 for i in idx:
                     pairs[int(i)] = (b, shuffle_divide(corpus.documents[i], rng))
             for i in sorted(pairs):
-                b, pair = pairs[i]
+                b, (half_a, half_b) = pairs[i]
+                sentences = corpus.documents[i].sentences
                 record = {
                     "batch": b,
-                    "source_id": pair.source_id,
-                    "view_a": pair.view_a,
-                    "view_b": pair.view_b,
-                    "sentence_ids_a": pair.sentence_ids_a,
-                    "sentence_ids_b": pair.sentence_ids_b,
+                    "source_id": corpus.documents[i].id,
+                    "view_a": " ".join(sentences[j] for j in half_a),
+                    "view_b": " ".join(sentences[j] for j in half_b),
+                    "sentence_ids_a": half_a.tolist(),
+                    "sentence_ids_b": half_b.tolist(),
                 }
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
         else:
@@ -306,7 +312,7 @@ def _read_assignments(path) -> dict[str, int]:
             if doc_id in assignments:
                 raise ValueError(f"line {lineno}: duplicate id {doc_id!r}")
             cluster = record["cluster"]
-            if not isinstance(cluster, int) or cluster < 0:
+            if type(cluster) is not int or cluster < 0:  # JSON true/false are bool
                 raise ValueError(f"line {lineno}: cluster must be a non-negative integer")
             assignments[doc_id] = cluster
     if not assignments:

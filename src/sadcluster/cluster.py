@@ -142,6 +142,8 @@ def spherical_kmeans(embeddings: np.ndarray, k: int, seed: int = 0,
         raise ValueError(f"need at least k={k} points, got {n}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     best = None
     for r in range(restarts):
         rng = derive_rng(seed, "kmeans", r)

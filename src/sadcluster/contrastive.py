@@ -27,7 +27,6 @@ from .encoder import (
     encode_batch_backward,
     encode_batch_forward,
     init_params,
-    pad_sequence,
     text_ids,
     tokenize,
 )
@@ -130,10 +129,9 @@ def build_batch_sad(docs, rng: np.random.Generator,
     """
     views = []
     for doc, ids in zip(docs, doc_sentence_ids, strict=True):
-        pair = shuffle_divide(doc, rng)
-        for half in (pair.sentence_ids_a, pair.sentence_ids_b):
-            views.append(pad_sequence(np.concatenate([ids[i] for i in half]),
-                                      max_len_train))
+        for half in shuffle_divide(doc, rng):
+            joined = np.concatenate([ids[i] for i in half.tolist()])
+            views.append(TokenSequence(joined[:max_len_train], max_len_train))
     return views
 
 
@@ -156,7 +154,8 @@ def build_batch_tps(pairing: PositivePairing, anchors,
                 "already sampled"
             )
         used.update((n, m))
-        views += [pad_sequence(doc_ids[n], max_len), pad_sequence(doc_ids[m], max_len)]
+        views += [TokenSequence(doc_ids[n][:max_len], max_len),
+                  TokenSequence(doc_ids[m][:max_len], max_len)]
     return views
 
 
@@ -518,7 +517,8 @@ def supervised_finetune(params: EncoderParams, vocab: Vocabulary,
         texts = []
         for doc in train_corpus.documents:
             if use_sad and len(doc.sentences) >= 2:
-                texts.append(shuffle_divide(doc, rng).view_a)
+                half_a, _ = shuffle_divide(doc, rng)
+                texts.append(" ".join(doc.sentences[i] for i in half_a))
             else:
                 texts.append(doc.text)
         order = rng.permutation(n)

@@ -145,10 +145,11 @@ def _parse_jsonl_line(line: str, lineno: int) -> Document:
     labels = record.get("labels")
     if label is not None and labels is not None:
         raise ValueError(f"line {lineno}: give either 'label' or 'labels', not both")
-    if label is not None and (not isinstance(label, int) or label < 0):
+    # type() rather than isinstance(): JSON true/false load as bool, an int
+    if label is not None and (type(label) is not int or label < 0):
         raise ValueError(f"line {lineno}: 'label' must be a non-negative integer")
     if labels is not None:
-        if not isinstance(labels, list) or not all(isinstance(x, int) and x >= 0 for x in labels):
+        if not isinstance(labels, list) or not all(type(x) is int and x >= 0 for x in labels):
             raise ValueError(f"line {lineno}: 'labels' must be a list of non-negative integers")
         labels = tuple(labels)
         if len(labels) == 1:

@@ -1,9 +1,9 @@
 """Token vocabulary and the trainable mean-pooling encoder.
 
 The built-in encoder is deliberately small: an embedding table, a mean
-pool over the real (non-pad) tokens, and an optional affine projection
-with tanh. Pooling is a product with a sparse matrix holding one unit
-entry per real token, so no padded batch is ever gathered. It trains
+pool over each view's token ids, and an optional affine projection with
+tanh. Pooling is a product with a sparse matrix holding one unit entry
+per token, so views are never padded to a common length. It trains
 from scratch with exact analytic gradients, and the same interfaces
 accept externally computed document embeddings (e.g. from a pre-trained
 transformer run out of process).
@@ -34,10 +34,6 @@ class Vocabulary:
     token_to_id: dict[str, int]
 
     @property
-    def pad_id(self) -> int:
-        return self.token_to_id[PAD_TOKEN]
-
-    @property
     def unk_id(self) -> int:
         return self.token_to_id[UNK_TOKEN]
 
@@ -47,20 +43,26 @@ class Vocabulary:
 
 @dataclass
 class TokenSequence:
-    """Fixed-length id sequence: real ids first, pad ids as suffix."""
+    """One view: its token ids, truncated to at most ``max_len``, unpadded.
+
+    The encoder reads only ``ids``. ``max_len`` is the limit the view was
+    truncated to; it stays because the benchmark's token-slot counter
+    reads it.
+    """
 
     ids: np.ndarray
-    length: int
     max_len: int
 
     def __post_init__(self):
+        if self.max_len < 1:
+            raise ValueError("max_len must be >= 1")
         self.ids = np.asarray(self.ids, dtype=np.int64)
-        if self.ids.shape != (self.max_len,):
-            raise ValueError("ids must have exactly max_len entries")
-        if not 0 <= self.length <= self.max_len:
-            raise ValueError("length out of range")
-        if np.any(self.ids[self.length:] != 0):
-            raise ValueError("pad ids must form the suffix")
+        if self.ids.size > self.max_len:
+            raise ValueError("ids must have at most max_len entries")
+
+    @property
+    def length(self) -> int:
+        return self.ids.size
 
 
 @dataclass
@@ -122,19 +124,9 @@ def text_ids(text: str, vocab: Vocabulary) -> np.ndarray:
                     dtype=np.int64)
 
 
-def pad_sequence(ids: np.ndarray, max_len: int) -> TokenSequence:
-    """Truncate token ids to ``max_len`` and pad them to a TokenSequence."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    real = ids[:max_len]
-    padded = np.zeros(max_len, dtype=np.int64)
-    padded[:real.size] = real
-    return TokenSequence(ids=padded, length=real.size, max_len=max_len)
-
-
 def tokenize(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
-    """Tokenize, truncate to ``max_len``, map OOV to unk, pad to length."""
-    return pad_sequence(text_ids(text, vocab), max_len)
+    """Tokenize, map OOV to unk and truncate to ``max_len``."""
+    return TokenSequence(text_ids(text, vocab)[:max_len], max_len)
 
 
 def init_params(vocab_size: int, embed_dim: int, output_dim: int | None,
@@ -157,19 +149,19 @@ def init_params(vocab_size: int, embed_dim: int, output_dim: int | None,
 
 
 def _pooling_matrix(seqs: list[TokenSequence], vocab_size: int):
-    """Sum-pooling matrix of a batch, and the real-token count of each row.
+    """Sum-pooling matrix of a batch, and the token count of each row.
 
-    Row i holds a 1.0 at column ``id`` for every real token of
-    ``seqs[i]``, repeats included, in token order. ``P @ table`` then
-    adds each row's token vectors one by one in sequence order, as a
-    padded gather followed by a masked sum does, so dividing by the
-    lengths afterwards gives bit-identical means.
+    Row i holds a 1.0 at column ``id`` for every token of ``seqs[i]``,
+    repeats included, in token order. ``P @ table`` then adds each row's
+    token vectors one by one in sequence order, as a padded gather
+    followed by a masked sum does, so dividing by the lengths afterwards
+    gives bit-identical means.
     """
     lengths = np.array([seq.length for seq in seqs], dtype=np.int64)
     empty = np.flatnonzero(lengths == 0)
     if empty.size:
-        raise ValueError(f"sequence {empty[0]}: all-pad input cannot be encoded")
-    ids = np.concatenate([seq.ids[:seq.length] for seq in seqs])
+        raise ValueError(f"sequence {empty[0]}: an empty view cannot be encoded")
+    ids = np.concatenate([seq.ids for seq in seqs])
     if ids.min() < 0 or ids.max() >= vocab_size:
         raise IndexError(f"token ids must lie in [0, {vocab_size}) for this "
                          f"embedding table, got [{ids.min()}, {ids.max()}]")
@@ -222,7 +214,7 @@ def embed_corpus(params: EncoderParams, vocab: Vocabulary, corpus: Corpus,
     for doc, ids in zip(corpus.documents, doc_ids):
         if ids.size == 0:
             raise ValueError(f"document {doc.id!r} has no tokens")
-        seqs.append(pad_sequence(ids, max_len))
+        seqs.append(TokenSequence(ids[:max_len], max_len))
     return encode_batch_forward(params, seqs)[0]
 
 

@@ -59,9 +59,7 @@ def random_token_batch(rng, num_views, vocab_size, max_len):
     views = []
     for _ in range(num_views):
         length = int(rng.integers(1, max_len + 1))
-        ids = np.zeros(max_len, dtype=np.int64)
-        ids[:length] = rng.integers(1, vocab_size, size=length)
-        views.append(TokenSequence(ids=ids, length=length, max_len=max_len))
+        views.append(TokenSequence(rng.integers(1, vocab_size, size=length), max_len))
     return views
 
 
@@ -219,17 +217,13 @@ def test_criterion_05_shuffle_divide_invariants_bulk():
     for it in range(draws):
         doc = pool[doc_indices[it]]
         m = len(doc.sentences)
-        pair = shuffle_divide(doc, derive_rng(it, "bulk"))
-        ids_a, ids_b = list(pair.sentence_ids_a), list(pair.sentence_ids_b)
+        half_a, half_b = shuffle_divide(doc, derive_rng(it, "bulk"))
+        ids_a, ids_b = half_a.tolist(), half_b.tolist()
         if set(ids_a) & set(ids_b):
             violations += 1
         elif sorted(ids_a + ids_b) != list(range(m)):
             violations += 1
         elif abs(len(ids_a) - len(ids_b)) > 1:
-            violations += 1
-        elif pair.view_a != " ".join(doc.sentences[i] for i in ids_a):
-            violations += 1
-        elif pair.view_b != " ".join(doc.sentences[i] for i in ids_b):
             violations += 1
     assert violations == 0
     print(f"criterion 5: PASS ({draws} (doc, seed) pairs, 0 violations)")

@@ -66,8 +66,10 @@ from sadcluster.tfidf import (
 
 
 def reference_forward(params, seqs):
-    ids = np.stack([seq.ids for seq in seqs])
     lengths = np.array([seq.length for seq in seqs], dtype=np.int64)
+    ids = np.zeros((len(seqs), max(seq.max_len for seq in seqs)), dtype=np.int64)
+    for row, seq in zip(ids, seqs):
+        row[:seq.length] = seq.ids  # pad ids (0) fill the rest of the row
     mask = np.arange(ids.shape[1])[None, :] < lengths[:, None]
     gathered = params.embedding_table[ids] * mask[:, :, None]
     pooled = gathered.sum(axis=1) / lengths[:, None]
@@ -128,9 +130,8 @@ def random_views(rng, n, vocab_size, max_len):
     views = []
     for _ in range(n):
         length = int(rng.integers(1, max_len + 1))
-        ids = np.zeros(max_len, dtype=np.int64)
-        ids[:length] = rng.integers(1, min(vocab_size, 12), size=length)
-        views.append(TokenSequence(ids=ids, length=length, max_len=max_len))
+        views.append(TokenSequence(rng.integers(1, min(vocab_size, 12), size=length),
+                                   max_len))
     return views
 
 
@@ -230,14 +231,14 @@ def test_sentence_ids_concatenate_to_the_joined_view():
         joined = np.concatenate([text_ids(s, vocab) for s in doc.sentences])
         for max_len in (1, 3, 8, 64):
             expected = tokenize(doc.text, vocab, max_len)
-            assert np.array_equal(joined[:max_len], expected.ids[:expected.length])
+            assert np.array_equal(joined[:max_len], expected.ids)
     sentence_ids = [[text_ids(s, vocab) for s in doc.sentences] for doc in docs]
     for max_len in (2, 5, 64):
         views = build_batch_sad(docs, derive_rng(9, "views"), sentence_ids, max_len)
         rng_views = derive_rng(9, "views")
         for k, doc in enumerate(docs):
-            pair = shuffle_divide(doc, rng_views)
-            for view, text in zip(views[2 * k:2 * k + 2], (pair.view_a, pair.view_b)):
+            for view, half in zip(views[2 * k:2 * k + 2], shuffle_divide(doc, rng_views)):
+                text = " ".join(doc.sentences[i] for i in half)
                 expected = tokenize(text, vocab, max_len)
                 assert np.array_equal(view.ids, expected.ids)
                 assert view.length == expected.length

@@ -9,7 +9,6 @@ import pytest
 
 from sadcluster import cli, contrastive
 from sadcluster import corpus as corpus_module
-from sadcluster.augment import shuffle_divide
 from sadcluster.cli import main, read_embeddings, write_embeddings
 from sadcluster.contrastive import TrainConfig, train
 from sadcluster.encoder import init_params, save_checkpoint, tokenize
@@ -203,8 +202,12 @@ class TestTrainCommand:
         corpus_path.write_text("\n".join(corpus_path.read_text().splitlines()[:37]) + "\n")
         seen, batches = [], []
         real_divide, real_build = contrastive.shuffle_divide, contrastive.build_batch_sad
-        monkeypatch.setattr(contrastive, "shuffle_divide",
-                            lambda doc, rng: seen.append(real_divide(doc, rng)) or seen[-1])
+
+        def recording_divide(doc, rng):
+            seen.append((doc, real_divide(doc, rng)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(contrastive, "shuffle_divide", recording_divide)
 
         def recording(docs, rng, doc_sentence_ids, max_len):
             batches.append((real_build(docs, rng, doc_sentence_ids, max_len), max_len))
@@ -220,13 +223,17 @@ class TestTrainCommand:
         records = [json.loads(line) for line in pairs.read_text().splitlines()]
         assert len(batches) == 3 and len(seen) == len(records) == 36
         by_id = {record["source_id"]: record for record in records}
-        for i, pair in enumerate(seen):
-            record = by_id[pair.source_id]
+        for i, (doc, halves) in enumerate(seen):
+            record = by_id[doc.id]
             assert record["batch"] == i // 12
-            assert (record["view_a"], record["view_b"]) == (pair.view_a, pair.view_b)
-            assert record["sentence_ids_a"] == pair.sentence_ids_a
+            assert [record["sentence_ids_a"], record["sentence_ids_b"]] == \
+                [half.tolist() for half in halves]
+            # each view is the space-join of the sentences its id list names
+            texts = [" ".join(doc.sentences[j] for j in record[key])
+                     for key in ("sentence_ids_a", "sentence_ids_b")]
+            assert [record["view_a"], record["view_b"]] == texts
             views, max_len = batches[i // 12]
-            for view, text in zip(views[2 * (i % 12):], (pair.view_a, pair.view_b)):
+            for view, text in zip(views[2 * (i % 12):], texts):
                 assert np.array_equal(view.ids, tokenize(text, vocab, max_len).ids)
 
     def test_checkpoint_written_once_when_best_is_final(self, capsys, tmp_path,
@@ -365,6 +372,20 @@ class TestEmbedClusterEval:
             code, _, err = run(capsys, *args, "--sample-cap", "1")
             assert code == 0, err
 
+    def test_eval_rejects_cluster_values_that_are_not_indices(self, capsys, tmp_path):
+        # JSON true/false load as bool, which Python counts as an int
+        corpus_path = make_synth(capsys, tmp_path)
+        assign = tmp_path / "assign.jsonl"
+        for value in (False, True, -1, "0"):
+            assign.write_text(json.dumps({"id": "t0d0", "cluster": value}) + "\n")
+            code, _, err = run(capsys, "eval", "--assignments", str(assign),
+                               "--corpus", str(corpus_path),
+                               "--out", str(tmp_path / "m.json"))
+            assert code == 1
+            assert json.loads(err)["message"] == \
+                "line 1: cluster must be a non-negative integer"
+        assert not (tmp_path / "m.json").exists()
+
     def test_eval_missing_assignment_is_an_error(self, capsys, tmp_path):
         corpus_path = make_synth(capsys, tmp_path)
         assign = tmp_path / "partial.jsonl"
@@ -427,6 +448,39 @@ class TestEmbedVocabCheck:
         code, err = self.embed(capsys, tmp_path, ["<pad>", "<unk>", "a", 7], rows=4)
         assert code == 1 and err["error"] == "ValueError"
         assert "token 3 is not a string: 7" in err["message"]
+
+
+class TestEmbedInputChecks:
+    def embed(self, capsys, tmp_path, bad_id="b", max_len="256"):
+        corpus = tmp_path / "corpus.jsonl"
+        docs = [{"id": "a", "text": "alpha beta."}, {"id": bad_id, "text": "beta gamma."}]
+        corpus.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        checkpoint = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(5, 8, None, seed=0), checkpoint)
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps({"tokens": ["<pad>", "<unk>", "alpha", "beta",
+                                               "gamma"]}))
+        code, _, err = run(capsys, "embed", "--corpus", str(corpus),
+                           "--checkpoint", str(checkpoint), "--vocab", str(vocab),
+                           "--out", str(tmp_path / "emb.txt"), "--max-len", max_len)
+        return code, json.loads(err) if err else None
+
+    @pytest.mark.parametrize("bad_id", ["", "two words", "tab\tid"],
+                             ids=["empty", "space", "tab"])
+    def test_unwritable_id_fails_before_any_output(self, capsys, tmp_path, bad_id):
+        # the good id comes first: a row-by-row check would leave it written
+        code, err = self.embed(capsys, tmp_path, bad_id=bad_id)
+        assert code == 1 and err["error"] == "ValueError"
+        assert f"document id {bad_id!r} is empty or contains whitespace" in err["message"]
+        assert not (tmp_path / "emb.txt").exists()
+
+    def test_max_len_below_one_rejected(self, capsys, tmp_path):
+        code, err = self.embed(capsys, tmp_path, max_len="0")
+        assert code == 1 and err == {"error": "ValueError",
+                                     "message": "max_len must be >= 1"}
+        assert not (tmp_path / "emb.txt").exists()
+        code, err = self.embed(capsys, tmp_path, max_len="1")
+        assert code == 0, err
 
 
 class TestSentenceSplitting:

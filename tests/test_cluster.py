@@ -70,6 +70,8 @@ class TestSphericalKmeans:
             spherical_kmeans(x, k=4, seed=0)
         with pytest.raises(ValueError):
             spherical_kmeans(np.zeros((4, 3)), k=2, seed=0)
+        with pytest.raises(ValueError, match="max_iter must be >= 0"):
+            spherical_kmeans(x, k=2, seed=0, max_iter=-1)
 
     def test_objective_history_monotone(self):
         rng = np.random.default_rng(4)

@@ -157,7 +157,7 @@ class TestBuildBatchSad:
         # they are its sentences' ids, each once
         for k, doc_ids in enumerate(ids):
             rows = views[2 * k:2 * k + 2]
-            got = np.concatenate([v.ids[:v.length] for v in rows])
+            got = np.concatenate([v.ids for v in rows])
             assert sorted(got) == sorted(np.concatenate(doc_ids))
 
     def test_views_are_tokenized_halves(self):
@@ -167,8 +167,9 @@ class TestBuildBatchSad:
         views = build_batch_sad(corpus.documents, rng,
                                 sentence_ids(corpus.documents, vocab), 64)
         for seq in views:
-            assert seq.ids.shape == (64,)
-            assert np.any(seq.ids != 0)
+            # real token ids only, no pad id, within the truncation limit
+            assert seq.max_len == 64 and 0 < seq.length <= 64
+            assert np.all(seq.ids != 0)
 
     def test_same_rng_state_reproduces_batch(self):
         corpus = toy_corpus(5)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,16 @@ class TestLoadCorpus:
         p.write_text('{"id": "a", "text": "x", "label": 0, "labels": [0]}\n')
         with pytest.raises(ValueError, match="line 1"):
             load_corpus(p)
+
+    def test_jsonl_label_values_rejected(self, tmp_path):
+        # JSON true/false load as bool, which Python counts as an int
+        p = tmp_path / "c.jsonl"
+        for field, value in [("label", True), ("label", False), ("label", -1),
+                             ("label", "0"), ("labels", [True]), ("labels", [0, False]),
+                             ("labels", [0, -1]), ("labels", ["0"])]:
+            p.write_text(json.dumps({"id": "a", "text": "x", field: value}) + "\n")
+            with pytest.raises(ValueError, match=f"line 1: '{field}' must be"):
+                load_corpus(p)
 
     def test_jsonl_num_classes_from_max_label(self, tmp_path):
         p = tmp_path / "c.jsonl"

@@ -44,9 +44,7 @@ def random_seqs(rng, n, vocab_size, max_len):
     seqs = []
     for _ in range(n):
         length = int(rng.integers(1, max_len + 1))
-        ids = np.zeros(max_len, dtype=np.int64)
-        ids[:length] = rng.integers(1, vocab_size, size=length)
-        seqs.append(TokenSequence(ids=ids, length=length, max_len=max_len))
+        seqs.append(TokenSequence(rng.integers(1, vocab_size, size=length), max_len))
     return seqs
 
 
@@ -54,7 +52,7 @@ class TestBuildVocab:
     def test_small_corpus(self):
         vocab = build_vocab(corpus_of("a a b"), max_vocab=10)
         assert set(vocab.token_to_id) == {"<pad>", "<unk>", "a", "b"}
-        assert vocab.pad_id == 0
+        assert vocab.token_to_id["<pad>"] == 0
         assert vocab.unk_id == 1
 
     def test_frequency_cut(self):
@@ -80,9 +78,9 @@ class TestTokenize:
     def test_pad_and_length(self):
         vocab = build_vocab(corpus_of("a b"), max_vocab=10)
         seq = tokenize("a b", vocab, max_len=4)
-        assert seq.length == 2
-        assert seq.ids[2:].tolist() == [0, 0]
-        assert seq.ids[0] == vocab.token_to_id["a"]
+        # the real ids only: no pad ids fill the view up to max_len
+        assert seq.length == 2 and seq.max_len == 4
+        assert seq.ids.tolist() == [vocab.token_to_id["a"], vocab.token_to_id["b"]]
 
     def test_truncation(self):
         vocab = build_vocab(corpus_of("a"), max_vocab=10)
@@ -103,27 +101,30 @@ class TestTokenize:
 
 
 class TestTokenSequenceValidation:
-    def test_pad_must_be_suffix(self):
-        with pytest.raises(ValueError):
-            TokenSequence(ids=np.array([0, 2, 0, 0]), length=1, max_len=4)
-
     def test_length_bounds(self):
-        with pytest.raises(ValueError):
-            TokenSequence(ids=np.zeros(4, dtype=np.int64), length=5, max_len=4)
+        with pytest.raises(ValueError, match="at most max_len"):
+            TokenSequence(np.ones(5, dtype=np.int64), max_len=4)
+        for max_len in (0, -1):
+            with pytest.raises(ValueError, match="max_len must be >= 1"):
+                TokenSequence(np.empty(0, dtype=np.int64), max_len)
+        seq = TokenSequence(np.ones(4, dtype=np.int64), max_len=4)
+        assert seq.length == 4
+        with pytest.raises(AttributeError):
+            seq.length = 3
 
 
 class TestEncode:
     def test_single_token_row(self):
         rng = np.random.default_rng(0)
         params = random_params(rng, vocab_size=6, embed_dim=4)
-        seq = TokenSequence(ids=np.array([3, 0, 0]), length=1, max_len=3)
+        seq = TokenSequence(np.array([3]), max_len=3)
         out = encode_one(params, seq)
         assert np.allclose(out, params.embedding_table[3])
 
     def test_two_tokens_mean(self):
         rng = np.random.default_rng(1)
         params = random_params(rng, vocab_size=6, embed_dim=4)
-        seq = TokenSequence(ids=np.array([2, 5, 0]), length=2, max_len=3)
+        seq = TokenSequence(np.array([2, 5]), max_len=3)
         out = encode_one(params, seq)
         expected = (params.embedding_table[2] + params.embedding_table[5]) / 2
         assert np.allclose(out, expected)
@@ -131,7 +132,7 @@ class TestEncode:
     def test_projection_applies_tanh(self):
         rng = np.random.default_rng(2)
         params = random_params(rng, vocab_size=6, embed_dim=4, output_dim=3)
-        seq = TokenSequence(ids=np.array([2, 0]), length=1, max_len=2)
+        seq = TokenSequence(np.array([2]), max_len=2)
         out = encode_one(params, seq)
         pooled = params.embedding_table[2]
         expected = np.tanh(pooled @ params.projection_w + params.projection_b)
@@ -142,34 +143,23 @@ class TestEncode:
         rng = np.random.default_rng(3)
         params = random_params(rng, vocab_size=10, embed_dim=5, output_dim=4)
         for _ in range(20):
-            length = int(rng.integers(2, 6))
-            tokens = rng.integers(1, 10, size=length)
-            ids = np.zeros(6, dtype=np.int64)
-            ids[:length] = tokens
-            a = encode_one(params, TokenSequence(ids=ids.copy(), length=length, max_len=6))
-            ids[:length] = rng.permutation(tokens)
-            b = encode_one(params, TokenSequence(ids=ids, length=length, max_len=6))
+            tokens = rng.integers(1, 10, size=int(rng.integers(2, 6)))
+            a = encode_one(params, TokenSequence(tokens, max_len=6))
+            b = encode_one(params, TokenSequence(rng.permutation(tokens), max_len=6))
             assert np.allclose(a, b, atol=1e-12)
-
-    def test_pad_count_invariance(self):
-        rng = np.random.default_rng(4)
-        params = random_params(rng, vocab_size=10, embed_dim=5)
-        short = TokenSequence(ids=np.array([4, 7]), length=2, max_len=2)
-        padded = TokenSequence(ids=np.array([4, 7, 0, 0, 0]), length=2, max_len=5)
-        assert np.allclose(encode_one(params, short), encode_one(params, padded), atol=1e-15)
 
     def test_all_pad_errors_with_index(self):
         rng = np.random.default_rng(5)
         params = random_params(rng, vocab_size=6, embed_dim=3)
-        good = TokenSequence(ids=np.array([2, 0]), length=1, max_len=2)
-        bad = TokenSequence(ids=np.array([0, 0]), length=0, max_len=2)
+        good = TokenSequence(np.array([2]), max_len=2)
+        bad = TokenSequence(np.empty(0, dtype=np.int64), max_len=2)
         with pytest.raises(ValueError, match="sequence 1"):
             encode_batch_forward(params, [good, bad])
 
     def test_token_id_outside_the_table_raises(self):
         # e.g. a vocab.json that does not belong to the checkpoint
         params = random_params(np.random.default_rng(1), vocab_size=5, embed_dim=3)
-        seq = TokenSequence(ids=np.array([2, 5, 0]), length=2, max_len=3)
+        seq = TokenSequence(np.array([2, 5]), max_len=3)
         with pytest.raises(IndexError):
             encode_batch_forward(params, [seq])
 
