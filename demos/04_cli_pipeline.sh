@@ -1,7 +1,7 @@
 #!/bin/sh
 # Full pipeline through the command line interface: generate a corpus,
 # train, embed with the selected checkpoint, cluster, and score. The
-# final step re-runs a stage to show outputs are byte-for-byte stable.
+# final step re-runs stages to show outputs are byte-for-byte stable.
 set -e
 
 workdir=$(mktemp -d)
@@ -47,6 +47,11 @@ echo
 echo "== 7. reruns are byte-identical =="
 sadcluster synth --out corpus2.jsonl --topics 4 --docs-per-topic 15 --seed 5
 cmp corpus.jsonl corpus2.jsonl && echo "synth: identical bytes"
+sadcluster train --corpus clean.jsonl --out-dir run2 --k 4 \
+    --method sad --batch-size 16 --lr 5e-3 --epochs 5 --seed 0 \
+    --max-len-train 64 --max-len-test 128
+cmp run/best.ckpt run2/best.ckpt && cmp run/final.ckpt run2/final.ckpt \
+    && echo "train: identical bytes"
 sadcluster embed --corpus clean.jsonl --checkpoint run/best.ckpt \
     --vocab run/vocab.json --out embeddings2.txt --max-len 128
 cmp embeddings.txt embeddings2.txt && echo "embed: identical bytes"

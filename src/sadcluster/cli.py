@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import json
 import math
-import shutil
 import sys
 from pathlib import Path
 
@@ -241,11 +240,7 @@ def cmd_train(args) -> int:
 
     result = train(corpus, config)
     save_checkpoint(result.best_params, out_dir / "best.ckpt")
-    if result.final_params.same_bits(result.best_params):
-        # the best epoch was the last: the same bytes, serialized once
-        shutil.copyfile(out_dir / "best.ckpt", out_dir / "final.ckpt")
-    else:
-        save_checkpoint(result.final_params, out_dir / "final.ckpt")
+    save_checkpoint(result.final_params, out_dir / "final.ckpt")
     save_vocab(result.vocab, out_dir / "vocab.json")
     _write_json(
         {

@@ -88,6 +88,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.max_len_train < 1 or self.max_len_test < 1:
             raise ValueError("max lengths must be >= 1")
+        if self.embed_dim < 1:
+            raise ValueError("embed_dim must be >= 1")
+        if self.output_dim is not None and self.output_dim < 1:
+            raise ValueError("output_dim must be >= 1 (or None for no projection)")
 
 
 @dataclass
@@ -390,12 +394,15 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
     if n < max(2, config.num_clusters):
         raise ValueError(f"corpus too small: {n} documents")
     vocab = build_vocab(corpus, config.max_vocab)
-    # every text is tokenized once; views and embeddings reuse the ids
-    doc_ids = [text_ids(doc.text, vocab) for doc in corpus.documents]
+    # every text is tokenized once; views and embeddings reuse the ids. A sad
+    # document's ids join its sentences' ids: sentences split only at spaces.
     sent_ids = None
     if config.method == "sad":
         sent_ids = [[text_ids(s, vocab) for s in doc.sentences]
                     for doc in corpus.documents]
+        doc_ids = [np.concatenate([np.empty(0, np.int64), *ids]) for ids in sent_ids]
+    else:
+        doc_ids = [text_ids(doc.text, vocab) for doc in corpus.documents]
     _preflight(corpus, doc_ids, sent_ids)
     params = init_params(len(vocab), config.embed_dim, config.output_dim,
                          seed=config.seed)
@@ -434,12 +441,10 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
                 except (ValueError, FloatingPointError) as err:
                     raise RuntimeError(f"epoch {epoch}, batch {b}: {err}") from err
         else:
-            if epoch == 1:
-                sims = sim_tfidf.copy()
-            else:
-                # the last epoch's embeddings: no update happened since
-                sims = blended_similarity(sim_tfidf, similarity_matrix(embeddings),
-                                          config.alpha, epoch)
+            # epoch 1 pairs on TF-IDF alone (top1_from_matrix masks a copy); later
+            # epochs blend in the last epoch's embeddings: no update happened since
+            sims = sim_tfidf if epoch == 1 else blended_similarity(
+                sim_tfidf, similarity_matrix(embeddings), config.alpha, epoch)
             pairing = top1_from_matrix(sims)
             if all_labeled:
                 match_rate = label_match_rate(pairing, corpus.labels_array())

@@ -24,7 +24,7 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
 CHECKPOINT_FORMAT = "sadcluster-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -86,19 +86,8 @@ class EncoderParams:
             out["projection_b"] = self.projection_b
         return out
 
-    def same_bits(self, other: "EncoderParams") -> bool:
-        """True if both hold the same tensors with bitwise-equal values."""
-        mine, theirs = self.tensors(), other.tensors()
-        return mine.keys() == theirs.keys() and all(
-            mine[k].dtype == theirs[k].dtype and mine[k].shape == theirs[k].shape
-            and mine[k].tobytes() == theirs[k].tobytes() for k in mine)
-
     def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            embedding_table=self.embedding_table.copy(),
-            projection_w=None if self.projection_w is None else self.projection_w.copy(),
-            projection_b=None if self.projection_b is None else self.projection_b.copy(),
-        )
+        return EncoderParams(**{k: v.copy() for k, v in self.tensors().items()})
 
 
 def build_vocab(corpus: Corpus, max_vocab: int = 30000) -> Vocabulary:
@@ -260,38 +249,42 @@ def lookup_external(embeddings: dict[str, np.ndarray], corpus: Corpus) -> np.nda
 
 
 def save_checkpoint(params: EncoderParams, path) -> None:
-    """Write parameters as deterministic jsonl (header, then one tensor/line)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
-                  "tensors": sorted(params.tensors())}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for name in sorted(params.tensors()):
-            tensor = params.tensors()[name]
-            record = {"name": name, "shape": list(tensor.shape),
-                      "data": tensor.ravel().tolist()}
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    """Write a JSON header line, then each tensor as one ``.npy`` record."""
+    tensors = params.tensors()
+    header = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
+              "tensors": sorted(tensors)}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        for name in header["tensors"]:
+            np.lib.format.write_array(fh, tensors[name], allow_pickle=False)
 
 
 def load_checkpoint(path) -> EncoderParams:
-    """Read parameters written by ``save_checkpoint``."""
-    with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != CHECKPOINT_FORMAT:
+    """Read what ``save_checkpoint`` wrote; any other file raises ValueError."""
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline())
+        except ValueError as err:  # a binary or non-JSON first line
+            raise ValueError("not a checkpoint file") from err
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
             raise ValueError("not a checkpoint file")
         if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header.get('version')}")
+            raise ValueError(f"checkpoint version {header.get('version')!r} is not "
+                             f"supported; this build reads version {CHECKPOINT_VERSION}")
+        names = header.get("tensors")
+        if names not in (["embedding_table"],
+                         ["embedding_table", "projection_b", "projection_w"]):
+            raise ValueError(f"checkpoint tensor list {names!r} is not one "
+                             "save_checkpoint writes")
         tensors = {}
-        for line in fh:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            tensors[record["name"]] = np.array(record["data"]).reshape(record["shape"])
-    if set(tensors) != set(header["tensors"]):
-        raise ValueError("checkpoint tensor list does not match header")
-    if "embedding_table" not in tensors:
-        raise ValueError("checkpoint is missing the embedding table")
-    return EncoderParams(
-        embedding_table=tensors["embedding_table"],
-        projection_w=tensors.get("projection_w"),
-        projection_b=tensors.get("projection_b"),
-    )
+        for name in names:
+            try:
+                tensors[name] = np.lib.format.read_array(fh, allow_pickle=False)
+            except ValueError as err:  # truncated, or an object array
+                raise ValueError(f"checkpoint tensor {name!r}: {err}") from err
+            if tensors[name].dtype != np.float64:
+                raise ValueError(f"checkpoint tensor {name!r} has dtype "
+                                 f"{tensors[name].dtype.str}, not native float64")
+        if fh.read(1):
+            raise ValueError("checkpoint has bytes after its last tensor")
+    return EncoderParams(**tensors)

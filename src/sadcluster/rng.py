@@ -28,11 +28,11 @@ def fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform random permutation of ``range(n)`` via Fisher-Yates.
 
     The draw protocol is pinned (one ``rng.integers(0, i + 1)`` per swap,
-    from the top index down) so any shuffler consuming the same stream
-    reproduces it exactly.
+    from the top index down, all drawn in one call) so any shuffler
+    consuming the same stream reproduces it exactly.
     """
     perm = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    swaps = rng.integers(0, np.arange(n, 1, -1)).tolist()
+    for i, j in zip(range(n - 1, 0, -1), swaps):
         perm[i], perm[j] = perm[j], perm[i]
     return perm

@@ -4,12 +4,15 @@ The references below are the straightforward implementations: a padded
 gather with a masked sum for the forward pass, ``np.add.at`` for the
 embedding gradient, AdamW/SGD written as whole-array expressions,
 TF-IDF built one document vector at a time, and k-means, silhouette,
-MI and EMI written as loops over clusters, samples and table cells. The
-sparse pooling and the in-place optimizer must reproduce them bit for
-bit, step after step, views built from per-sentence token ids must equal
-tokenizing the joined view, and the one-pass TF-IDF matrix must give the
-same similarities. k-means must match bit for bit; the metrics, whose
-sums run in another order, must agree within 1e-12.
+MI and EMI written as loops over clusters, samples and table cells, and
+Fisher-Yates with one draw per swap. The sparse pooling and the in-place
+optimizer must reproduce them bit for bit, step after step; views built
+from per-sentence token ids must equal tokenizing the joined view, and a
+text's sentences must tokenize to the text's tokens; the one-call
+Fisher-Yates must give the same permutations and leave the stream where
+the per-swap draws do; and the one-pass TF-IDF matrix must give the same
+similarities. k-means must match bit for bit; the metrics, whose sums
+run in another order, must agree within 1e-12.
 """
 
 from collections import Counter
@@ -34,7 +37,7 @@ from sadcluster.contrastive import (
     nt_xent_gradient,
     optimizer_step,
 )
-from sadcluster.corpus import Corpus, Document
+from sadcluster.corpus import Corpus, Document, split_sentences
 from sadcluster.evaluate import (
     adjusted_mutual_information,
     clustering_accuracy,
@@ -55,7 +58,7 @@ from sadcluster.encoder import (
     text_ids,
     tokenize,
 )
-from sadcluster.rng import derive_rng
+from sadcluster.rng import derive_rng, fisher_yates
 from sadcluster.synth import generate_synthetic_corpus
 from sadcluster.tfidf import (
     fit_tfidf,
@@ -242,6 +245,45 @@ def test_sentence_ids_concatenate_to_the_joined_view():
                 expected = tokenize(text, vocab, max_len)
                 assert np.array_equal(view.ids, expected.ids)
                 assert view.length == expected.length
+
+
+# Characters where splitting could plausibly change tokens: final and
+# medial sigma, dotted capital I, sharp s, terminators, abbreviations,
+# an initial, a decimal, the ideographic full stop and several kinds of
+# whitespace (tab, newline, no-break space, line separator).
+SPLIT_PIECES = ["Σ", "ς", "σ", "ΟΔΟΣ", "İ", "ı", "ß", "ẞ", "a", "Ab", "7", "3.14",
+                "_", "'", "—", ".", "!", "?", "。", " ", "  ", "\t", "\n", "\u00a0",
+                "\u2028", "Mr", "e.g", "J", "ǅ", "\u0301"]
+
+
+def test_sentences_tokenize_to_the_text_tokens():
+    # sad training builds a document's ids from its sentences' ids
+    rng = np.random.default_rng(31)
+    for _ in range(5000):
+        text = "".join(rng.choice(SPLIT_PIECES, size=int(rng.integers(0, 30))))
+        joined = [token for s in split_sentences(text) for token in tokenize_text(s)]
+        assert joined == tokenize_text(text), repr(text)
+
+
+def reference_fisher_yates(n, rng):
+    """One ``rng.integers(0, i + 1)`` per swap, from the top index down."""
+    perm = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 20, 21, 64, 257])
+def test_fisher_yates_draws_as_one_call_per_swap(n):
+    for seed in range(60):
+        fast, ref = derive_rng(seed, "fy"), derive_rng(seed, "fy")
+        perm = fisher_yates(n, fast)
+        expected = reference_fisher_yates(n, ref)
+        assert perm.dtype == expected.dtype and perm.tolist() == expected.tolist()
+        # the stream continues where the per-swap draws leave it
+        assert fast.integers(0, 7, size=3).tolist() == ref.integers(0, 7, size=3).tolist()
+        assert fisher_yates(9, fast).tolist() == reference_fisher_yates(9, ref).tolist()
 
 
 def reference_transform(model, doc):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from sadcluster.cli import main, read_embeddings, write_embeddings
 from sadcluster.contrastive import TrainConfig, train
 from sadcluster.encoder import init_params, save_checkpoint, tokenize
 from sadcluster.corpus import load_corpus, save_corpus, Corpus
+from test_encoder import BAD_CHECKPOINTS, UNPICKLED
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -149,10 +151,12 @@ class TestTrainCommand:
         for d in ("r1", "r2"):
             code, _, err = run(capsys, *train_args(corpus, tmp_path / d))
             assert code == 0, err
-        assert ((tmp_path / "r1" / "metrics.json").read_bytes()
-                == (tmp_path / "r2" / "metrics.json").read_bytes())
-        assert ((tmp_path / "r1" / "best.ckpt").read_bytes()
-                == (tmp_path / "r2" / "best.ckpt").read_bytes())
+        r1, r2 = tmp_path / "r1", tmp_path / "r2"
+        # the best epoch is not the last, so the two checkpoints differ
+        assert json.loads((r1 / "metrics.json").read_text())["best_epoch"] < 3
+        assert (r1 / "best.ckpt").read_bytes() != (r1 / "final.ckpt").read_bytes()
+        for name in ("metrics.json", "best.ckpt", "final.ckpt", "vocab.json"):
+            assert (r1 / name).read_bytes() == (r2 / name).read_bytes(), name
 
     def test_silhouette_history_improves_over_first_epoch(self, capsys, tmp_path):
         corpus = make_synth(capsys, tmp_path)
@@ -236,23 +240,30 @@ class TestTrainCommand:
             for view, text in zip(views[2 * (i % 12):], texts):
                 assert np.array_equal(view.ids, tokenize(text, vocab, max_len).ids)
 
-    def test_checkpoint_written_once_when_best_is_final(self, capsys, tmp_path,
-                                                        monkeypatch):
+    def test_checkpoints_are_saves_of_the_final_params_when_best_is_final(
+            self, capsys, tmp_path):
         corpus_path = make_synth(capsys, tmp_path)
-        saved = []
-        real = cli.save_checkpoint
-        monkeypatch.setattr(cli, "save_checkpoint",
-                            lambda params, path: saved.append(path) or real(params, path))
         out_dir = tmp_path / "run"
         code, _, err = run(capsys, *train_args(corpus_path, out_dir, epochs="1"))
         assert code == 0, err
-        assert saved == [out_dir / "best.ckpt"]
         config = TrainConfig(method="sad", batch_size=16, learning_rate=5e-3, epochs=1,
                              seed=0, max_len_train=64, max_len_test=128, num_clusters=4)
-        real(train(load_corpus(corpus_path), config).final_params, tmp_path / "expected")
+        save_checkpoint(train(load_corpus(corpus_path), config).final_params,
+                        tmp_path / "expected")
         expected = (tmp_path / "expected").read_bytes()
         assert (out_dir / "final.ckpt").read_bytes() == expected
         assert (out_dir / "best.ckpt").read_bytes() == expected
+
+    @pytest.mark.parametrize("flag", ["embed-dim", "output-dim"])
+    def test_zero_dimension_rejected_before_any_output(self, capsys, tmp_path, flag):
+        corpus_path = make_synth(capsys, tmp_path)
+        out_dir = tmp_path / "run"
+        code, _, err = run(capsys, *train_args(corpus_path, out_dir, **{flag: 0}))
+        assert code == 1
+        error = json.loads(err)
+        assert error["error"] == "ValueError"
+        assert error["message"].startswith(flag.replace("-", "_") + " must be >= 1")
+        assert not out_dir.exists()
 
     def test_dump_tfidf_vectors(self, capsys, tmp_path):
         corpus = make_synth(capsys, tmp_path)
@@ -448,6 +459,24 @@ class TestEmbedVocabCheck:
         code, err = self.embed(capsys, tmp_path, ["<pad>", "<unk>", "a", 7], rows=4)
         assert code == 1 and err["error"] == "ValueError"
         assert "token 3 is not a string: 7" in err["message"]
+
+
+class TestEmbedCheckpointCheck:
+    @pytest.mark.parametrize("kind", list(BAD_CHECKPOINTS))
+    def test_unreadable_checkpoint_exits_1(self, capsys, tmp_path, kind):
+        data, match = BAD_CHECKPOINTS[kind]
+        corpus = make_synth(capsys, tmp_path)
+        checkpoint, vocab = tmp_path / "model.ckpt", tmp_path / "vocab.json"
+        checkpoint.write_bytes(data)
+        vocab.write_text(json.dumps({"tokens": ["<pad>", "<unk>", "a"]}))
+        code, _, err = run(capsys, "embed", "--corpus", str(corpus),
+                           "--checkpoint", str(checkpoint), "--vocab", str(vocab),
+                           "--out", str(tmp_path / "emb.txt"))
+        assert code == 1
+        error = json.loads(err)
+        assert error["error"] == "ValueError" and re.search(match, error["message"])
+        assert not (tmp_path / "emb.txt").exists()
+        assert UNPICKLED == []
 
 
 class TestEmbedInputChecks:

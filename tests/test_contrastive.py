@@ -103,6 +103,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=-1)
 
+    @pytest.mark.parametrize("field", ["embed_dim", "output_dim"])
+    def test_rejects_dimension_below_one(self, field):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
+                TrainConfig(**{field: value})
+
+    def test_no_projection_allowed(self):
+        assert TrainConfig(output_dim=None).output_dim is None
+
     def test_zero_epochs_allowed_for_evaluation_only_runs(self):
         assert TrainConfig(epochs=0).epochs == 0
 
@@ -126,7 +135,9 @@ class TestContrastiveBatch:
         with pytest.raises(ValueError, match=match):
             contrastive._train_step(params, init_optimizer_state(), views,
                                     TrainConfig(learning_rate=1e-2))
-        assert params.same_bits(before)
+        assert params.tensors().keys() == before.tensors().keys()
+        for name, tensor in params.tensors().items():
+            assert tensor.tobytes() == before.tensors()[name].tobytes(), name
 
     def test_requires_alignment(self):
         self.step_rejects(5, "2B")

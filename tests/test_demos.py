@@ -43,4 +43,5 @@ def test_cli_pipeline_script_exits_cleanly(tmp_path):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "synth: identical bytes" in proc.stdout
+    assert "train: identical bytes" in proc.stdout
     assert "embed: identical bytes" in proc.stdout

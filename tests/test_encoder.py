@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -294,24 +297,124 @@ class TestExternalEmbeddings:
         assert np.allclose(out, [[1, 2], [3, 4]])
 
 
+UNPICKLED = []
+
+
+def _record_unpickling():
+    UNPICKLED.append(True)
+
+
+class Unpickles:
+    """An object whose unpickling leaves a mark in ``UNPICKLED``."""
+
+    def __reduce__(self):
+        return _record_unpickling, ()
+
+
+def checkpoint_bytes(names, records, version=2):
+    """A checkpoint's bytes: the JSON header line, then ``.npy`` records."""
+    header = {"format": "sadcluster-checkpoint", "version": version, "tensors": names}
+    buf = io.BytesIO()
+    buf.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+    for record in records:
+        np.lib.format.write_array(buf, record, allow_pickle=True)
+    return buf.getvalue()
+
+
+def npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+TABLE = np.arange(6.0).reshape(3, 2)
+GOOD = checkpoint_bytes(["embedding_table"], [TABLE])
+HEADER_END = GOOD.index(b"\n") + 1
+V1 = (b'{"format": "sadcluster-checkpoint", "tensors": ["embedding_table"], '
+      b'"version": 1}\n{"data": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], '
+      b'"name": "embedding_table", "shape": [3, 2]}\n')
+
+# file bytes -> the error load_checkpoint must raise for them
+BAD_CHECKPOINTS = {
+    "version-1": (V1, "checkpoint version 1 is not supported"),
+    "truncated-data": (GOOD[:-1], "checkpoint tensor 'embedding_table'"),
+    "truncated-record-header": (GOOD[:HEADER_END + 30],
+                                "checkpoint tensor 'embedding_table'"),
+    "no-records": (GOOD[:HEADER_END], "checkpoint tensor 'embedding_table'"),
+    "trailing-bytes": (GOOD + b"\0", "bytes after its last tensor"),
+    "empty": (b"", "not a checkpoint file"),
+    "text-first-line": (b"embedding_table 0.0 1.0\n" + GOOD[HEADER_END:],
+                        "not a checkpoint file"),
+    "binary-first-line": (npy_bytes(TABLE), "not a checkpoint file"),
+    "json-not-an-object": (b"[2]\n" + GOOD[HEADER_END:], "not a checkpoint file"),
+    "tensor-list": (checkpoint_bytes(["embedding_table", "projection_w"],
+                                     [TABLE, TABLE]), "tensor list"),
+    "float32": (checkpoint_bytes(["embedding_table"], [TABLE.astype(np.float32)]),
+                "dtype <f4, not native float64"),
+    "big-endian": (checkpoint_bytes(["embedding_table"], [TABLE.astype(">f8")]),
+                   "dtype >f8, not native float64"),
+    "pickled": (checkpoint_bytes(["embedding_table"],
+                                 [np.array([Unpickles()], dtype=object)]),
+                "checkpoint tensor 'embedding_table'.*allow_pickle"),
+}
+
+
 class TestCheckpoint:
     def test_roundtrip_exact(self, tmp_path):
         params = init_params(vocab_size=12, embed_dim=5, output_dim=3, seed=77)
-        path = tmp_path / "ckpt.jsonl"
+        params.embedding_table[1, :4] = [-0.0, np.inf, np.nan, 5e-324]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path).tensors()
+        assert loaded.keys() == params.tensors().keys()
+        for name, tensor in params.tensors().items():
+            assert loaded[name].dtype == np.float64 and loaded[name].shape == tensor.shape
+            assert loaded[name].tobytes() == tensor.tobytes(), name
+
+    def test_projection_free_roundtrip(self, tmp_path):
+        params = init_params(vocab_size=7, embed_dim=3, output_dim=None, seed=2)
+        path = tmp_path / "model.ckpt"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
-        for name, tensor in params.tensors().items():
-            assert np.array_equal(tensor, loaded.tensors()[name])
+        assert loaded.projection_w is None and loaded.projection_b is None
+        assert loaded.embedding_table.tobytes() == params.embedding_table.tobytes()
+
+    def test_layout_is_a_header_line_then_npy_records(self, tmp_path):
+        params = init_params(vocab_size=6, embed_dim=4, output_dim=2, seed=5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        with open(path, "rb") as fh:
+            assert json.loads(fh.readline()) == {
+                "format": "sadcluster-checkpoint", "version": 2,
+                "tensors": ["embedding_table", "projection_b", "projection_w"]}
+            for name in ("embedding_table", "projection_b", "projection_w"):
+                record = np.lib.format.read_array(fh, allow_pickle=False)
+                assert np.array_equal(record, params.tensors()[name])
+            assert fh.read() == b""
 
     def test_bytes_deterministic(self, tmp_path):
         params = init_params(vocab_size=6, embed_dim=4, output_dim=None, seed=5)
-        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(params, p1)
         save_checkpoint(params, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_rejects_foreign_file(self, tmp_path):
-        p = tmp_path / "x.jsonl"
+        p = tmp_path / "x.ckpt"
         p.write_text('{"something": "else"}\n')
         with pytest.raises(ValueError, match="checkpoint"):
             load_checkpoint(p)
+
+    def test_reads_the_records_it_is_given(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(GOOD)
+        assert load_checkpoint(path).embedding_table.tobytes() == TABLE.tobytes()
+
+    @pytest.mark.parametrize("kind", list(BAD_CHECKPOINTS))
+    def test_rejects_other_files(self, tmp_path, kind):
+        data, match = BAD_CHECKPOINTS[kind]
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+        assert UNPICKLED == []

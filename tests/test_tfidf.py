@@ -200,6 +200,12 @@ class TestTop1Sampling:
                 assert pairing.partner[i] == best_j
                 assert pairing.similarity[i] == pytest.approx(best_s, abs=1e-9)
 
+    def test_input_left_unchanged(self):
+        sims = np.random.default_rng(3).normal(size=(6, 6))
+        before = sims.copy()
+        top1_from_matrix(sims)
+        assert sims.tobytes() == before.tobytes()
+
     def test_self_partner_rejected_by_type(self):
         with pytest.raises(ValueError):
             PositivePairing(np.array([0, 0]), np.array([1.0, 1.0]))
