@@ -39,8 +39,6 @@ from .encoder import (
     embed_corpus,
     init_params,
     load_checkpoint,
-    load_external_embeddings,
-    lookup_external,
     save_checkpoint,
     tokenize,
 )
@@ -100,8 +98,6 @@ __all__ = [
     "label_match_rate",
     "load_checkpoint",
     "load_corpus",
-    "load_external_embeddings",
-    "lookup_external",
     "nt_xent_gradient",
     "nt_xent_loss",
     "optimizer_step",

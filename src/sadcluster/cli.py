@@ -32,8 +32,6 @@ from .encoder import (
     Vocabulary,
     embed_corpus,
     load_checkpoint,
-    load_external_embeddings,
-    lookup_external,
     save_checkpoint,
 )
 from .evaluate import evaluate_clustering
@@ -106,12 +104,41 @@ def write_embeddings(ids, embeddings: np.ndarray, path) -> None:
 
 
 def read_embeddings(path):
-    """Returns (ids in file order, n x d float array)."""
-    table = load_external_embeddings(path)
-    ids = list(table)
+    """Returns (ids in file order, n x d float array).
+
+    The one reader of the format ``write_embeddings`` writes, whether the
+    file came from ``embed`` or from another encoder. Each line is
+    converted to floats as it is read. A bad header, a wrong value count,
+    a repeated id and a non-finite value raise ValueError naming the line.
+    """
+    ids, rows, seen = [], [], set()
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if not header.startswith("dim="):
+            raise ValueError("expected header line 'dim=<d>'")
+        try:
+            dim = int(header[4:])
+        except ValueError as err:
+            raise ValueError(f"bad dimension in header: {header!r}") from err
+        if dim < 1:
+            raise ValueError("embedding dimension must be >= 1")
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            doc_id, *values = line.split()
+            if len(values) != dim:
+                raise ValueError(f"line {lineno}: expected {dim} values, got {len(values)}")
+            if doc_id in seen:
+                raise ValueError(f"line {lineno}: duplicate id {doc_id!r}")
+            row = np.array([float(v) for v in values])
+            if not np.all(np.isfinite(row)):
+                raise ValueError(f"line {lineno}: non-finite value")
+            seen.add(doc_id)
+            ids.append(doc_id)
+            rows.append(row)
     if not ids:
         raise ValueError(f"embeddings file is empty: {path}")
-    return ids, np.stack([table[i] for i in ids])
+    return ids, np.stack(rows)
 
 
 def cmd_synth(args) -> int:
@@ -129,6 +156,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    if args.min_sentences < 0:
+        raise ValueError("min_sentences must be >= 0 (0 keeps every document)")
     corpus = load_corpus(getattr(args, "in"), format=args.format)
     before = len(corpus)
     if args.profile == "newsgroup":
@@ -231,6 +260,8 @@ def cmd_train(args) -> int:
         output_dim=args.output_dim,
         max_vocab=args.max_vocab,
     )
+    if config.epochs == 0:  # TrainConfig allows 0 for supervised_finetune
+        raise ValueError("training needs at least 1 epoch")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.dump_tfidf:
@@ -327,8 +358,13 @@ def cmd_eval(args) -> int:
 
     embeddings = None
     if args.embeddings:
-        table = load_external_embeddings(args.embeddings)
-        embeddings = lookup_external(table, corpus)
+        ids, embeddings = read_embeddings(args.embeddings)
+        row = {doc_id: i for i, doc_id in enumerate(ids)}
+        for doc in corpus.documents:
+            if doc.id not in row:
+                raise KeyError(f"no external embedding for document id {doc.id!r}")
+        # rebinding frees the file-order copy before the silhouette runs
+        embeddings = embeddings[[row[doc.id] for doc in corpus.documents]]
 
     report = evaluate_clustering(labels, clusters, embeddings=embeddings,
                                  sample_cap=args.sample_cap,
@@ -385,20 +421,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--format", choices=("jsonl", "dir-per-class"),
                    default="jsonl")
-    p.add_argument("--method", choices=("sad", "tps"), default="sad")
-    p.add_argument("--batch-size", type=int, default=320)
-    p.add_argument("--lr", type=float, default=3e-5)
-    p.add_argument("--temperature", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-len-train", type=int, default=128)
-    p.add_argument("--max-len-test", type=int, default=256)
-    p.add_argument("--optimizer", choices=("adamw", "sgd"), default="adamw")
-    p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--embed-dim", type=int, default=64)
-    p.add_argument("--output-dim", type=int, default=64)
-    p.add_argument("--max-vocab", type=int, default=30000)
+    p.add_argument("--method", choices=("sad", "tps"), default=TrainConfig.method)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--temperature", type=float, default=TrainConfig.temperature)
+    p.add_argument("--alpha", type=float, default=TrainConfig.alpha)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--max-len-train", type=int, default=TrainConfig.max_len_train)
+    p.add_argument("--max-len-test", type=int, default=TrainConfig.max_len_test)
+    p.add_argument("--optimizer", choices=("adamw", "sgd"),
+                   default=TrainConfig.optimizer)
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    p.add_argument("--embed-dim", type=int, default=TrainConfig.embed_dim)
+    p.add_argument("--output-dim", type=int, default=TrainConfig.output_dim)
+    p.add_argument("--max-vocab", type=int, default=TrainConfig.max_vocab)
     p.add_argument("--dump-tfidf", default=None)
     p.add_argument("--dump-pairs", default=None)
     p.set_defaults(func=cmd_train)

@@ -21,7 +21,8 @@ class ClusterModel:
 
     ``objective`` is the cosine sum at the returned assignment and is
     recomputable from centroids + assignments; ``objective_history`` has
-    one entry per iteration of the winning restart.
+    one entry per iteration of the run (for ``spherical_kmeans``, of the
+    winning restart).
     """
 
     centroids: np.ndarray
@@ -105,7 +106,7 @@ def _update_centroids(x, assignments, centroids):
     return centroids
 
 
-def _run_once(x, k, rng, max_iter, tol):
+def _run_once(x, k, rng, max_iter, tol) -> ClusterModel:
     centroids = _kmeanspp_init(x, k, rng)
     history = []
     # iteration 0 scores the k-means++ seeding; each later one updates first
@@ -122,7 +123,7 @@ def _run_once(x, k, rng, max_iter, tol):
             )
             if history[-1] - history[-2] < tol:
                 break
-    return centroids, assignments, history[-1], iterations, history
+    return ClusterModel(centroids, assignments, history[-1], iterations, history)
 
 
 def spherical_kmeans(embeddings: np.ndarray, k: int, seed: int = 0,
@@ -144,22 +145,9 @@ def spherical_kmeans(embeddings: np.ndarray, k: int, seed: int = 0,
         raise ValueError("restarts must be >= 1")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
-    best = None
-    for r in range(restarts):
-        rng = derive_rng(seed, "kmeans", r)
-        centroids, assignments, objective, iterations, history = _run_once(
-            x, k, rng, max_iter, tol
-        )
-        if best is None or objective > best[2]:
-            best = (centroids, assignments, objective, iterations, history)
-    centroids, assignments, objective, iterations, history = best
-    return ClusterModel(
-        centroids=centroids,
-        assignments=assignments,
-        objective=objective,
-        iterations_run=iterations,
-        objective_history=history,
-    )
+    # max keeps the first of equal objectives: ties go to the earliest restart
+    return max((_run_once(x, k, derive_rng(seed, "kmeans", r), max_iter, tol)
+                for r in range(restarts)), key=lambda model: model.objective)
 
 
 def assign(model: ClusterModel, embedding: np.ndarray) -> int:

@@ -88,6 +88,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.max_len_train < 1 or self.max_len_test < 1:
             raise ValueError("max lengths must be >= 1")
+        if self.num_clusters is not None and self.num_clusters < 2:
+            raise ValueError("num_clusters must be >= 2 (or None until training)")
+        if self.max_vocab < 1:
+            raise ValueError("max_vocab must be >= 1")
         if self.embed_dim < 1:
             raise ValueError("embed_dim must be >= 1")
         if self.output_dim is not None and self.output_dim < 1:
@@ -261,18 +265,14 @@ class OptimizerState:
 ADAMW_BLOCK_ELEMENTS = 1 << 16
 
 
-def init_optimizer_state() -> OptimizerState:
-    return OptimizerState()
-
-
-def optimizer_step(params, grads: dict[str, np.ndarray], config: TrainConfig,
-                   state: OptimizerState) -> None:
+def optimizer_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+                   config: TrainConfig, state: OptimizerState) -> None:
     """One in-place AdamW (decoupled weight decay) or SGD update.
 
-    ``params`` is an EncoderParams or a plain name-to-array dict; arrays
-    are updated in place. Non-finite gradients abort with the tensor name.
+    ``tensors`` maps names to the arrays to update in place (for an
+    encoder, ``params.tensors()``). Non-finite gradients abort with the
+    tensor name.
     """
-    tensors = params.tensors() if isinstance(params, EncoderParams) else params
     for name, grad in grads.items():
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"non-finite gradient for {name}")
@@ -338,7 +338,7 @@ def _train_step(params: EncoderParams, state: OptimizerState,
     loss = nt_xent_loss(out, config.temperature)
     grad_out = nt_xent_gradient(out, config.temperature)
     grads = encode_batch_backward(params, cache, grad_out)
-    optimizer_step(params, grads, config, state)
+    optimizer_step(params.tensors(), grads, config, state)
     return loss
 
 
@@ -388,8 +388,8 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
     or a half that can come out empty) are all rejected together before
     the first epoch.
     """
-    if config.num_clusters is None or config.num_clusters < 2:
-        raise ValueError("config.num_clusters must be set (>= 2) for training")
+    if config.num_clusters is None:
+        raise ValueError("config.num_clusters must be set for training")
     n = len(corpus)
     if n < max(2, config.num_clusters):
         raise ValueError(f"corpus too small: {n} documents")
@@ -406,7 +406,7 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
     _preflight(corpus, doc_ids, sent_ids)
     params = init_params(len(vocab), config.embed_dim, config.output_dim,
                          seed=config.seed)
-    state = init_optimizer_state()
+    state = OptimizerState()
     if config.epochs is not None:
         epochs = config.epochs
     else:
@@ -512,8 +512,8 @@ def supervised_finetune(params: EncoderParams, vocab: Vocabulary,
         "head_b": np.zeros(k),
     }
     params = params.copy()
-    enc_state = init_optimizer_state()
-    head_state = init_optimizer_state()
+    enc_state = OptimizerState()
+    head_state = OptimizerState()
     epochs = 10 if config.epochs is None else config.epochs
     n = len(train_corpus)
 
@@ -544,7 +544,7 @@ def supervised_finetune(params: EncoderParams, vocab: Vocabulary,
             grad_out = d_logits @ head["head_w"].T
             enc_grads = encode_batch_backward(params, cache, grad_out)
             optimizer_step(head, head_grads, config, head_state)
-            optimizer_step(params, enc_grads, config, enc_state)
+            optimizer_step(params.tensors(), enc_grads, config, enc_state)
 
     test_emb = embed_corpus(params, vocab, test_corpus, config.max_len_test)
     predictions = np.argmax(test_emb @ head["head_w"] + head["head_b"], axis=1)

@@ -4,9 +4,9 @@ The built-in encoder is deliberately small: an embedding table, a mean
 pool over each view's token ids, and an optional affine projection with
 tanh. Pooling is a product with a sparse matrix holding one unit entry
 per token, so views are never padded to a common length. It trains
-from scratch with exact analytic gradients, and the same interfaces
-accept externally computed document embeddings (e.g. from a pre-trained
-transformer run out of process).
+from scratch with exact analytic gradients. Embeddings computed
+elsewhere (e.g. by a pre-trained transformer run out of process) skip
+this module: ``cluster`` and ``eval`` read them as text.
 """
 
 import json
@@ -205,47 +205,6 @@ def embed_corpus(params: EncoderParams, vocab: Vocabulary, corpus: Corpus,
             raise ValueError(f"document {doc.id!r} has no tokens")
         seqs.append(TokenSequence(ids[:max_len], max_len))
     return encode_batch_forward(params, seqs)[0]
-
-
-def load_external_embeddings(path) -> dict[str, np.ndarray]:
-    """Read id-keyed embeddings: header ``dim=<d>``, then ``<id> <d floats>``."""
-    embeddings: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("dim="):
-            raise ValueError("expected header line 'dim=<d>'")
-        try:
-            dim = int(header[4:])
-        except ValueError as err:
-            raise ValueError(f"bad dimension in header: {header!r}") from err
-        if dim < 1:
-            raise ValueError("embedding dimension must be >= 1")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.split()
-            doc_id, values = parts[0], parts[1:]
-            if len(values) != dim:
-                raise ValueError(
-                    f"line {lineno}: expected {dim} values, got {len(values)}"
-                )
-            if doc_id in embeddings:
-                raise ValueError(f"line {lineno}: duplicate id {doc_id!r}")
-            vec = np.array([float(v) for v in values])
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"line {lineno}: non-finite value")
-            embeddings[doc_id] = vec
-    return embeddings
-
-
-def lookup_external(embeddings: dict[str, np.ndarray], corpus: Corpus) -> np.ndarray:
-    """Stack external embeddings in corpus order; absent ids raise by name."""
-    rows = []
-    for doc in corpus.documents:
-        if doc.id not in embeddings:
-            raise KeyError(f"no external embedding for document id {doc.id!r}")
-        rows.append(embeddings[doc.id])
-    return np.stack(rows)
 
 
 def save_checkpoint(params: EncoderParams, path) -> None:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from sadcluster.augment import shuffle_divide
+from sadcluster.cli import read_embeddings
 from sadcluster.cluster import spherical_kmeans
 from sadcluster.contrastive import (
     TrainConfig,
@@ -32,8 +33,6 @@ from sadcluster.encoder import (
     encode_batch_backward,
     encode_batch_forward,
     init_params,
-    load_external_embeddings,
-    lookup_external,
 )
 from sadcluster.evaluate import (
     adjusted_mutual_information,
@@ -413,8 +412,9 @@ EXTERNAL_CORPUS = os.environ.get("SADCLUSTER_NEWSGROUP_CORPUS")
 )
 def test_criterion_11_external_embeddings_full_fidelity():
     corpus = load_corpus(EXTERNAL_CORPUS)
-    table = load_external_embeddings(EXTERNAL_EMBEDDINGS)
-    embeddings = lookup_external(table, corpus)
+    ids, matrix = read_embeddings(EXTERNAL_EMBEDDINGS)
+    row = {doc_id: i for i, doc_id in enumerate(ids)}
+    embeddings = matrix[[row[doc.id] for doc in corpus.documents]]
     k = max(corpus.labels_array()) + 1
     model = spherical_kmeans(embeddings, k=k, seed=0)
     report = evaluate_clustering(corpus.labels_array(), model.assignments,

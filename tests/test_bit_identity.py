@@ -31,9 +31,9 @@ from sadcluster.cluster import (
     spherical_kmeans,
 )
 from sadcluster.contrastive import (
+    OptimizerState,
     TrainConfig,
     build_batch_sad,
-    init_optimizer_state,
     nt_xent_gradient,
     optimizer_step,
 )
@@ -152,7 +152,7 @@ def test_training_steps_match_the_reference(output_dim, optimizer, weight_decay)
     fast = init_params(40, 6, output_dim, seed=3)
     ref = fast.copy()
     ref_tensors = ref.tensors()
-    state = init_optimizer_state()
+    state = OptimizerState()
     ref_state = {"step": 0, "m": {}, "v": {}}
     for _ in range(8):
         views = random_views(rng, 8, 40, 9)
@@ -165,7 +165,7 @@ def test_training_steps_match_the_reference(output_dim, optimizer, weight_decay)
         assert grads.keys() == ref_grads.keys()
         for name in grads:
             assert same_bits(grads[name], ref_grads[name]), name
-        optimizer_step(fast, grads, config, state)
+        optimizer_step(fast.tensors(), grads, config, state)
         reference_optimizer_step(ref_tensors, ref_grads, config, ref_state)
         for name, tensor in fast.tensors().items():
             assert same_bits(tensor, ref_tensors[name]), name
@@ -181,7 +181,7 @@ def test_optimizer_matches_the_reference_over_many_steps(optimizer, weight_decay
     fast = {"table": rng.normal(size=(9000, 16)), "bias": rng.normal(size=16),
             "scale": np.array(rng.normal())}
     ref = {name: tensor.copy() for name, tensor in fast.items()}
-    state = init_optimizer_state()
+    state = OptimizerState()
     ref_state = {"step": 0, "m": {}, "v": {}}
     for _ in range(20):
         grads = {name: rng.normal(size=t.shape) * (rng.random(t.shape) < 0.3)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -112,6 +113,17 @@ class TestPreprocessCommand:
         assert code == 0
         kept = load_corpus(out)
         assert [d.id for d in kept.documents] == ["long"]
+
+    def test_negative_min_sentences_rejected_before_any_output(self, capsys, tmp_path):
+        corpus = make_synth(capsys, tmp_path)
+        out = tmp_path / "clean.jsonl"
+        code, _, err = run(capsys, "preprocess", "--in", str(corpus),
+                           "--out", str(out), "--min-sentences", "-3")
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "min_sentences must be >= 0 (0 keeps every document)"}
+        assert not out.exists()
 
 
 def train_args(corpus, out_dir, **overrides):
@@ -264,6 +276,31 @@ class TestTrainCommand:
         assert error["error"] == "ValueError"
         assert error["message"].startswith(flag.replace("-", "_") + " must be >= 1")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("k", 1, "num_clusters must be >= 2"),
+        ("max-vocab", 0, "max_vocab must be >= 1"),
+        ("epochs", 0, "training needs at least 1 epoch"),
+    ])
+    def test_untrainable_setting_rejected_before_any_output(self, capsys, tmp_path,
+                                                            flag, value, message):
+        corpus_path = make_synth(capsys, tmp_path)
+        out_dir = tmp_path / "run"
+        code, _, err = run(capsys, *train_args(corpus_path, out_dir, **{flag: value}))
+        assert code == 1
+        error = json.loads(err)
+        assert error["error"] == "ValueError"
+        assert error["message"].startswith(message)
+        assert not out_dir.exists()
+
+    def test_defaults_are_the_train_config_defaults(self, capsys, tmp_path):
+        corpus = make_synth(capsys, tmp_path)
+        out_dir = tmp_path / "run"
+        code, _, err = run(capsys, "train", "--corpus", str(corpus),
+                           "--out-dir", str(out_dir), "--k", "4")
+        assert code == 0, err
+        metrics = json.loads((out_dir / "metrics.json").read_text())
+        assert metrics["config"] == dataclasses.asdict(TrainConfig(num_clusters=4))
 
     def test_dump_tfidf_vectors(self, capsys, tmp_path):
         corpus = make_synth(capsys, tmp_path)
@@ -425,6 +462,37 @@ class TestEmbedClusterEval:
         assert code == 0
         payload = json.loads(metrics.read_text())
         assert abs(payload["silhouette"] - record["silhouette"]) <= 1e-9
+
+
+class TestEmbeddingsInput:
+    """``cluster`` and ``eval`` read embeddings through one parser, so a bad
+    file fails both the same way, before either writes its output."""
+
+    @pytest.mark.parametrize("text,message", [
+        ("dim=2\na 1 2\nb 3 4\na 5 6\n", "line 4: duplicate id 'a'"),
+        ("dim=2\na 1 2\n\nb 3 nan\n", "line 4: non-finite value"),
+        ("dim=2\na 1 2\nb inf 4\n", "line 3: non-finite value"),
+        ("dim=2\n\n", "embeddings file is empty: {path}"),
+        ("", "expected header line 'dim=<d>'"),
+    ], ids=["duplicate-id", "nan", "inf", "no-rows", "no-header"])
+    def test_cluster_and_eval_reject_the_same_way(self, capsys, tmp_path, text, message):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps({"id": i, "text": "x y.", "label": 0}) + "\n"
+                                  for i in "ab"))
+        assign = tmp_path / "assign.jsonl"
+        assign.write_text("".join(json.dumps({"id": i, "cluster": 0}) + "\n"
+                                  for i in "ab"))
+        emb = tmp_path / "emb.txt"
+        emb.write_text(text)
+        out = tmp_path / "out"
+        expected = {"error": "ValueError", "message": message.format(path=emb)}
+        for argv in (["cluster", "--embeddings", str(emb), "--k", "2"],
+                     ["eval", "--assignments", str(assign), "--corpus", str(corpus),
+                      "--embeddings", str(emb)]):
+            code, _, err = run(capsys, *argv, "--out", str(out))
+            assert code == 1
+            assert json.loads(err) == expected
+            assert not out.exists()
 
 
 class TestEmbedVocabCheck:

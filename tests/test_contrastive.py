@@ -5,11 +5,11 @@ import pytest
 
 from sadcluster import contrastive
 from sadcluster.contrastive import (
+    OptimizerState,
     TrainConfig,
     build_batch_sad,
     build_batch_tps,
     default_epochs,
-    init_optimizer_state,
     nt_xent_gradient,
     nt_xent_loss,
     optimizer_step,
@@ -133,7 +133,7 @@ class TestContrastiveBatch:
         before = params.copy()
         views = [tokenize("doc0 token0", vocab, 8) for _ in range(n_views)]
         with pytest.raises(ValueError, match=match):
-            contrastive._train_step(params, init_optimizer_state(), views,
+            contrastive._train_step(params, OptimizerState(), views,
                                     TrainConfig(learning_rate=1e-2))
         assert params.tensors().keys() == before.tensors().keys()
         for name, tensor in params.tensors().items():
@@ -152,7 +152,7 @@ class TestContrastiveBatch:
                                 sentence_ids(corpus.documents, vocab), 32)
         assert len(views) == 6
         params = init_params(len(vocab), 4, 3, seed=0)
-        loss = contrastive._train_step(params, init_optimizer_state(), views,
+        loss = contrastive._train_step(params, OptimizerState(), views,
                                        TrainConfig(learning_rate=1e-2))
         assert math.isfinite(loss)
 
@@ -395,14 +395,14 @@ class TestOptimizerStep:
         params = {"w": np.array([1.0])}
         grads = {"w": np.array([0.5])}
         cfg = TrainConfig(optimizer="sgd", learning_rate=0.1)
-        optimizer_step(params, grads, cfg, init_optimizer_state())
+        optimizer_step(params, grads, cfg, OptimizerState())
         assert params["w"][0] == pytest.approx(0.95, abs=1e-15)
 
     def test_sgd_weight_decay(self):
         params = {"w": np.array([1.0])}
         grads = {"w": np.array([0.0])}
         cfg = TrainConfig(optimizer="sgd", learning_rate=0.1, weight_decay=0.1)
-        optimizer_step(params, grads, cfg, init_optimizer_state())
+        optimizer_step(params, grads, cfg, OptimizerState())
         assert params["w"][0] == pytest.approx(0.99, abs=1e-15)
 
     def test_adamw_first_step_hand_value(self):
@@ -410,7 +410,7 @@ class TestOptimizerStep:
         grads = {"w": np.array([0.5])}
         cfg = TrainConfig(optimizer="adamw", learning_rate=1e-3,
                           weight_decay=0.0)
-        state = init_optimizer_state()
+        state = OptimizerState()
         optimizer_step(params, grads, cfg, state)
         # bias correction makes m_hat = g and sqrt(v_hat) = |g| on step 1,
         # so the move is -lr * g / (|g| + eps)
@@ -423,7 +423,7 @@ class TestOptimizerStep:
         params = {"w": np.array([1.0, 1.0])}
         grads = {"w": np.array([0.5, -2.0])}
         cfg = TrainConfig(optimizer="adamw", learning_rate=1e-3)
-        optimizer_step(params, grads, cfg, init_optimizer_state())
+        optimizer_step(params, grads, cfg, OptimizerState())
         moves = params["w"] - 1.0
         assert moves[0] < 0 < moves[1]
         assert abs(moves[0]) == pytest.approx(abs(moves[1]), rel=1e-6)
@@ -433,7 +433,7 @@ class TestOptimizerStep:
         grads = {"w": np.array([0.0])}
         cfg = TrainConfig(optimizer="adamw", learning_rate=0.1,
                           weight_decay=0.5)
-        optimizer_step(params, grads, cfg, init_optimizer_state())
+        optimizer_step(params, grads, cfg, OptimizerState())
         assert params["w"][0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0, abs=1e-12)
 
     def test_zero_gradient_zero_decay_leaves_params(self):
@@ -441,7 +441,7 @@ class TestOptimizerStep:
         grads = {"w": np.zeros(2)}
         for opt in ("sgd", "adamw"):
             cfg = TrainConfig(optimizer=opt, learning_rate=0.1)
-            optimizer_step(params, grads, cfg, init_optimizer_state())
+            optimizer_step(params, grads, cfg, OptimizerState())
         assert np.array_equal(params["w"], np.array([1.5, -0.5]))
 
     def test_nonfinite_gradient_rejected_with_name(self):
@@ -449,19 +449,19 @@ class TestOptimizerStep:
         grads = {"w": np.array([np.nan])}
         cfg = TrainConfig(optimizer="sgd", learning_rate=0.1)
         with pytest.raises(FloatingPointError, match="w"):
-            optimizer_step(params, grads, cfg, init_optimizer_state())
+            optimizer_step(params, grads, cfg, OptimizerState())
 
     def test_shape_mismatch_rejected(self):
         params = {"w": np.array([1.0])}
         grads = {"w": np.array([1.0, 2.0])}
         cfg = TrainConfig(optimizer="sgd", learning_rate=0.1)
         with pytest.raises(ValueError, match="shape"):
-            optimizer_step(params, grads, cfg, init_optimizer_state())
+            optimizer_step(params, grads, cfg, OptimizerState())
 
     def test_adamw_state_accumulates_across_steps(self):
         params = {"w": np.array([1.0])}
         cfg = TrainConfig(optimizer="adamw", learning_rate=1e-3)
-        state = init_optimizer_state()
+        state = OptimizerState()
         optimizer_step(params, {"w": np.array([0.5])}, cfg, state)
         optimizer_step(params, {"w": np.array([0.5])}, cfg, state)
         assert state.step == 2
@@ -473,7 +473,7 @@ class TestOptimizerStep:
         before = params.embedding_table.copy()
         grads = {name: np.ones_like(t) for name, t in params.tensors().items()}
         cfg = TrainConfig(optimizer="sgd", learning_rate=0.01)
-        optimizer_step(params, grads, cfg, init_optimizer_state())
+        optimizer_step(params.tensors(), grads, cfg, OptimizerState())
         assert np.allclose(params.embedding_table, before - 0.01)
 
 

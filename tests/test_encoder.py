@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from sadcluster.cli import main, read_embeddings
 from sadcluster.corpus import Corpus, Document
 from sadcluster.encoder import (
     EncoderParams,
@@ -14,8 +15,6 @@ from sadcluster.encoder import (
     encode_batch_forward,
     init_params,
     load_checkpoint,
-    load_external_embeddings,
-    lookup_external,
     save_checkpoint,
     tokenize,
 )
@@ -262,39 +261,64 @@ class TestEmbedCorpus:
 
 
 class TestExternalEmbeddings:
+    """Embeddings made elsewhere stand in for this encoder's output.
+
+    ``cluster`` and ``eval`` read them with ``cli.read_embeddings``, the
+    one reader of the embeddings text format.
+    """
+
+    def run_eval(self, capsys, tmp_path, rows):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps({"id": f"d{i}", "text": "a b.", "label": i % 2})
+                                  + "\n" for i in range(4)))
+        assign = tmp_path / "assign.jsonl"
+        assign.write_text("".join(json.dumps({"id": f"d{i}", "cluster": i % 2}) + "\n"
+                                  for i in range(4)))
+        emb = tmp_path / "emb.txt"
+        emb.write_text("dim=2\n" + "".join(f"{doc_id} {x} {y}\n" for doc_id, x, y in rows))
+        out = tmp_path / "eval.json"
+        code = main(["eval", "--assignments", str(assign), "--corpus", str(corpus),
+                     "--out", str(out), "--embeddings", str(emb)])
+        return code, capsys.readouterr().err, out
+
     def test_roundtrip(self, tmp_path):
         p = tmp_path / "emb.txt"
         p.write_text("dim=4\nd0 0.1 0.2 0.3 0.4\nd1 1 2 3 4\n")
-        emb = load_external_embeddings(p)
-        assert set(emb) == {"d0", "d1"}
-        assert np.allclose(emb["d1"], [1, 2, 3, 4])
+        ids, matrix = read_embeddings(p)
+        assert ids == ["d0", "d1"]
+        assert np.array_equal(matrix, [[0.1, 0.2, 0.3, 0.4], [1, 2, 3, 4]])
 
     def test_dim_mismatch_errors(self, tmp_path):
         p = tmp_path / "emb.txt"
         p.write_text("dim=3\nd0 1 2 3\nd1 1 2\n")
         with pytest.raises(ValueError, match="line 3"):
-            load_external_embeddings(p)
+            read_embeddings(p)
 
     def test_missing_header_errors(self, tmp_path):
         p = tmp_path / "emb.txt"
         p.write_text("d0 1 2 3\n")
         with pytest.raises(ValueError, match="dim="):
-            load_external_embeddings(p)
+            read_embeddings(p)
 
-    def test_lookup_absent_id_names_it(self, tmp_path):
-        p = tmp_path / "emb.txt"
-        p.write_text("dim=2\nd0 1 2\n")
-        emb = load_external_embeddings(p)
-        corpus = corpus_of("a", "b")
-        with pytest.raises(KeyError, match="d1"):
-            lookup_external(emb, corpus)
+    def test_lookup_absent_id_names_it(self, capsys, tmp_path):
+        code, err, out = self.run_eval(capsys, tmp_path, [("d0", 1, 0), ("d1", 0, 1),
+                                                          ("d2", 1, 0)])
+        assert code == 1
+        assert json.loads(err) == {"error": "KeyError", "message":
+                                   "\"no external embedding for document id 'd3'\""}
+        assert not out.exists()
 
-    def test_lookup_stacks_in_corpus_order(self, tmp_path):
-        p = tmp_path / "emb.txt"
-        p.write_text("dim=2\nd1 3 4\nd0 1 2\n")
-        emb = load_external_embeddings(p)
-        out = lookup_external(emb, corpus_of("a", "b"))
-        assert np.allclose(out, [[1, 2], [3, 4]])
+    def test_lookup_stacks_in_corpus_order(self, capsys, tmp_path):
+        # d0, d2 point one way and d1, d3 the other, as their clusters do; read
+        # in file order, each cluster would hold one of each
+        rows = [("d0", 1, 0.1), ("d1", 0.1, 1), ("d2", 1, 0.2), ("d3", 0.2, 1)]
+        code, err, out = self.run_eval(capsys, tmp_path, rows)
+        assert code == 0, err
+        in_order = out.read_bytes()
+        assert json.loads(in_order)["silhouette"] > 0.5
+        code, err, out = self.run_eval(capsys, tmp_path, [rows[i] for i in (1, 0, 2, 3)])
+        assert code == 0, err
+        assert out.read_bytes() == in_order
 
 
 UNPICKLED = []
