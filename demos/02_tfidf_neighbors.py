@@ -11,6 +11,7 @@ from sadcluster import (
     blended_similarity,
     fit_tfidf,
     generate_synthetic_corpus,
+    index_tokens,
     label_match_rate,
     similarity_matrix,
     top1_from_matrix,
@@ -18,10 +19,11 @@ from sadcluster import (
 )
 
 corpus = generate_synthetic_corpus(topics=4, docs_per_topic=10, seed=7)
-model = fit_tfidf(corpus)
-x = transform_corpus(model, corpus)
+# each text is tokenized once; TF-IDF columns index the sorted distinct tokens
+tokens, terms = index_tokens(doc.text for doc in corpus.documents)
+x = transform_corpus(fit_tfidf(terms, len(tokens)), terms)
 
-print(f"corpus: {len(corpus)} docs, vocabulary {len(model.vocabulary)} tokens")
+print(f"corpus: {len(corpus)} docs, vocabulary {len(tokens)} tokens")
 nnz = np.diff(x.indptr)
 print(f"sparse TF-IDF rows: {nnz.min()}-{nnz.max()} nonzeros per doc")
 

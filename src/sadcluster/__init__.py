@@ -9,7 +9,7 @@ score, all without labels.
 """
 
 from .augment import shuffle_divide
-from .cluster import ClusterModel, assign, spherical_kmeans
+from .cluster import ClusterModel, spherical_kmeans
 from .contrastive import (
     TrainConfig,
     TrainResult,
@@ -55,9 +55,9 @@ from .rng import derive_rng, derive_seed, fisher_yates
 from .synth import generate_synthetic_corpus
 from .tfidf import (
     PositivePairing,
-    TfIdfModel,
     blended_similarity,
     fit_tfidf,
+    index_tokens,
     label_match_rate,
     similarity_matrix,
     top1_from_matrix,
@@ -73,12 +73,10 @@ __all__ = [
     "EncoderParams",
     "EvalReport",
     "PositivePairing",
-    "TfIdfModel",
     "TrainConfig",
     "TrainResult",
     "Vocabulary",
     "adjusted_mutual_information",
-    "assign",
     "blended_similarity",
     "build_batch_sad",
     "build_batch_tps",
@@ -94,6 +92,7 @@ __all__ = [
     "fit_tfidf",
     "generate_synthetic_corpus",
     "hungarian",
+    "index_tokens",
     "init_params",
     "label_match_rate",
     "load_checkpoint",

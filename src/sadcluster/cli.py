@@ -36,7 +36,13 @@ from .encoder import (
 )
 from .evaluate import evaluate_clustering
 from .synth import generate_synthetic_corpus
-from .tfidf import fit_tfidf, similarity_matrix, top1_from_matrix, transform_corpus
+from .tfidf import (
+    fit_tfidf,
+    index_tokens,
+    similarity_matrix,
+    top1_from_matrix,
+    transform_corpus,
+)
 
 METRICS_SCHEMA_VERSION = 1
 
@@ -67,7 +73,7 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 def load_vocab(path) -> Vocabulary:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    tokens = payload.get("tokens")
+    tokens = payload.get("tokens") if isinstance(payload, dict) else None
     if not isinstance(tokens, list) or len(tokens) < 2:
         raise ValueError(f"not a vocabulary file: {path}")
     if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
@@ -189,9 +195,13 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
+def _tfidf_matrix(corpus: Corpus):
+    tokens, terms = index_tokens(doc.text for doc in corpus.documents)
+    return transform_corpus(fit_tfidf(terms, len(tokens)), terms)
+
+
 def _dump_tfidf(corpus: Corpus, path) -> None:
-    model = fit_tfidf(corpus)
-    x = transform_corpus(model, corpus)
+    x = _tfidf_matrix(corpus)
     with open(path, "w", encoding="utf-8") as fh:
         for doc, start, stop in zip(corpus.documents, x.indptr[:-1], x.indptr[1:]):
             record = {
@@ -229,9 +239,7 @@ def _dump_pairs(corpus: Corpus, config: TrainConfig, path) -> None:
                 }
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
         else:
-            model = fit_tfidf(corpus)
-            sims = similarity_matrix(transform_corpus(model, corpus))
-            pairing = top1_from_matrix(sims)
+            pairing = top1_from_matrix(similarity_matrix(_tfidf_matrix(corpus)))
             for n in range(pairing.partner.shape[0]):
                 record = {
                     "n": n,
@@ -332,7 +340,7 @@ def _read_assignments(path) -> dict[str, int]:
                 record = json.loads(line)
             except json.JSONDecodeError as err:
                 raise ValueError(f"line {lineno}: invalid JSON: {err}") from err
-            if "id" not in record or "cluster" not in record:
+            if not isinstance(record, dict) or not {"id", "cluster"} <= record.keys():
                 raise ValueError(f"line {lineno}: expected keys 'id' and 'cluster'")
             doc_id = record["id"]
             if doc_id in assignments:
@@ -362,7 +370,7 @@ def cmd_eval(args) -> int:
         row = {doc_id: i for i, doc_id in enumerate(ids)}
         for doc in corpus.documents:
             if doc.id not in row:
-                raise KeyError(f"no external embedding for document id {doc.id!r}")
+                raise ValueError(f"no external embedding for document id {doc.id!r}")
         # rebinding frees the file-order copy before the silhouette runs
         embeddings = embeddings[[row[doc.id] for doc in corpus.documents]]
 

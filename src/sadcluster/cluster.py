@@ -149,16 +149,3 @@ def spherical_kmeans(embeddings: np.ndarray, k: int, seed: int = 0,
     return max((_run_once(x, k, derive_rng(seed, "kmeans", r), max_iter, tol)
                 for r in range(restarts)), key=lambda model: model.objective)
 
-
-def assign(model: ClusterModel, embedding: np.ndarray) -> int:
-    """Cluster index of one embedding: argmax cosine, ties to smallest."""
-    v = np.asarray(embedding, dtype=np.float64)
-    if v.shape != (model.centroids.shape[1],):
-        raise ValueError(
-            f"dimension mismatch: embedding {v.shape} vs centroids "
-            f"{model.centroids.shape[1]}"
-        )
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ValueError("cannot assign a zero embedding")
-    return int(np.argmax(model.centroids @ (v / norm)))

@@ -9,6 +9,7 @@ spherical k-means, and scored by cosine silhouette; the epoch with the
 best silhouette wins.
 """
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -27,7 +28,6 @@ from .encoder import (
     encode_batch_backward,
     encode_batch_forward,
     init_params,
-    text_ids,
     tokenize,
 )
 from .evaluate import silhouette_score
@@ -36,6 +36,7 @@ from .tfidf import (
     PositivePairing,
     blended_similarity,
     fit_tfidf,
+    index_tokens,
     label_match_rate,
     similarity_matrix,
     top1_from_matrix,
@@ -393,17 +394,20 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
     n = len(corpus)
     if n < max(2, config.num_clusters):
         raise ValueError(f"corpus too small: {n} documents")
-    vocab = build_vocab(corpus, config.max_vocab)
-    # every text is tokenized once; views and embeddings reuse the ids. A sad
-    # document's ids join its sentences' ids: sentences split only at spaces.
-    sent_ids = None
-    if config.method == "sad":
-        sent_ids = [[text_ids(s, vocab) for s in doc.sentences]
-                    for doc in corpus.documents]
-        doc_ids = [np.concatenate([np.empty(0, np.int64), *ids]) for ids in sent_ids]
-    else:
-        doc_ids = [text_ids(doc.text, vocab) for doc in corpus.documents]
-    _preflight(corpus, doc_ids, sent_ids)
+    # every text is tokenized once: the vocabulary, the views, the embeddings
+    # and (tps) the TF-IDF matrix all read its terms. sad reads sentences: a
+    # document's ids join its sentences' ids, as sentences split only at spaces
+    sad = config.method == "sad"
+    units = [doc.sentences if sad else [doc.text] for doc in corpus.documents]
+    tokens, terms = index_tokens(itertools.chain.from_iterable(units))
+    vocab, term_to_id = build_vocab(tokens, terms, config.max_vocab)
+    tfidf = None if sad else transform_corpus(fit_tfidf(terms, len(tokens)), terms)
+    for k, t in enumerate(terms):
+        terms[k] = term_to_id[t]  # in place, so each term array is freed as it goes
+    ids = iter(terms)
+    unit_ids = [[next(ids) for _ in unit] for unit in units]
+    doc_ids = [np.concatenate([np.empty(0, np.int64), *u]) for u in unit_ids]
+    _preflight(corpus, doc_ids, unit_ids if sad else None)
     params = init_params(len(vocab), config.embed_dim, config.output_dim,
                          seed=config.seed)
     state = OptimizerState()
@@ -414,10 +418,7 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
     if epochs < 1:
         raise ValueError("training needs at least 1 epoch")
 
-    sim_tfidf = None
-    if config.method == "tps":
-        model = fit_tfidf(corpus)
-        sim_tfidf = similarity_matrix(transform_corpus(model, corpus))
+    sim_tfidf = None if sad else similarity_matrix(tfidf)
 
     all_labeled = all(doc.label is not None for doc in corpus.documents)
     history: list[dict] = []
@@ -435,7 +436,7 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
             for b, idx in sad_batches(n, config.batch_size, rng):
                 docs = [corpus.documents[i] for i in idx]
                 try:
-                    views = build_batch_sad(docs, rng, [sent_ids[i] for i in idx],
+                    views = build_batch_sad(docs, rng, [unit_ids[i] for i in idx],
                                             config.max_len_train)
                     batch_losses.append(_train_step(params, state, views, config))
                 except (ValueError, FloatingPointError) as err:

@@ -10,7 +10,6 @@ this module: ``cluster`` and ``eval`` read them as text.
 """
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,20 +89,26 @@ class EncoderParams:
         return EncoderParams(**{k: v.copy() for k, v in self.tensors().items()})
 
 
-def build_vocab(corpus: Corpus, max_vocab: int = 30000) -> Vocabulary:
-    """Keep the ``max_vocab`` most frequent tokens, ties lexicographic."""
+def build_vocab(tokens: list[str], terms: list[np.ndarray],
+                max_vocab: int = 30000) -> tuple[Vocabulary, np.ndarray]:
+    """Keep the ``max_vocab`` most frequent tokens, ties lexicographic.
+
+    ``tokens`` and ``terms`` are what ``tfidf.index_tokens`` returns.
+    Also returns each term's id: ``term_to_id[terms[k]]`` are text k's
+    ids, with the tokens left out mapped to unk.
+    """
     if max_vocab < 1:
         raise ValueError("max_vocab must be >= 1")
-    counts: Counter = Counter()
-    for doc in corpus.documents:
-        counts.update(tokenize_text(doc.text))
-    if not counts:
+    if not tokens:
         raise ValueError("corpus contains no tokens")
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    counts = np.bincount(np.concatenate(terms), minlength=len(tokens))
+    # tokens are sorted, so a stable sort by count keeps ties lexicographic
+    kept = np.argsort(-counts, kind="stable")[:max_vocab].tolist()
     token_to_id = {PAD_TOKEN: 0, UNK_TOKEN: 1}
-    for token, _ in ranked[:max_vocab]:
-        token_to_id[token] = len(token_to_id)
-    return Vocabulary(token_to_id)
+    token_to_id.update((tokens[t], i) for i, t in enumerate(kept, start=2))
+    term_to_id = np.full(len(tokens), token_to_id[UNK_TOKEN], dtype=np.int64)
+    term_to_id[kept] = np.arange(2, 2 + len(kept))
+    return Vocabulary(token_to_id), term_to_id
 
 
 def text_ids(text: str, vocab: Vocabulary) -> np.ndarray:

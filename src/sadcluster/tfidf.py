@@ -1,21 +1,19 @@
-"""TF-IDF matrix, cosine similarity, and top-1 positive sampling.
+"""Token indices, TF-IDF matrix, cosine similarity, and top-1 sampling.
 
-Provides the lexical half of positive-pair construction: each document
-gets a smoothed TF-IDF row in one CSR matrix, every document is paired
-with its most cosine-similar neighbor, and across epochs the lexical
-similarity is blended with model-embedding similarity by a decaying
-weight so the pairing shifts from lexical to semantic as training
-progresses.
+Provides the lexical half of positive-pair construction: each text is
+tokenized once into indices of the corpus's sorted distinct tokens, each
+document gets a smoothed TF-IDF row in one CSR matrix over those
+indices, every document is paired with its most cosine-similar neighbor,
+and across epochs the lexical similarity is blended with model-embedding
+similarity by a decaying weight so the pairing shifts from lexical to
+semantic as training progresses.
 """
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-
-from .corpus import Corpus
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -25,11 +23,24 @@ def tokenize_text(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass
-class TfIdfModel:
-    vocabulary: dict[str, int]
-    idf: np.ndarray
-    num_docs: int
+def index_tokens(texts) -> tuple[list[str], list[np.ndarray]]:
+    """Tokenize each text once; returns (tokens, terms).
+
+    ``tokens`` is the sorted list of distinct tokens and ``terms[k]``
+    holds text k's tokens, in order, as int64 indices into it. The
+    vocabulary counts, the TF-IDF columns and the encoder ids all read
+    these indices.
+    """
+    first_seen: dict[str, int] = {}
+    terms = [np.array([first_seen.setdefault(token, len(first_seen))
+                       for token in tokenize_text(text)], dtype=np.int64)
+             for text in texts]
+    tokens = sorted(first_seen)
+    rank = np.empty(len(tokens), dtype=np.int64)
+    rank[[first_seen[token] for token in tokens]] = np.arange(len(tokens))
+    for k, provisional in enumerate(terms):
+        terms[k] = rank[provisional]  # each provisional array is freed here
+    return tokens, terms
 
 
 @dataclass
@@ -49,47 +60,35 @@ class PositivePairing:
             raise ValueError("partner index out of range")
 
 
-def fit_tfidf(corpus: Corpus) -> TfIdfModel:
-    """Fit vocabulary and smoothed idf weights on a corpus.
+def fit_tfidf(terms: list[np.ndarray], num_terms: int) -> np.ndarray:
+    """Smoothed idf weight of each of ``num_terms`` terms over the rows of ``terms``.
 
-    idf[t] = ln((1 + N) / (1 + df(t))) + 1, always > 0.
+    idf[t] = ln((1 + N) / (1 + df(t))) + 1, always > 0, where df(t) is
+    the number of rows holding term t.
     """
-    if len(corpus) == 0:
+    if len(terms) == 0:
         raise ValueError("cannot fit TF-IDF on an empty corpus")
-    df: Counter = Counter()
-    for doc in corpus.documents:
-        df.update(set(tokenize_text(doc.text)))
-    if not df:
+    if num_terms == 0:
         raise ValueError("corpus contains no tokens")
-    vocabulary = {token: i for i, token in enumerate(sorted(df))}
-    n = len(corpus)
-    df_arr = np.array([df[token] for token in sorted(df)], dtype=np.float64)
-    idf = np.log((1.0 + n) / (1.0 + df_arr)) + 1.0
-    return TfIdfModel(vocabulary=vocabulary, idf=idf, num_docs=n)
+    df = np.bincount(np.concatenate([np.unique(t) for t in terms]), minlength=num_terms)
+    return np.log((1.0 + len(terms)) / (1.0 + df.astype(np.float64))) + 1.0
 
 
-def transform_corpus(model: TfIdfModel, corpus: Corpus) -> scipy.sparse.csr_matrix:
-    """TF-IDF matrix with one L2-normalized row per document.
+def transform_corpus(idf: np.ndarray, terms: list[np.ndarray]) -> scipy.sparse.csr_matrix:
+    """TF-IDF matrix with one L2-normalized row per row of ``terms``.
 
-    Row k holds document k's in-vocabulary term counts times idf, at
-    sorted columns; OOV tokens are ignored, so a document without an
-    in-vocabulary token gives an empty row.
+    Row k holds the counts of row k's terms times their idf, at sorted
+    columns; a row without terms (a token-free document) stays empty.
     """
-    n, dim = len(corpus), len(model.vocabulary)
-    ids, lengths = [], []
-    for doc in corpus.documents:
-        cols = [i for token in tokenize_text(doc.text)
-                if (i := model.vocabulary.get(token)) is not None]
-        ids.extend(cols)
-        lengths.append(len(cols))
+    n, dim = len(terms), idf.size
     # one key per (row, column), sorted and counted in a single pass
-    rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
-    keys, counts = np.unique(rows * dim + np.asarray(ids, dtype=np.int64),
+    rows = np.repeat(np.arange(n, dtype=np.int64), [t.size for t in terms])
+    keys, counts = np.unique(rows * dim + np.concatenate([np.empty(0, np.int64), *terms]),
                              return_counts=True)
     indices = keys % dim
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // dim, minlength=n), out=indptr[1:])
-    data = counts.astype(np.float64) * model.idf[indices]
+    data = counts.astype(np.float64) * idf[indices]
     for start, stop in zip(indptr[:-1], indptr[1:]):
         if stop > start:
             row = data[start:stop]

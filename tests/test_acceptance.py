@@ -28,7 +28,6 @@ from sadcluster.contrastive import (
 from sadcluster.corpus import Corpus, load_corpus, Document
 from sadcluster.encoder import (
     TokenSequence,
-    build_vocab,
     embed_corpus,
     encode_batch_backward,
     encode_batch_forward,
@@ -45,6 +44,7 @@ from sadcluster.rng import derive_rng
 from sadcluster.synth import generate_synthetic_corpus
 from sadcluster.tfidf import (
     fit_tfidf,
+    index_tokens,
     label_match_rate,
     similarity_matrix,
     blended_similarity,
@@ -297,21 +297,24 @@ def test_criterion_08_tfidf_matches_counting_oracle():
     ]
     docs = tuple(Document(f"d{i}", t) for i, t in enumerate(texts))
     corpus = Corpus(documents=docs)
-    model = fit_tfidf(corpus)
+    tokens, terms = index_tokens(doc.text for doc in corpus.documents)
+    x = transform_corpus(fit_tfidf(terms, len(tokens)), terms)
 
     n = len(texts)
     df = Counter()
     for text in texts:
         df.update(set(tokenize_text(text)))
+    # column j is the j-th distinct token in sorted order
+    assert tokens == sorted(df)
+    column = {token: j for j, token in enumerate(sorted(df))}
     worst = 0.0
-    x = transform_corpus(model, corpus)
-    assert x.shape == (n, len(model.vocabulary))
+    assert x.shape == (n, len(df))
     for doc, dense in zip(corpus.documents, x.toarray()):
         tf = Counter(tokenize_text(doc.text))
-        oracle = np.zeros(len(model.vocabulary))
+        oracle = np.zeros(len(df))
         for token, count in tf.items():
             idf = math.log((1 + n) / (1 + df[token])) + 1
-            oracle[model.vocabulary[token]] = count * idf
+            oracle[column[token]] = count * idf
         oracle /= math.sqrt(float(oracle @ oracle))
         worst = max(worst, float(np.abs(dense - oracle).max()))
         assert np.allclose(dense, oracle, atol=1e-12)
@@ -421,8 +424,8 @@ def test_criterion_11_external_embeddings_full_fidelity():
                                  embeddings=embeddings)
     assert np.isfinite(report.acc) and np.isfinite(report.ami)
 
-    tfidf = fit_tfidf(corpus)
-    sims = similarity_matrix(transform_corpus(tfidf, corpus))
+    tokens, terms = index_tokens(doc.text for doc in corpus.documents)
+    sims = similarity_matrix(transform_corpus(fit_tfidf(terms, len(tokens)), terms))
     pairing = top1_from_matrix(sims)
     rate = label_match_rate(pairing, corpus.labels_array())
     in_band = abs(rate - 0.85) <= 0.05

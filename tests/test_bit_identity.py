@@ -3,15 +3,17 @@
 The references below are the straightforward implementations: a padded
 gather with a masked sum for the forward pass, ``np.add.at`` for the
 embedding gradient, AdamW/SGD written as whole-array expressions,
-TF-IDF built one document vector at a time, and k-means, silhouette,
+TF-IDF built one document vector at a time, the vocabulary counted
+token by token with a ``Counter``, and k-means, silhouette,
 MI and EMI written as loops over clusters, samples and table cells, and
 Fisher-Yates with one draw per swap. The sparse pooling and the in-place
 optimizer must reproduce them bit for bit, step after step; views built
 from per-sentence token ids must equal tokenizing the joined view, and a
 text's sentences must tokenize to the text's tokens; the one-call
 Fisher-Yates must give the same permutations and leave the stream where
-the per-swap draws do; and the one-pass TF-IDF matrix must give the same
-similarities. k-means must match bit for bit; the metrics, whose sums
+the per-swap draws do; the one-pass TF-IDF matrix must give the same
+similarities; and the vocabulary and ids built from token indices must
+equal the counted ones, in dict order and id for id. k-means must match bit for bit; the metrics, whose sums
 run in another order, must agree within 1e-12.
 """
 
@@ -49,6 +51,8 @@ from sadcluster.evaluate import (
     silhouette_score,
 )
 from sadcluster.encoder import (
+    PAD_TOKEN,
+    UNK_TOKEN,
     TokenSequence,
     build_vocab,
     embed_corpus,
@@ -60,8 +64,10 @@ from sadcluster.encoder import (
 )
 from sadcluster.rng import derive_rng, fisher_yates
 from sadcluster.synth import generate_synthetic_corpus
+from test_encoder import vocab_of
 from sadcluster.tfidf import (
     fit_tfidf,
+    index_tokens,
     similarity_matrix,
     tokenize_text,
     transform_corpus,
@@ -196,7 +202,7 @@ def test_embed_corpus_matches_the_reference():
     texts = ["alpha beta beta gamma. delta alpha!", "beta beta beta.",
              "gamma delta epsilon zeta eta theta alpha beta."]
     corpus = Corpus([Document(f"d{i}", t, [t]) for i, t in enumerate(texts)])
-    vocab = build_vocab(corpus, 100)
+    vocab = vocab_of(corpus, 100)
     for output_dim in (None, 5):
         params = init_params(len(vocab), 7, output_dim, seed=1)
         seqs = [tokenize(t, vocab, 4) for t in texts]
@@ -228,7 +234,7 @@ def test_sentence_ids_concatenate_to_the_joined_view():
         doc.sentences = sentences
         docs.append(doc)
     corpus = Corpus(docs)
-    vocab = build_vocab(corpus, 1000)
+    vocab = vocab_of(corpus, 1000)
     assert len(vocab) > 20  # the non-ASCII pieces are real tokens, not unk
     for doc in docs:
         joined = np.concatenate([text_ids(s, vocab) for s in doc.sentences])
@@ -286,30 +292,37 @@ def test_fisher_yates_draws_as_one_call_per_swap(n):
         assert fisher_yates(9, fast).tolist() == reference_fisher_yates(9, ref).tolist()
 
 
-def reference_transform(model, doc):
+def reference_fit(texts):
+    """Column of each distinct token (sorted) and its smoothed idf, by counting."""
+    df = Counter()
+    for text in texts:
+        df.update(set(tokenize_text(text)))
+    vocabulary = {token: i for i, token in enumerate(sorted(df))}
+    df_arr = np.array([df[token] for token in vocabulary], dtype=np.float64)
+    return vocabulary, np.log((1.0 + len(texts)) / (1.0 + df_arr)) + 1.0
+
+
+def reference_transform(vocabulary, idf, text):
     """One document's TF-IDF vector as sorted (indices, values)."""
-    counts = Counter()
-    for token in tokenize_text(doc.text):
-        idx = model.vocabulary.get(token)
-        if idx is not None:
-            counts[idx] += 1
+    counts = Counter(vocabulary[token] for token in tokenize_text(text))
     if not counts:
         return np.empty(0, dtype=np.int64), np.empty(0)
     indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array([counts[i] for i in indices], dtype=np.float64) * model.idf[indices]
+    values = np.array([counts[i] for i in indices], dtype=np.float64) * idf[indices]
     values /= np.sqrt(np.dot(values, values))
     return indices, values
 
 
-def reference_similarity(model, corpus):
+def reference_similarity(texts):
     """Per-document vectors stacked into CSR, then the sparse cosine."""
-    vectors = [reference_transform(model, doc) for doc in corpus.documents]
+    vocabulary, idf = reference_fit(texts)
+    vectors = [reference_transform(vocabulary, idf, text) for text in texts]
     indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
     for i, (indices, _) in enumerate(vectors):
         indptr[i + 1] = indptr[i] + indices.size
     x = scipy.sparse.csr_matrix(
         (np.concatenate([v for _, v in vectors]), np.concatenate([i for i, _ in vectors]),
-         indptr), shape=(len(vectors), len(model.vocabulary)))
+         indptr), shape=(len(vectors), len(vocabulary)))
     norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
     safe = np.where(norms > 0, norms, 1.0)
     unit = scipy.sparse.diags(1.0 / safe) @ x
@@ -317,44 +330,86 @@ def reference_similarity(model, corpus):
     zero = norms == 0
     sims[zero, :] = 0.0
     sims[:, zero] = 0.0
-    return x, sims
-
-
-def corpus_of(*texts):
-    return Corpus([Document(f"d{i}", t, [t]) for i, t in enumerate(texts)])
+    return idf, x, sims
 
 
 def tfidf_case(name):
-    """(model, corpus) pairs: the model is fitted on the first corpus."""
+    """The texts of one corpus."""
     rng = np.random.default_rng(31)
     words = [f"w{i}" for i in range(60)]
-    random_docs = corpus_of(*(" ".join(rng.choice(words, size=int(rng.integers(1, 30))))
-                              for _ in range(40)))
+    random_texts = [" ".join(rng.choice(words, size=int(rng.integers(1, 30))))
+                    for _ in range(40)]
     if name == "repeated-tokens":
-        corpus = corpus_of("a a a b b c", "c c c c a", "b a b a b a", "a b c a b c d d")
-        return fit_tfidf(corpus), corpus
+        return ["a a a b b c", "c c c c a", "b a b a b a", "a b c a b c d d"]
     if name == "oov-only-and-zero-rows":
-        applied = corpus_of("w1 w1 w2 zzz", "zzz qqq", "w3 w59 w59 w59", "!!! ...", "w0")
-        return fit_tfidf(random_docs), applied
+        # columns are the corpus's own tokens: only token-free rows are empty
+        return random_texts + ["w1 w1 w2", "!!! ...", "w3 w59 w59 w59", "", "w0"]
     if name == "random-words":
-        return fit_tfidf(random_docs), random_docs
+        return random_texts
     corpus = generate_synthetic_corpus(topics=3, docs_per_topic=40, vocab_per_topic=80,
                                        sentences_per_doc=4, seed=3)
     assert len(corpus) > 100
-    return fit_tfidf(corpus), corpus
+    return [doc.text for doc in corpus.documents]
 
 
 @pytest.mark.parametrize("case", ["repeated-tokens", "oov-only-and-zero-rows",
                                   "random-words", "synthetic-n120"])
 def test_tfidf_matrix_matches_the_per_document_reference(case):
-    model, corpus = tfidf_case(case)
-    expected_x, expected_sims = reference_similarity(model, corpus)
-    x = transform_corpus(model, corpus)
+    texts = tfidf_case(case)
+    expected_idf, expected_x, expected_sims = reference_similarity(texts)
+    tokens, terms = index_tokens(texts)
+    idf = fit_tfidf(terms, len(tokens))
+    assert same_bits(idf, expected_idf)
+    x = transform_corpus(idf, terms)
     assert x.shape == expected_x.shape
     assert np.array_equal(x.indptr, expected_x.indptr)
     assert np.array_equal(x.indices, expected_x.indices)
     assert same_bits(x.data, expected_x.data)
     assert same_bits(similarity_matrix(x), expected_sims)
+
+
+def reference_build_vocab(texts, max_vocab):
+    """Count every token, keep the most frequent, ties lexicographic."""
+    counts = Counter()
+    for text in texts:
+        counts.update(tokenize_text(text))
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    token_to_id = {PAD_TOKEN: 0, UNK_TOKEN: 1}
+    for token, _ in ranked[:max_vocab]:
+        token_to_id[token] = len(token_to_id)
+    return token_to_id
+
+
+def reference_text_ids(text, token_to_id):
+    return [token_to_id.get(token, 1) for token in tokenize_text(text)]
+
+
+@pytest.mark.parametrize("max_vocab", [1, 5, 100, 3000, 30000])
+def test_vocabulary_and_ids_match_the_counting_reference(max_vocab):
+    # few distinct tokens with many count ties, the Unicode pieces, and
+    # token-free texts; sad indexes sentences, tps whole texts
+    rng = np.random.default_rng(max_vocab)
+    words = PIECES + [f"w{i}" for i in range(3500)]
+    docs = []
+    for d in range(400):
+        sentences = [random_sentence(rng) if rng.random() < 0.5 else
+                     " ".join(rng.choice(words, size=int(rng.integers(0, 40)))) + "."
+                     for _ in range(int(rng.integers(1, 6)))]
+        docs.append(Document(f"d{d}", " ".join(sentences)))
+    texts = [doc.text for doc in docs]
+    expected = reference_build_vocab(texts, max_vocab)
+    distinct = {token for text in texts for token in tokenize_text(text)}
+    assert (len(distinct) > max_vocab) == (max_vocab < 30000)  # about 3400
+    for units in ([[t] for t in texts], [doc.sentences for doc in docs]):
+        tokens, terms = index_tokens(u for unit in units for u in unit)
+        vocab, term_to_id = build_vocab(tokens, terms, max_vocab)
+        assert list(vocab.token_to_id.items()) == list(expected.items())
+        rows = iter(terms)
+        for text, unit in zip(texts, units):
+            ids = np.concatenate([np.empty(0, np.int64)]
+                                 + [term_to_id[next(rows)] for _ in unit])
+            assert ids.tolist() == reference_text_ids(text, expected), repr(text)
+            assert text_ids(text, vocab).tolist() == ids.tolist()
 
 
 def reference_update_centroids(x, assignments, centroids):

@@ -434,6 +434,21 @@ class TestEmbedClusterEval:
                 "line 1: cluster must be a non-negative integer"
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("line", ["5", '"id cluster"', '["t0d0", 0]', "null",
+                                      '{"id": "t0d0"}'],
+                             ids=["number", "string", "array", "null", "no-cluster"])
+    def test_eval_rejects_lines_that_are_not_assignment_objects(self, capsys, tmp_path,
+                                                               line):
+        corpus_path = make_synth(capsys, tmp_path)
+        assign = tmp_path / "assign.jsonl"
+        assign.write_text(json.dumps({"id": "t0d1", "cluster": 0}) + "\n" + line + "\n")
+        code, _, err = run(capsys, "eval", "--assignments", str(assign),
+                           "--corpus", str(corpus_path), "--out", str(tmp_path / "m.json"))
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message":
+                                   "line 2: expected keys 'id' and 'cluster'"}
+        assert not (tmp_path / "m.json").exists()
+
     def test_eval_missing_assignment_is_an_error(self, capsys, tmp_path):
         corpus_path = make_synth(capsys, tmp_path)
         assign = tmp_path / "partial.jsonl"
@@ -496,12 +511,12 @@ class TestEmbeddingsInput:
 
 
 class TestEmbedVocabCheck:
-    def embed(self, capsys, tmp_path, tokens, rows=100):
+    def embed(self, capsys, tmp_path, tokens, rows=100, payload=None):
         corpus = make_synth(capsys, tmp_path)
         checkpoint = tmp_path / "model.ckpt"
         save_checkpoint(init_params(rows, 8, None, seed=0), checkpoint)
         vocab = tmp_path / "vocab.json"
-        vocab.write_text(json.dumps({"tokens": tokens}))
+        vocab.write_text(json.dumps({"tokens": tokens} if payload is None else payload))
         code, _, err = run(capsys, "embed", "--corpus", str(corpus),
                            "--checkpoint", str(checkpoint), "--vocab", str(vocab),
                            "--out", str(tmp_path / "emb.txt"))
@@ -527,6 +542,14 @@ class TestEmbedVocabCheck:
         code, err = self.embed(capsys, tmp_path, ["<pad>", "<unk>", "a", 7], rows=4)
         assert code == 1 and err["error"] == "ValueError"
         assert "token 3 is not a string: 7" in err["message"]
+
+    @pytest.mark.parametrize("payload", [["<pad>", "<unk>", "a"], "tokens", 3],
+                             ids=["array", "string", "number"])
+    def test_top_level_that_is_not_an_object_rejected(self, capsys, tmp_path, payload):
+        code, err = self.embed(capsys, tmp_path, None, rows=3, payload=payload)
+        assert code == 1 and err["error"] == "ValueError"
+        assert err["message"] == f"not a vocabulary file: {tmp_path / 'vocab.json'}"
+        assert not (tmp_path / "emb.txt").exists()
 
 
 class TestEmbedCheckpointCheck:

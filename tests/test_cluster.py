@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sadcluster.cluster import ClusterModel, assign, spherical_kmeans
+from sadcluster.cluster import ClusterModel, spherical_kmeans
 
 
 def blobs(rng, centers, per_cluster, spread=0.05):
@@ -136,34 +136,6 @@ class TestSphericalKmeans:
         x, _ = blobs(rng, [[1, 0], [0, 1]], per_cluster=12, spread=0.02)
         model = spherical_kmeans(x, k=3, seed=18)
         assert len(np.unique(model.assignments)) == 3
-
-
-class TestAssign:
-    def _model(self):
-        centroids = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        return ClusterModel(
-            centroids=centroids,
-            assignments=np.array([0, 1, 2]),
-            objective=3.0,
-            iterations_run=1,
-        )
-
-    def test_exact_centroid(self):
-        model = self._model()
-        assert assign(model, np.array([-1.0, 0.0])) == 2
-
-    def test_tie_breaks_to_smallest_index(self):
-        model = self._model()
-        assert assign(model, np.array([1.0, 1.0])) == 0
-
-    def test_scale_invariant(self):
-        model = self._model()
-        v = np.array([0.3, 0.9])
-        assert assign(model, v) == assign(model, 7.5 * v)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            assign(self._model(), np.array([1.0, 0.0, 0.0]))
 
 
 class TestClusterModelValidation:

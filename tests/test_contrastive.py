@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sadcluster import contrastive
+from sadcluster import contrastive, encoder, tfidf
 from sadcluster.contrastive import (
     OptimizerState,
     TrainConfig,
@@ -18,10 +18,11 @@ from sadcluster.contrastive import (
     train,
 )
 from sadcluster.corpus import Corpus, Document
-from sadcluster.encoder import build_vocab, init_params, text_ids, tokenize
+from sadcluster.encoder import init_params, text_ids, tokenize
 from sadcluster.rng import derive_rng
 from sadcluster.synth import generate_synthetic_corpus
 from sadcluster.tfidf import PositivePairing, similarity_matrix
+from test_encoder import vocab_of
 
 
 def reference_nt_xent(embeddings, temperature):
@@ -128,7 +129,7 @@ class TestContrastiveBatch:
 
     def step_rejects(self, n_views, match):
         corpus = toy_corpus(2)
-        vocab = build_vocab(corpus, 100)
+        vocab = vocab_of(corpus, 100)
         params = init_params(len(vocab), 4, 3, seed=0)
         before = params.copy()
         views = [tokenize("doc0 token0", vocab, 8) for _ in range(n_views)]
@@ -147,7 +148,7 @@ class TestContrastiveBatch:
 
     def test_num_pairs(self):
         corpus = toy_corpus(3)
-        vocab = build_vocab(corpus, 1000)
+        vocab = vocab_of(corpus, 1000)
         views = build_batch_sad(corpus.documents, derive_rng(0, "test"),
                                 sentence_ids(corpus.documents, vocab), 32)
         assert len(views) == 6
@@ -160,7 +161,7 @@ class TestContrastiveBatch:
 class TestBuildBatchSad:
     def test_layout_two_views_per_document(self):
         corpus = toy_corpus(4)
-        vocab = build_vocab(corpus, 1000)
+        vocab = vocab_of(corpus, 1000)
         ids = sentence_ids(corpus.documents, vocab)
         views = build_batch_sad(corpus.documents, derive_rng(0, "test"), ids, 32)
         assert len(views) == 8
@@ -173,7 +174,7 @@ class TestBuildBatchSad:
 
     def test_views_are_tokenized_halves(self):
         corpus = toy_corpus(2, sentences=6)
-        vocab = build_vocab(corpus, 1000)
+        vocab = vocab_of(corpus, 1000)
         rng = derive_rng(1, "test")
         views = build_batch_sad(corpus.documents, rng,
                                 sentence_ids(corpus.documents, vocab), 64)
@@ -184,7 +185,7 @@ class TestBuildBatchSad:
 
     def test_same_rng_state_reproduces_batch(self):
         corpus = toy_corpus(5)
-        vocab = build_vocab(corpus, 1000)
+        vocab = vocab_of(corpus, 1000)
         ids = sentence_ids(corpus.documents, vocab)
         a = build_batch_sad(corpus.documents, derive_rng(7, "x"), ids, 32)
         b = build_batch_sad(corpus.documents, derive_rng(7, "x"), ids, 32)
@@ -195,7 +196,7 @@ class TestBuildBatchSad:
         docs = (Document("a", "One sentence only."),
                 Document("b", "First. Second. Third. Fourth."))
         corpus = Corpus(documents=docs)
-        vocab = build_vocab(corpus, 100)
+        vocab = vocab_of(corpus, 100)
         with pytest.raises(ValueError, match="at least 2"):
             build_batch_sad(corpus.documents, derive_rng(0, "x"),
                             sentence_ids(docs, vocab), 16)
@@ -212,7 +213,7 @@ class TestBuildBatchTps:
 
     def test_anchor_then_partner_layout(self):
         corpus = toy_corpus(4)
-        vocab = build_vocab(corpus, 1000)
+        vocab = vocab_of(corpus, 1000)
         pairing = self.make_pairing([1, 0, 3, 2])
         views = build_batch_tps(pairing, [0, 2], self.doc_ids(corpus, vocab), 32)
         # rows (2k, 2k+1) = (anchor k, its partner): documents 0, 1, 2, 3
@@ -224,14 +225,14 @@ class TestBuildBatchTps:
 
     def test_collision_raises(self):
         corpus = toy_corpus(4)
-        vocab = build_vocab(corpus, 1000)
+        vocab = vocab_of(corpus, 1000)
         pairing = self.make_pairing([1, 0, 1, 2])
         with pytest.raises(ValueError, match="collision"):
             build_batch_tps(pairing, [0, 2], self.doc_ids(corpus, vocab), 32)
 
     def test_anchor_repeat_raises(self):
         corpus = toy_corpus(4)
-        vocab = build_vocab(corpus, 1000)
+        vocab = vocab_of(corpus, 1000)
         pairing = self.make_pairing([1, 0, 3, 2])
         with pytest.raises(ValueError, match="collision"):
             build_batch_tps(pairing, [0, 0], self.doc_ids(corpus, vocab), 32)
@@ -623,6 +624,27 @@ class TestTrain:
         for epoch_embeddings, s_model in zip(calls, blended):
             assert np.array_equal(s_model, similarity_matrix(epoch_embeddings))
 
+    @pytest.mark.parametrize("method", ["sad", "tps"])
+    def test_each_text_is_tokenized_once(self, monkeypatch, method):
+        # sad reads every sentence once, tps every document once: the
+        # vocabulary, views, embeddings and TF-IDF share those tokens
+        corpus = generate_synthetic_corpus(docs_per_topic=8, seed=6)
+        calls = []
+        real = tfidf.tokenize_text
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(tfidf, "tokenize_text", counting)
+        monkeypatch.setattr(encoder, "tokenize_text", counting)
+        train(corpus, self.small_config(method=method, epochs=3))
+        if method == "sad":
+            expected = [s for doc in corpus.documents for s in doc.sentences]
+        else:
+            expected = [doc.text for doc in corpus.documents]
+        assert calls == expected
+
     def test_tps_records_label_match_rate(self):
         corpus = generate_synthetic_corpus(docs_per_topic=10, seed=4)
         cfg = self.small_config(method="tps", epochs=2)
@@ -660,7 +682,7 @@ class TestSupervisedFinetune:
         corpus = generate_synthetic_corpus(topics=4, docs_per_topic=20,
                                            vocab_per_topic=300, seed=5)
         train_c, test_c = self.split_balanced(corpus)
-        vocab = build_vocab(corpus, 30000)
+        vocab = vocab_of(corpus, 30000)
         params = init_params(len(vocab), 64, 64, seed=42)
         cfg = TrainConfig(batch_size=16, learning_rate=3e-3, epochs=0,
                           num_clusters=4, seed=0)
@@ -674,7 +696,7 @@ class TestSupervisedFinetune:
         corpus = generate_synthetic_corpus(topics=4, docs_per_topic=20,
                                            vocab_per_topic=300, seed=5)
         train_c, test_c = self.split_balanced(corpus)
-        vocab = build_vocab(corpus, 30000)
+        vocab = vocab_of(corpus, 30000)
         params = init_params(len(vocab), 64, 64, seed=42)
         cfg = TrainConfig(batch_size=16, learning_rate=3e-3, epochs=12,
                           num_clusters=4, seed=0)
@@ -687,7 +709,7 @@ class TestSupervisedFinetune:
         corpus = generate_synthetic_corpus(topics=2, docs_per_topic=10,
                                            vocab_per_topic=200, seed=6)
         train_c, test_c = self.split_balanced(corpus)
-        vocab = build_vocab(corpus, 30000)
+        vocab = vocab_of(corpus, 30000)
         params = init_params(len(vocab), 32, 32, seed=1)
         cfg = TrainConfig(batch_size=8, learning_rate=3e-3, epochs=3,
                           num_clusters=2, seed=9)

@@ -18,10 +18,17 @@ from sadcluster.encoder import (
     save_checkpoint,
     tokenize,
 )
+from sadcluster.tfidf import index_tokens
 
 
 def corpus_of(*texts):
     return Corpus([Document(f"d{i}", t) for i, t in enumerate(texts)])
+
+
+def vocab_of(corpus, max_vocab):
+    """The vocabulary ``train`` builds from a corpus's document texts."""
+    tokens, terms = index_tokens(doc.text for doc in corpus.documents)
+    return build_vocab(tokens, terms, max_vocab)[0]
 
 
 def encode_one(params, seq):
@@ -52,52 +59,58 @@ def random_seqs(rng, n, vocab_size, max_len):
 
 class TestBuildVocab:
     def test_small_corpus(self):
-        vocab = build_vocab(corpus_of("a a b"), max_vocab=10)
+        vocab = vocab_of(corpus_of("a a b"), max_vocab=10)
         assert set(vocab.token_to_id) == {"<pad>", "<unk>", "a", "b"}
         assert vocab.token_to_id["<pad>"] == 0
         assert vocab.unk_id == 1
 
     def test_frequency_cut(self):
-        vocab = build_vocab(corpus_of("a a b"), max_vocab=1)
+        vocab = vocab_of(corpus_of("a a b"), max_vocab=1)
         assert "a" in vocab.token_to_id
         assert "b" not in vocab.token_to_id
 
     def test_tie_broken_lexicographically(self):
-        vocab = build_vocab(corpus_of("b a"), max_vocab=1)
+        vocab = vocab_of(corpus_of("b a"), max_vocab=1)
         assert "a" in vocab.token_to_id
         assert "b" not in vocab.token_to_id
 
     def test_empty_corpus_errors(self):
         with pytest.raises(ValueError):
-            build_vocab(corpus_of("..."), max_vocab=5)
+            vocab_of(corpus_of("..."), max_vocab=5)
+
+    def test_term_ids_map_dropped_tokens_to_unk(self):
+        tokens, terms = index_tokens(["c a a b", "b a"])
+        vocab, term_to_id = build_vocab(tokens, terms, max_vocab=2)
+        assert list(vocab.token_to_id) == ["<pad>", "<unk>", "a", "b"]
+        assert [term_to_id[t].tolist() for t in terms] == [[1, 2, 2, 3], [3, 2]]
 
     def test_ids_dense(self):
-        vocab = build_vocab(corpus_of("c b a"), max_vocab=10)
+        vocab = vocab_of(corpus_of("c b a"), max_vocab=10)
         assert sorted(vocab.token_to_id.values()) == list(range(len(vocab)))
 
 
 class TestTokenize:
     def test_pad_and_length(self):
-        vocab = build_vocab(corpus_of("a b"), max_vocab=10)
+        vocab = vocab_of(corpus_of("a b"), max_vocab=10)
         seq = tokenize("a b", vocab, max_len=4)
         # the real ids only: no pad ids fill the view up to max_len
         assert seq.length == 2 and seq.max_len == 4
         assert seq.ids.tolist() == [vocab.token_to_id["a"], vocab.token_to_id["b"]]
 
     def test_truncation(self):
-        vocab = build_vocab(corpus_of("a"), max_vocab=10)
+        vocab = vocab_of(corpus_of("a"), max_vocab=10)
         long_text = " ".join(["a"] * 300)
         seq = tokenize(long_text, vocab, max_len=256)
         assert seq.length == 256
         assert seq.ids.shape == (256,)
 
     def test_oov_maps_to_unk(self):
-        vocab = build_vocab(corpus_of("a"), max_vocab=10)
+        vocab = vocab_of(corpus_of("a"), max_vocab=10)
         seq = tokenize("zzz a", vocab, max_len=4)
         assert seq.ids[0] == vocab.unk_id
 
     def test_empty_text_allowed_here(self):
-        vocab = build_vocab(corpus_of("a"), max_vocab=10)
+        vocab = vocab_of(corpus_of("a"), max_vocab=10)
         seq = tokenize("", vocab, max_len=4)
         assert seq.length == 0
 
@@ -252,7 +265,7 @@ class TestInitParams:
 class TestEmbedCorpus:
     def test_rows_match_documents(self):
         corpus = corpus_of("alpha beta gamma", "delta alpha", "beta beta gamma")
-        vocab = build_vocab(corpus, max_vocab=100)
+        vocab = vocab_of(corpus, max_vocab=100)
         params = init_params(len(vocab), 8, 4, seed=0)
         emb = embed_corpus(params, vocab, corpus, max_len=16)
         assert emb.shape == (3, 4)
@@ -304,8 +317,8 @@ class TestExternalEmbeddings:
         code, err, out = self.run_eval(capsys, tmp_path, [("d0", 1, 0), ("d1", 0, 1),
                                                           ("d2", 1, 0)])
         assert code == 1
-        assert json.loads(err) == {"error": "KeyError", "message":
-                                   "\"no external embedding for document id 'd3'\""}
+        assert json.loads(err) == {"error": "ValueError", "message":
+                                   "no external embedding for document id 'd3'"}
         assert not out.exists()
 
     def test_lookup_stacks_in_corpus_order(self, capsys, tmp_path):

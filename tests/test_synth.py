@@ -7,6 +7,7 @@ from sadcluster.corpus import save_corpus
 from sadcluster.synth import generate_synthetic_corpus
 from sadcluster.tfidf import (
     fit_tfidf,
+    index_tokens,
     label_match_rate,
     similarity_matrix,
     top1_from_matrix,
@@ -74,8 +75,8 @@ class TestGenerateSyntheticCorpus:
     def test_low_overlap_top1_neighbors_match_labels(self):
         corpus = generate_synthetic_corpus(topics=4, docs_per_topic=10,
                                            overlap=0.0, seed=5)
-        model = fit_tfidf(corpus)
-        sims = similarity_matrix(transform_corpus(model, corpus))
+        tokens, terms = index_tokens(doc.text for doc in corpus.documents)
+        sims = similarity_matrix(transform_corpus(fit_tfidf(terms, len(tokens)), terms))
         pairing = top1_from_matrix(sims)
         assert label_match_rate(pairing, corpus.labels_array()) == 1.0
 

@@ -9,6 +9,7 @@ from sadcluster.tfidf import (
     PositivePairing,
     blended_similarity,
     fit_tfidf,
+    index_tokens,
     label_match_rate,
     similarity_matrix,
     tokenize_text,
@@ -23,6 +24,17 @@ def corpus_of(*texts, labels=None):
         label = labels[i] if labels is not None else None
         docs.append(Document(f"d{i}", text, label=label))
     return Corpus(docs)
+
+
+def fitted(*texts):
+    """(tokens, idf, TF-IDF matrix) of a corpus of ``texts``."""
+    tokens, terms = index_tokens(texts)
+    idf = fit_tfidf(terms, len(tokens))
+    return tokens, idf, transform_corpus(idf, terms)
+
+
+def tfidf_matrix(corpus):
+    return fitted(*(doc.text for doc in corpus.documents))[2]
 
 
 def row(x, i):
@@ -56,65 +68,76 @@ class TestTokenize:
         assert tokenize_text("...") == []
 
 
+class TestIndexTokens:
+    def test_sorted_tokens_and_indices_in_text_order(self):
+        tokens, terms = index_tokens(["b a, B c", "...", "c A"])
+        assert tokens == ["a", "b", "c"]
+        assert [t.tolist() for t in terms] == [[1, 0, 1, 2], [], [2, 0]]
+        assert all(t.dtype == np.int64 for t in terms)
+
+    def test_no_texts(self):
+        tokens, terms = index_tokens([])
+        assert tokens == [] and terms == []
+
+
 class TestFitTfidf:
     def test_hand_counted_idf(self):
-        model = fit_tfidf(corpus_of("a b", "a"))
+        tokens, terms = index_tokens(["a b", "a"])
+        idf = fit_tfidf(terms, len(tokens))
         # df(a)=2 -> idf = ln(3/3)+1 = 1.0; df(b)=1 -> idf = ln(3/2)+1
-        assert model.num_docs == 2
-        assert model.idf[model.vocabulary["a"]] == pytest.approx(1.0, abs=1e-12)
-        assert model.idf[model.vocabulary["b"]] == pytest.approx(math.log(1.5) + 1.0, abs=1e-12)
+        assert idf.shape == (2,)
+        assert idf[tokens.index("a")] == pytest.approx(1.0, abs=1e-12)
+        assert idf[tokens.index("b")] == pytest.approx(math.log(1.5) + 1.0, abs=1e-12)
 
     def test_single_doc_uniform_idf(self):
-        model = fit_tfidf(corpus_of("x y z"))
-        assert np.allclose(model.idf, 1.0, atol=1e-12)
+        _, idf, _ = fitted("x y z")
+        assert np.allclose(idf, 1.0, atol=1e-12)
 
     def test_idf_always_positive(self):
         rng = np.random.default_rng(0)
         words = [f"w{i}" for i in range(30)]
         texts = [" ".join(rng.choice(words, size=20)) for _ in range(50)]
-        model = fit_tfidf(corpus_of(*texts))
-        assert np.all(model.idf > 0)
+        _, idf, _ = fitted(*texts)
+        assert np.all(idf > 0)
 
     def test_empty_corpus_errors(self):
-        with pytest.raises(ValueError):
-            fit_tfidf(Corpus([]))
+        with pytest.raises(ValueError, match="empty corpus"):
+            fit_tfidf([], 0)
 
     def test_tokenless_corpus_errors(self):
         with pytest.raises(ValueError, match="no tokens"):
-            fit_tfidf(corpus_of("...", "!!!"))
+            fitted("...", "!!!")
 
 
 class TestTransform:
     def test_hand_computed_vector(self):
-        model = fit_tfidf(corpus_of("a b", "a b"))
-        x = transform_corpus(model, corpus_of("a a b"))
+        tokens, _, x = fitted("a a b", "a b")
         indices, values = row(x, 0)
         # idf(a)=idf(b)=1, tf=(2,1), normalized to (2,1)/sqrt(5)
-        assert indices.tolist() == [model.vocabulary["a"], model.vocabulary["b"]]
+        assert indices.tolist() == [tokens.index("a"), tokens.index("b")]
         assert values == pytest.approx([2 / math.sqrt(5), 1 / math.sqrt(5)], abs=1e-12)
 
     def test_unit_norm(self):
         rng = np.random.default_rng(1)
         words = [f"w{i}" for i in range(40)]
         texts = [" ".join(rng.choice(words, size=25)) for _ in range(30)]
-        corpus = corpus_of(*texts)
-        model = fit_tfidf(corpus)
-        x = transform_corpus(model, corpus)
-        assert x.shape == (30, len(model.vocabulary))
+        tokens, _, x = fitted(*texts)
+        assert x.shape == (30, len(tokens))
         for i in range(x.shape[0]):
             _, values = row(x, i)
             assert np.sqrt(values @ values) == pytest.approx(1.0, abs=1e-9)
 
     def test_oov_only_gives_zero_support(self):
-        model = fit_tfidf(corpus_of("a b"))
-        x = transform_corpus(model, corpus_of("a", "zzz qqq", "b"))
+        # the columns are the fitted corpus's own tokens, so a document
+        # without a column is one without tokens
+        _, _, x = fitted("a", "... !!!", "b")
         assert x.shape == (3, 2)
         assert np.diff(x.indptr).tolist() == [1, 0, 1]
 
     def test_deterministic(self):
-        model = fit_tfidf(corpus_of("a b c", "b c d"))
-        corpus = corpus_of("c b a a", "d d c")
-        x1, x2 = transform_corpus(model, corpus), transform_corpus(model, corpus)
+        tokens, terms = index_tokens(["c b a a", "d d c"])
+        idf = fit_tfidf(terms, len(tokens))
+        x1, x2 = transform_corpus(idf, terms), transform_corpus(idf, terms)
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(x1, attr), getattr(x2, attr))
 
@@ -167,7 +190,7 @@ class TestCosineSimilarity:
 class TestTop1Sampling:
     def test_two_docs_mutual_partners(self):
         corpus = corpus_of("apple banana", "apple cherry")
-        sims = similarity_matrix(transform_corpus(fit_tfidf(corpus), corpus))
+        sims = similarity_matrix(tfidf_matrix(corpus))
         assert top1_from_matrix(sims).partner.tolist() == [1, 0]
 
     def test_one_hot_tie_breaking(self):
@@ -283,8 +306,7 @@ class TestLabelMatchRate:
                 texts.append(" ".join(rng.choice(words, size=12)))
                 labels.append(topic)
         corpus = corpus_of(*texts, labels=labels)
-        model = fit_tfidf(corpus)
-        pairing = top1_from_matrix(similarity_matrix(transform_corpus(model, corpus)))
+        pairing = top1_from_matrix(similarity_matrix(tfidf_matrix(corpus)))
         assert label_match_rate(pairing, labels) == 1.0
 
     def test_missing_label_errors(self):
