@@ -15,9 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import shuffle_divide
 from .cluster import spherical_kmeans
-from .contrastive import TrainConfig, epoch_rng, sad_batches, train
+from .contrastive import TrainConfig, train
 from .corpus import (
     Corpus,
     filter_min_sentences,
@@ -36,13 +35,7 @@ from .encoder import (
 )
 from .evaluate import evaluate_clustering
 from .synth import generate_synthetic_corpus
-from .tfidf import (
-    fit_tfidf,
-    index_tokens,
-    similarity_matrix,
-    top1_from_matrix,
-    transform_corpus,
-)
+from .tfidf import fit_tfidf, index_tokens, transform_corpus
 
 METRICS_SCHEMA_VERSION = 1
 
@@ -72,7 +65,10 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 def load_vocab(path) -> Vocabulary:
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as err:  # not JSON, or not UTF-8
+            raise ValueError(f"not a vocabulary file: {path}: {err}") from err
     tokens = payload.get("tokens") if isinstance(payload, dict) else None
     if not isinstance(tokens, list) or len(tokens) < 2:
         raise ValueError(f"not a vocabulary file: {path}")
@@ -195,13 +191,9 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _tfidf_matrix(corpus: Corpus):
-    tokens, terms = index_tokens(doc.text for doc in corpus.documents)
-    return transform_corpus(fit_tfidf(terms, len(tokens)), terms)
-
-
 def _dump_tfidf(corpus: Corpus, path) -> None:
-    x = _tfidf_matrix(corpus)
+    tokens, terms = index_tokens(doc.text for doc in corpus.documents)
+    x = transform_corpus(fit_tfidf(terms, len(tokens)), terms)
     with open(path, "w", encoding="utf-8") as fh:
         for doc, start, stop in zip(corpus.documents, x.indptr[:-1], x.indptr[1:]):
             record = {
@@ -212,22 +204,15 @@ def _dump_tfidf(corpus: Corpus, path) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _dump_pairs(corpus: Corpus, config: TrainConfig, path) -> None:
-    """Debugging dump of the positives training builds in epoch 1.
+def _dump_pairs(corpus: Corpus, method: str, first_pairs, path) -> None:
+    """Debugging dump of the positives epoch 1 trained on.
 
-    sad pairs are drawn as training draws them (same stream, batch order
-    and skipped final batch) and written in corpus order with their
-    batch index; a document in a skipped batch has no pair and no line.
+    sad pairs are written in corpus order with their batch index; a
+    document in a skipped batch has no pair and no line.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        if config.method == "sad":
-            rng = epoch_rng(config.seed, 1)
-            pairs = {}
-            for b, idx in sad_batches(len(corpus), config.batch_size, rng):
-                for i in idx:
-                    pairs[int(i)] = (b, shuffle_divide(corpus.documents[i], rng))
-            for i in sorted(pairs):
-                b, (half_a, half_b) = pairs[i]
+        if method == "sad":
+            for b, i, (half_a, half_b) in sorted(first_pairs, key=lambda p: p[1]):
                 sentences = corpus.documents[i].sentences
                 record = {
                     "batch": b,
@@ -239,12 +224,11 @@ def _dump_pairs(corpus: Corpus, config: TrainConfig, path) -> None:
                 }
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
         else:
-            pairing = top1_from_matrix(similarity_matrix(_tfidf_matrix(corpus)))
-            for n in range(pairing.partner.shape[0]):
+            for n in range(first_pairs.partner.shape[0]):
                 record = {
                     "n": n,
-                    "m": int(pairing.partner[n]),
-                    "sim": float(pairing.similarity[n]),
+                    "m": int(first_pairs.partner[n]),
+                    "sim": float(first_pairs.similarity[n]),
                 }
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -268,16 +252,9 @@ def cmd_train(args) -> int:
         output_dim=args.output_dim,
         max_vocab=args.max_vocab,
     )
-    if config.epochs == 0:  # TrainConfig allows 0 for supervised_finetune
-        raise ValueError("training needs at least 1 epoch")
+    result = train(corpus, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.dump_tfidf:
-        _dump_tfidf(corpus, args.dump_tfidf)
-    if args.dump_pairs:
-        _dump_pairs(corpus, config, args.dump_pairs)
-
-    result = train(corpus, config)
     save_checkpoint(result.best_params, out_dir / "best.ckpt")
     save_checkpoint(result.final_params, out_dir / "final.ckpt")
     save_vocab(result.vocab, out_dir / "vocab.json")
@@ -291,6 +268,10 @@ def cmd_train(args) -> int:
         },
         out_dir / "metrics.json",
     )
+    if args.dump_tfidf:
+        _dump_tfidf(corpus, args.dump_tfidf)
+    if args.dump_pairs:
+        _dump_pairs(corpus, config.method, result.first_pairs, args.dump_pairs)
     print(json.dumps({"best_epoch": result.best_epoch,
                       "epochs": len(result.history),
                       "out_dir": str(out_dir)}, sort_keys=True))
@@ -455,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("jsonl", "dir-per-class"),
                    default="jsonl")
-    p.add_argument("--max-len", type=int, default=256)
+    p.add_argument("--max-len", type=int, default=TrainConfig.max_len_test)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("cluster", help="spherical k-means over an embeddings file")

@@ -101,16 +101,16 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
+    """``first_pairs`` are epoch 1's positives: for sad, ``(batch, document
+    index, halves)`` per trained document in training order; for tps, the
+    pairing."""
+
     best_params: EncoderParams
     final_params: EncoderParams
     vocab: Vocabulary
     history: list[dict]
     best_epoch: int
-
-
-def epoch_rng(seed: int, epoch: int) -> np.random.Generator:
-    """The stream an epoch draws its batch order and its views from."""
-    return derive_rng(seed, "epoch", epoch)
+    first_pairs: list[tuple[int, int, tuple[np.ndarray, np.ndarray]]] | PositivePairing
 
 
 def sad_batches(n: int, batch_size: int,
@@ -127,20 +127,21 @@ def sad_batches(n: int, batch_size: int,
     return [(b, idx) for b, idx in batches if idx.size >= 2]
 
 
-def build_batch_sad(docs, rng: np.random.Generator,
+def build_batch_sad(halves: list[tuple[np.ndarray, np.ndarray]],
                     doc_sentence_ids: list[list[np.ndarray]],
-                    max_len_train: int) -> list[TokenSequence]:
-    """Shuffle-and-divide batch: the halves of ``docs[k]`` at rows (2k, 2k+1).
+                    max_len: int) -> list[TokenSequence]:
+    """Shuffle-and-divide batch: document k's two halves at rows (2k, 2k+1).
 
-    ``doc_sentence_ids[k]`` are the sentence ids of ``docs[k]``. A half's
-    ids are its sentences' ids concatenated, then truncated: the same as
-    tokenizing the space-joined half, since no token spans a space.
+    ``halves[k]`` is what ``shuffle_divide`` drew for document k and
+    ``doc_sentence_ids[k]`` are its sentences' ids. A half's ids are its
+    sentences' ids concatenated, then truncated: the same as tokenizing
+    the space-joined half, since no token spans a space.
     """
     views = []
-    for doc, ids in zip(docs, doc_sentence_ids, strict=True):
-        for half in shuffle_divide(doc, rng):
+    for pair, ids in zip(halves, doc_sentence_ids, strict=True):
+        for half in pair:
             joined = np.concatenate([ids[i] for i in half.tolist()])
-            views.append(TokenSequence(joined[:max_len_train], max_len_train))
+            views.append(TokenSequence(joined[:max_len], max_len))
     return views
 
 
@@ -384,7 +385,8 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
     top-1 resampling for tps), steps through the mini-batches, then
     embeds the whole corpus, clusters it, and records the silhouette.
     The returned ``best_params`` are from the best-silhouette epoch
-    (ties to the earliest); history has one record per epoch. Documents
+    (ties to the earliest); history has one record per epoch, and
+    ``first_pairs`` the positives epoch 1 trained on. Documents
     that would abort training (no tokens; for sad, fewer than 2 sentences
     or a half that can come out empty) are all rejected together before
     the first epoch.
@@ -392,6 +394,12 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
     if config.num_clusters is None:
         raise ValueError("config.num_clusters must be set for training")
     n = len(corpus)
+    if config.epochs is not None:
+        epochs = config.epochs
+    else:
+        epochs = default_epochs(config.method, n, config.batch_size)
+    if epochs < 1:
+        raise ValueError("training needs at least 1 epoch")
     if n < max(2, config.num_clusters):
         raise ValueError(f"corpus too small: {n} documents")
     # every text is tokenized once: the vocabulary, the views, the embeddings
@@ -411,12 +419,6 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
     params = init_params(len(vocab), config.embed_dim, config.output_dim,
                          seed=config.seed)
     state = OptimizerState()
-    if config.epochs is not None:
-        epochs = config.epochs
-    else:
-        epochs = default_epochs(config.method, n, config.batch_size)
-    if epochs < 1:
-        raise ValueError("training needs at least 1 epoch")
 
     sim_tfidf = None if sad else similarity_matrix(tfidf)
 
@@ -425,18 +427,21 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
     best_epoch = -1
     best_silhouette = -np.inf
     best_params = params.copy()
+    first_pairs: list | PositivePairing = []
 
     embeddings = None
     for epoch in range(1, epochs + 1):
-        rng = epoch_rng(config.seed, epoch)
+        rng = derive_rng(config.seed, "epoch", epoch)
         batch_losses: list[float] = []
         match_rate = None
 
-        if config.method == "sad":
+        if sad:
             for b, idx in sad_batches(n, config.batch_size, rng):
-                docs = [corpus.documents[i] for i in idx]
+                halves = [shuffle_divide(corpus.documents[i], rng) for i in idx]
+                if epoch == 1:
+                    first_pairs += [(b, int(i), pair) for i, pair in zip(idx, halves)]
                 try:
-                    views = build_batch_sad(docs, rng, [unit_ids[i] for i in idx],
+                    views = build_batch_sad(halves, [unit_ids[i] for i in idx],
                                             config.max_len_train)
                     batch_losses.append(_train_step(params, state, views, config))
                 except (ValueError, FloatingPointError) as err:
@@ -447,6 +452,8 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
             sims = sim_tfidf if epoch == 1 else blended_similarity(
                 sim_tfidf, similarity_matrix(embeddings), config.alpha, epoch)
             pairing = top1_from_matrix(sims)
+            if epoch == 1:
+                first_pairs = pairing
             if all_labeled:
                 match_rate = label_match_rate(pairing, corpus.labels_array())
             for b, anchors in enumerate(plan_tps_batches(pairing, config.batch_size, rng)):
@@ -486,6 +493,7 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
         vocab=vocab,
         history=history,
         best_epoch=best_epoch,
+        first_pairs=first_pairs,
     )
 
 

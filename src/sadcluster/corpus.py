@@ -59,7 +59,6 @@ class Document:
 class Corpus:
     documents: list[Document]
     label_names: list[str] | None = None
-    num_classes: int | None = None
 
     def __post_init__(self):
         seen = set()
@@ -67,13 +66,6 @@ class Corpus:
             if doc.id in seen:
                 raise ValueError(f"duplicate document id {doc.id!r}")
             seen.add(doc.id)
-        if self.num_classes is not None:
-            for doc in self.documents:
-                if doc.label is not None and not (0 <= doc.label < self.num_classes):
-                    raise ValueError(
-                        f"document {doc.id!r}: label {doc.label} out of range "
-                        f"for {self.num_classes} classes"
-                    )
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -182,11 +174,7 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
                     )
                 seen[doc.id] = lineno
                 documents.append(doc)
-        num_classes = None
-        all_labels = [l for d in documents for l in (d.labels or ((d.label,) if d.label is not None else ()))]
-        if all_labels:
-            num_classes = max(all_labels) + 1
-        return Corpus(documents, label_names=None, num_classes=num_classes)
+        return Corpus(documents)
     if format == "dir-per-class":
         class_dirs = sorted(p for p in path.iterdir() if p.is_dir())
         if not class_dirs:
@@ -197,7 +185,7 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
             for file in sorted(class_dir.glob("*.txt")):
                 text = file.read_text(encoding="utf-8", errors="replace")
                 documents.append(Document(f"{class_dir.name}/{file.name}", text, label=label))
-        return Corpus(documents, label_names=label_names, num_classes=len(class_dirs))
+        return Corpus(documents, label_names=label_names)
     raise ValueError(f"unknown corpus format {format!r}")
 
 
@@ -258,7 +246,7 @@ def preprocess_newsgroup_style(corpus: Corpus, min_words: int = 10) -> Corpus:
         text = text.strip()
         if len(text.split()) >= min_words:
             kept.append(Document(doc.id, text, label=doc.label, labels=doc.labels))
-    return Corpus(kept, label_names=corpus.label_names, num_classes=corpus.num_classes)
+    return Corpus(kept, label_names=corpus.label_names)
 
 
 def _normalize_whitespace(text: str) -> str:
@@ -309,7 +297,7 @@ def preprocess_reuters_style(corpus: Corpus, top_k_classes: int = 10) -> Corpus:
     names = None
     if corpus.label_names is not None:
         names = [corpus.label_names[old] for old, _ in top]
-    return Corpus(kept, label_names=names, num_classes=len(top) if top else None)
+    return Corpus(kept, label_names=names)
 
 
 def filter_min_sentences(corpus: Corpus, min_sentences: int = 4) -> Corpus:
@@ -317,4 +305,4 @@ def filter_min_sentences(corpus: Corpus, min_sentences: int = 4) -> Corpus:
     if min_sentences < 1:
         raise ValueError("min_sentences must be >= 1")
     kept = [doc for doc in corpus.documents if len(doc.sentences) >= min_sentences]
-    return Corpus(kept, label_names=corpus.label_names, num_classes=corpus.num_classes)
+    return Corpus(kept, label_names=corpus.label_names)

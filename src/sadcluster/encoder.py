@@ -224,7 +224,8 @@ def save_checkpoint(params: EncoderParams, path) -> None:
 
 
 def load_checkpoint(path) -> EncoderParams:
-    """Read what ``save_checkpoint`` wrote; any other file raises ValueError."""
+    """Read what ``save_checkpoint`` wrote; any other file, or tensors no
+    encoder can hold, raise ValueError."""
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline())
@@ -249,6 +250,20 @@ def load_checkpoint(path) -> EncoderParams:
             if tensors[name].dtype != np.float64:
                 raise ValueError(f"checkpoint tensor {name!r} has dtype "
                                  f"{tensors[name].dtype.str}, not native float64")
+            if not np.all(np.isfinite(tensors[name])):
+                raise ValueError(f"checkpoint tensor {name!r} has non-finite values")
         if fh.read(1):
             raise ValueError("checkpoint has bytes after its last tensor")
+    table = tensors["embedding_table"]
+    if table.ndim != 2 or table.size == 0:
+        raise ValueError(f"checkpoint tensor 'embedding_table' has shape {table.shape}, "
+                         "not a non-empty V x d table")
+    if "projection_w" in tensors:
+        w, b = tensors["projection_w"], tensors["projection_b"]
+        if w.ndim != 2 or w.shape[0] != table.shape[1] or w.size == 0:
+            raise ValueError(f"checkpoint tensor 'projection_w' has shape {w.shape}, "
+                             f"not ({table.shape[1]}, d') with d' >= 1")
+        if b.shape != w.shape[1:]:
+            raise ValueError(f"checkpoint tensor 'projection_b' has shape {b.shape}, "
+                             f"not {w.shape[1:]}")
     return EncoderParams(**tensors)

@@ -47,8 +47,4 @@ def generate_synthetic_corpus(topics: int = 4, docs_per_topic: int = 50,
                         tokens.append(topic_vocab[t][int(rng.integers(0, vocab_per_topic))])
                 sentences.append(" ".join(tokens) + ".")
             documents.append(Document(f"t{t}d{d}", " ".join(sentences), label=t))
-    return Corpus(
-        documents,
-        label_names=[f"topic{t}" for t in range(topics)],
-        num_classes=topics,
-    )
+    return Corpus(documents, label_names=[f"topic{t}" for t in range(topics)])

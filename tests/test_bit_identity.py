@@ -243,10 +243,11 @@ def test_sentence_ids_concatenate_to_the_joined_view():
             assert np.array_equal(joined[:max_len], expected.ids)
     sentence_ids = [[text_ids(s, vocab) for s in doc.sentences] for doc in docs]
     for max_len in (2, 5, 64):
-        views = build_batch_sad(docs, derive_rng(9, "views"), sentence_ids, max_len)
-        rng_views = derive_rng(9, "views")
+        rng = derive_rng(9, "views")
+        halves = [shuffle_divide(doc, rng) for doc in docs]
+        views = build_batch_sad(halves, sentence_ids, max_len)
         for k, doc in enumerate(docs):
-            for view, half in zip(views[2 * k:2 * k + 2], shuffle_divide(doc, rng_views)):
+            for view, half in zip(views[2 * k:2 * k + 2], halves[k]):
                 text = " ".join(doc.sentences[i] for i in half)
                 expected = tokenize(text, vocab, max_len)
                 assert np.array_equal(view.ids, expected.ids)

@@ -15,6 +15,13 @@ from sadcluster.cli import main, read_embeddings, write_embeddings
 from sadcluster.contrastive import TrainConfig, train
 from sadcluster.encoder import init_params, save_checkpoint, tokenize
 from sadcluster.corpus import load_corpus, save_corpus, Corpus
+from sadcluster.tfidf import (
+    fit_tfidf,
+    index_tokens,
+    similarity_matrix,
+    top1_from_matrix,
+    transform_corpus,
+)
 from test_encoder import BAD_CHECKPOINTS, UNPICKLED
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -195,6 +202,20 @@ class TestTrainCommand:
             assert set(record) == {"n", "m", "sim"}
             assert record["n"] != record["m"]
 
+    def test_tps_dump_pairs_are_the_tfidf_top1_pairs(self, capsys, tmp_path):
+        corpus_path = make_synth(capsys, tmp_path)
+        pairs = tmp_path / "pairs.jsonl"
+        code, _, err = run(capsys, *train_args(corpus_path, tmp_path / "run",
+                                               method="tps", epochs="1"),
+                           "--dump-pairs", str(pairs))
+        assert code == 0, err
+        tokens, terms = index_tokens(doc.text for doc in load_corpus(corpus_path).documents)
+        pairing = top1_from_matrix(similarity_matrix(
+            transform_corpus(fit_tfidf(terms, len(tokens)), terms)))
+        expected = [{"n": n, "m": int(m), "sim": float(sim)}
+                    for n, (m, sim) in enumerate(zip(pairing.partner, pairing.similarity))]
+        assert [json.loads(line) for line in pairs.read_text().splitlines()] == expected
+
     def test_sad_dump_pairs_are_document_views(self, capsys, tmp_path):
         corpus_path = make_synth(capsys, tmp_path)
         out_dir = tmp_path / "run"
@@ -225,8 +246,8 @@ class TestTrainCommand:
 
         monkeypatch.setattr(contrastive, "shuffle_divide", recording_divide)
 
-        def recording(docs, rng, doc_sentence_ids, max_len):
-            batches.append((real_build(docs, rng, doc_sentence_ids, max_len), max_len))
+        def recording(halves, doc_sentence_ids, max_len):
+            batches.append((real_build(halves, doc_sentence_ids, max_len), max_len))
             return batches[-1][0]
 
         monkeypatch.setattr(contrastive, "build_batch_sad", recording)
@@ -293,6 +314,23 @@ class TestTrainCommand:
         assert error["message"].startswith(message)
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("failure,flags,message", [
+        ("preflight", {}, "1 document(s) cannot be trained on"),
+        ("k-above-corpus-size", {"k": 42}, "corpus too small: 41 documents"),
+        ("no-epochs", {"epochs": 0}, "training needs at least 1 epoch"),
+    ])
+    def test_failed_training_writes_no_output(self, capsys, tmp_path, failure, flags,
+                                              message):
+        corpus_path = make_synth(capsys, tmp_path)
+        with open(corpus_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "short", "text": "One sentence.", "label": 0}) + "\n")
+        out_dir, pairs, tfidf = tmp_path / "run", tmp_path / "pairs", tmp_path / "tfidf"
+        code, _, err = run(capsys, *train_args(corpus_path, out_dir, **flags),
+                           "--dump-pairs", str(pairs), "--dump-tfidf", str(tfidf))
+        assert code == 1
+        assert json.loads(err)["message"].startswith(message)
+        assert not out_dir.exists() and not pairs.exists() and not tfidf.exists()
+
     def test_defaults_are_the_train_config_defaults(self, capsys, tmp_path):
         corpus = make_synth(capsys, tmp_path)
         out_dir = tmp_path / "run"
@@ -301,6 +339,10 @@ class TestTrainCommand:
         assert code == 0, err
         metrics = json.loads((out_dir / "metrics.json").read_text())
         assert metrics["config"] == dataclasses.asdict(TrainConfig(num_clusters=4))
+        # embed reproduces the per-epoch embeddings at training's test length
+        embed = cli.build_parser().parse_args(["embed", "--corpus", "c", "--checkpoint",
+                                               "k", "--vocab", "v", "--out", "o"])
+        assert embed.max_len == TrainConfig.max_len_test
 
     def test_dump_tfidf_vectors(self, capsys, tmp_path):
         corpus = make_synth(capsys, tmp_path)
@@ -549,6 +591,23 @@ class TestEmbedVocabCheck:
         code, err = self.embed(capsys, tmp_path, None, rows=3, payload=payload)
         assert code == 1 and err["error"] == "ValueError"
         assert err["message"] == f"not a vocabulary file: {tmp_path / 'vocab.json'}"
+        assert not (tmp_path / "emb.txt").exists()
+
+
+    @pytest.mark.parametrize("data", [b"tokens: <pad> <unk>\n", b"\xff\xfe\x00"],
+                             ids=["text", "binary"])
+    def test_file_that_is_not_json_rejected(self, capsys, tmp_path, data):
+        corpus = make_synth(capsys, tmp_path)
+        checkpoint, vocab = tmp_path / "model.ckpt", tmp_path / "vocab.json"
+        save_checkpoint(init_params(3, 8, None, seed=0), checkpoint)
+        vocab.write_bytes(data)
+        code, _, err = run(capsys, "embed", "--corpus", str(corpus),
+                           "--checkpoint", str(checkpoint), "--vocab", str(vocab),
+                           "--out", str(tmp_path / "emb.txt"))
+        assert code == 1
+        error = json.loads(err)
+        assert error["error"] == "ValueError"
+        assert error["message"].startswith(f"not a vocabulary file: {vocab}: ")
         assert not (tmp_path / "emb.txt").exists()
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sadcluster import contrastive, encoder, tfidf
+from sadcluster.augment import shuffle_divide
 from sadcluster.contrastive import (
     OptimizerState,
     TrainConfig,
@@ -121,6 +122,10 @@ def sentence_ids(docs, vocab):
     return [[text_ids(s, vocab) for s in doc.sentences] for doc in docs]
 
 
+def draw_halves(docs, rng):
+    return [shuffle_divide(doc, rng) for doc in docs]
+
+
 class TestContrastiveBatch:
     """A batch is a plain list of 2B views, positives at rows (2i, 2i+1).
 
@@ -149,7 +154,7 @@ class TestContrastiveBatch:
     def test_num_pairs(self):
         corpus = toy_corpus(3)
         vocab = vocab_of(corpus, 1000)
-        views = build_batch_sad(corpus.documents, derive_rng(0, "test"),
+        views = build_batch_sad(draw_halves(corpus.documents, derive_rng(0, "test")),
                                 sentence_ids(corpus.documents, vocab), 32)
         assert len(views) == 6
         params = init_params(len(vocab), 4, 3, seed=0)
@@ -163,7 +168,8 @@ class TestBuildBatchSad:
         corpus = toy_corpus(4)
         vocab = vocab_of(corpus, 1000)
         ids = sentence_ids(corpus.documents, vocab)
-        views = build_batch_sad(corpus.documents, derive_rng(0, "test"), ids, 32)
+        views = build_batch_sad(draw_halves(corpus.documents, derive_rng(0, "test")),
+                                ids, 32)
         assert len(views) == 8
         # rows (2k, 2k+1) hold the two halves of document k: together
         # they are its sentences' ids, each once
@@ -175,8 +181,7 @@ class TestBuildBatchSad:
     def test_views_are_tokenized_halves(self):
         corpus = toy_corpus(2, sentences=6)
         vocab = vocab_of(corpus, 1000)
-        rng = derive_rng(1, "test")
-        views = build_batch_sad(corpus.documents, rng,
+        views = build_batch_sad(draw_halves(corpus.documents, derive_rng(1, "test")),
                                 sentence_ids(corpus.documents, vocab), 64)
         for seq in views:
             # real token ids only, no pad id, within the truncation limit
@@ -187,19 +192,17 @@ class TestBuildBatchSad:
         corpus = toy_corpus(5)
         vocab = vocab_of(corpus, 1000)
         ids = sentence_ids(corpus.documents, vocab)
-        a = build_batch_sad(corpus.documents, derive_rng(7, "x"), ids, 32)
-        b = build_batch_sad(corpus.documents, derive_rng(7, "x"), ids, 32)
+        a = build_batch_sad(draw_halves(corpus.documents, derive_rng(7, "x")), ids, 32)
+        b = build_batch_sad(draw_halves(corpus.documents, derive_rng(7, "x")), ids, 32)
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.ids, sb.ids)
 
     def test_single_sentence_document_rejected(self):
         docs = (Document("a", "One sentence only."),
                 Document("b", "First. Second. Third. Fourth."))
-        corpus = Corpus(documents=docs)
-        vocab = vocab_of(corpus, 100)
-        with pytest.raises(ValueError, match="at least 2"):
-            build_batch_sad(corpus.documents, derive_rng(0, "x"),
-                            sentence_ids(docs, vocab), 16)
+        # the halves a batch is built from cannot be drawn
+        with pytest.raises(ValueError, match="'a' has 1 sentence.*at least 2"):
+            draw_halves(docs, derive_rng(0, "x"))
 
 
 class TestBuildBatchTps:
@@ -501,8 +504,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="num_clusters"):
             train(corpus, TrainConfig(method="sad", epochs=1))
 
-    def test_requires_at_least_one_epoch(self):
+    def test_requires_at_least_one_epoch(self, monkeypatch):
         corpus = generate_synthetic_corpus(docs_per_topic=5, seed=0)
+
+        def refuse(texts):
+            raise AssertionError("tokenized before the config check")
+
+        monkeypatch.setattr(contrastive, "index_tokens", refuse)
         with pytest.raises(ValueError, match="at least 1 epoch"):
             train(corpus, self.small_config(epochs=0))
 

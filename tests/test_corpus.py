@@ -122,14 +122,6 @@ class TestLoadCorpus:
             with pytest.raises(ValueError, match=f"line 1: '{field}' must be"):
                 load_corpus(p)
 
-    def test_jsonl_num_classes_from_max_label(self, tmp_path):
-        p = tmp_path / "c.jsonl"
-        p.write_text(
-            '{"id": "a", "text": "x", "label": 0}\n'
-            '{"id": "b", "text": "y", "label": 3}\n'
-        )
-        assert load_corpus(p).num_classes == 4
-
     def test_missing_path(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_corpus(tmp_path / "nope.jsonl")
@@ -146,7 +138,6 @@ class TestLoadCorpus:
             "arts/z.txt", "sports/a.txt", "sports/b.txt",
         ]
         assert [d.label for d in corpus.documents] == [0, 1, 1]
-        assert corpus.num_classes == 2
 
     def test_roundtrip_through_save(self, tmp_path):
         p = tmp_path / "c.jsonl"
@@ -169,10 +160,6 @@ class TestCorpusValidation:
         with pytest.raises(ValueError, match="duplicate"):
             Corpus(docs)
 
-    def test_label_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            Corpus([Document("a", "x", label=5)], num_classes=2)
-
     def test_labels_array_requires_all_labels(self):
         corpus = Corpus([Document("a", "x", label=0), Document("b", "y")])
         with pytest.raises(ValueError, match="no label"):
@@ -181,7 +168,7 @@ class TestCorpusValidation:
 
 class TestNewsgroupPreprocess:
     def _corpus(self, text):
-        return Corpus([Document("d0", text, label=0)], num_classes=1)
+        return Corpus([Document("d0", text, label=0)])
 
     def test_header_block_stripped(self):
         text = (
@@ -278,7 +265,6 @@ class TestReutersPreprocess:
                 docs.append(Document(f"{label}-{i}", f"text {label} {i}", label=label))
         out = preprocess_reuters_style(Corpus(docs), top_k_classes=2)
         assert len(out) == 8
-        assert out.num_classes == 2
         assert {d.label for d in out.documents} == {0, 1}
 
     def test_relabel_by_descending_frequency(self):
@@ -306,7 +292,7 @@ class TestReutersPreprocess:
             Document("b1", "t b1", label=1),
             Document("b2", "t b2", label=1),
         ]
-        corpus = Corpus(docs, label_names=["zero", "one"], num_classes=2)
+        corpus = Corpus(docs, label_names=["zero", "one"])
         out = preprocess_reuters_style(corpus, top_k_classes=2)
         assert out.label_names == ["one", "zero"]
 

@@ -367,6 +367,7 @@ def npy_bytes(array):
 TABLE = np.arange(6.0).reshape(3, 2)
 GOOD = checkpoint_bytes(["embedding_table"], [TABLE])
 HEADER_END = GOOD.index(b"\n") + 1
+PROJECTED = ["embedding_table", "projection_b", "projection_w"]
 V1 = (b'{"format": "sadcluster-checkpoint", "tensors": ["embedding_table"], '
       b'"version": 1}\n{"data": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], '
       b'"name": "embedding_table", "shape": [3, 2]}\n')
@@ -393,13 +394,39 @@ BAD_CHECKPOINTS = {
     "pickled": (checkpoint_bytes(["embedding_table"],
                                  [np.array([Unpickles()], dtype=object)]),
                 "checkpoint tensor 'embedding_table'.*allow_pickle"),
+    "table-1d": (checkpoint_bytes(["embedding_table"], [np.arange(3.0)]),
+                 r"'embedding_table' has shape \(3,\)"),
+    "table-3d": (checkpoint_bytes(["embedding_table"], [np.zeros((3, 2, 1))]),
+                 r"'embedding_table' has shape \(3, 2, 1\)"),
+    "table-no-columns": (checkpoint_bytes(["embedding_table"], [np.zeros((3, 0))]),
+                         r"'embedding_table' has shape \(3, 0\)"),
+    "table-nan": (checkpoint_bytes(["embedding_table"], [np.where(TABLE == 4, np.nan, TABLE)]),
+                  "'embedding_table' has non-finite values"),
+    "table-inf": (checkpoint_bytes(["embedding_table"], [np.where(TABLE == 4, -np.inf, TABLE)]),
+                  "'embedding_table' has non-finite values"),
+    "projection-rows": (checkpoint_bytes(PROJECTED, [TABLE, np.zeros(4), np.zeros((3, 4))]),
+                        r"'projection_w' has shape \(3, 4\)"),
+    "projection-1d": (checkpoint_bytes(PROJECTED, [TABLE, np.zeros(2), np.zeros(2)]),
+                      r"'projection_w' has shape \(2,\)"),
+    "projection-no-columns": (checkpoint_bytes(PROJECTED,
+                                               [TABLE, np.zeros(0), np.zeros((2, 0))]),
+                              r"'projection_w' has shape \(2, 0\)"),
+    "bias-length": (checkpoint_bytes(PROJECTED, [TABLE, np.zeros(3), np.zeros((2, 4))]),
+                    r"'projection_b' has shape \(3,\)"),
+    "bias-2d": (checkpoint_bytes(PROJECTED, [TABLE, np.zeros((1, 4)), np.zeros((2, 4))]),
+                r"'projection_b' has shape \(1, 4\)"),
+    "projection-nan": (checkpoint_bytes(PROJECTED,
+                                        [TABLE, np.zeros(4), np.full((2, 4), np.nan)]),
+                       "'projection_w' has non-finite values"),
+    "bias-inf": (checkpoint_bytes(PROJECTED, [TABLE, np.full(4, np.inf), np.zeros((2, 4))]),
+                 "'projection_b' has non-finite values"),
 }
 
 
 class TestCheckpoint:
     def test_roundtrip_exact(self, tmp_path):
         params = init_params(vocab_size=12, embed_dim=5, output_dim=3, seed=77)
-        params.embedding_table[1, :4] = [-0.0, np.inf, np.nan, 5e-324]
+        params.embedding_table[1, :4] = [-0.0, np.finfo(float).max, -5e-324, 5e-324]
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path).tensors()
