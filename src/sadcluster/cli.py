@@ -86,6 +86,17 @@ def load_vocab(path) -> Vocabulary:
     return Vocabulary(token_to_id)
 
 
+def check_ids(ids) -> None:
+    """Reject an id the embeddings format cannot hold: empty, or with
+    whitespace, which separates the fields of a line."""
+    for doc_id in ids:
+        if not doc_id or any(ch.isspace() for ch in doc_id):
+            raise ValueError(
+                f"document id {doc_id!r} is empty or contains whitespace and "
+                "cannot be written to the embeddings format"
+            )
+
+
 def write_embeddings(ids, embeddings: np.ndarray, path) -> None:
     """Text format: header ``dim=<d>``, then ``<id> <d floats>`` per doc.
 
@@ -93,12 +104,7 @@ def write_embeddings(ids, embeddings: np.ndarray, path) -> None:
     partial file behind.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    for doc_id in ids:
-        if not doc_id or any(ch.isspace() for ch in doc_id):
-            raise ValueError(
-                f"document id {doc_id!r} is empty or contains whitespace and "
-                "cannot be written to the embeddings format"
-            )
+    check_ids(ids)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"dim={embeddings.shape[1]}\n")
         for doc_id, row in zip(ids, embeddings):
@@ -235,23 +241,15 @@ def _dump_pairs(corpus: Corpus, method: str, first_pairs, path) -> None:
 
 def cmd_train(args) -> int:
     corpus = load_corpus(args.corpus, format=args.format)
-    config = TrainConfig(
-        method=args.method,
-        batch_size=args.batch_size,
-        temperature=args.temperature,
-        learning_rate=args.lr,
-        optimizer=args.optimizer,
-        weight_decay=args.weight_decay,
-        epochs=args.epochs,
-        alpha=args.alpha,
-        seed=args.seed,
-        max_len_train=args.max_len_train,
-        max_len_test=args.max_len_test,
-        num_clusters=args.k,
-        embed_dim=args.embed_dim,
-        output_dim=args.output_dim,
-        max_vocab=args.max_vocab,
-    )
+    settings = vars(args)
+    config = TrainConfig(**{f.name: settings[f.name] for f in dataclasses.fields(TrainConfig)
+                            if f.name in settings})
+    # an id embed cannot write or a dump with no directory fails now, not after the run
+    check_ids([doc.id for doc in corpus.documents])
+    for flag, dump in (("--dump-pairs", args.dump_pairs), ("--dump-tfidf", args.dump_tfidf)):
+        if dump and not Path(dump).parent.is_dir():
+            raise FileNotFoundError(f"{flag} {dump}: directory {Path(dump).parent} "
+                                    "does not exist")
     result = train(corpus, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -280,6 +278,7 @@ def cmd_train(args) -> int:
 
 def cmd_embed(args) -> int:
     corpus = load_corpus(args.corpus, format=args.format)
+    check_ids([doc.id for doc in corpus.documents])
     params = load_checkpoint(args.checkpoint)
     vocab = load_vocab(args.vocab)
     rows = params.embedding_table.shape[0]
@@ -407,12 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="contrastive training with per-epoch selection")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, dest="num_clusters", metavar="K")
     p.add_argument("--format", choices=("jsonl", "dir-per-class"),
                    default="jsonl")
     p.add_argument("--method", choices=("sad", "tps"), default=TrainConfig.method)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
+                   dest="learning_rate", metavar="LR")
     p.add_argument("--temperature", type=float, default=TrainConfig.temperature)
     p.add_argument("--alpha", type=float, default=TrainConfig.alpha)
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)

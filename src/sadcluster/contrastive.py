@@ -69,7 +69,7 @@ class TrainConfig:
     max_len_test: int = 256
     num_clusters: int | None = None
     embed_dim: int = 64
-    output_dim: int | None = 64
+    output_dim: int = 64
     max_vocab: int = 30000
 
     def __post_init__(self):
@@ -95,8 +95,8 @@ class TrainConfig:
             raise ValueError("max_vocab must be >= 1")
         if self.embed_dim < 1:
             raise ValueError("embed_dim must be >= 1")
-        if self.output_dim is not None and self.output_dim < 1:
-            raise ValueError("output_dim must be >= 1 (or None for no projection)")
+        if self.output_dim < 1:
+            raise ValueError("output_dim must be >= 1")
 
 
 @dataclass
@@ -456,7 +456,13 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
                 first_pairs = pairing
             if all_labeled:
                 match_rate = label_match_rate(pairing, corpus.labels_array())
-            for b, anchors in enumerate(plan_tps_batches(pairing, config.batch_size, rng)):
+            batches = plan_tps_batches(pairing, config.batch_size, rng)
+            if not batches:
+                first = ", ".join(repr(doc.id) for doc in corpus.documents[:5])
+                raise ValueError(f"epoch {epoch}: no batch of 2 collision-free tps pairs "
+                                 f"can be formed, so all {n} documents are unscheduled "
+                                 f"(first: {first})")
+            for b, anchors in enumerate(batches):
                 try:
                     views = build_batch_tps(pairing, anchors, doc_ids,
                                             config.max_len_train)
@@ -473,7 +479,7 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
                                       sample_cap=2000, seed=silhouette_seed)
         record = {
             "epoch": epoch,
-            "loss": float(np.mean(batch_losses)) if batch_losses else float("nan"),
+            "loss": float(np.mean(batch_losses)),
             "batch_losses": batch_losses,
             "silhouette": silhouette,
             "kmeans_seed": kmeans_seed,

@@ -1,10 +1,10 @@
 """Token vocabulary and the trainable mean-pooling encoder.
 
 The built-in encoder is deliberately small: an embedding table, a mean
-pool over each view's token ids, and an optional affine projection with
-tanh. Pooling is a product with a sparse matrix holding one unit entry
-per token, so views are never padded to a common length. It trains
-from scratch with exact analytic gradients. Embeddings computed
+pool over each view's token ids, and an affine projection with tanh.
+Pooling is a product with a sparse matrix holding one unit entry per
+token, so views are never padded to a common length. It trains from
+scratch with exact analytic gradients. Embeddings computed
 elsewhere (e.g. by a pre-trained transformer run out of process) skip
 this module: ``cluster`` and ``eval`` read them as text.
 """
@@ -66,24 +66,19 @@ class TokenSequence:
 
 @dataclass
 class EncoderParams:
-    """Trainable tensors: V x d embedding table, optional d x d' projection."""
+    """Trainable tensors: V x d embedding table, d x d' projection, d' bias."""
 
     embedding_table: np.ndarray
-    projection_w: np.ndarray | None = None
-    projection_b: np.ndarray | None = None
+    projection_w: np.ndarray
+    projection_b: np.ndarray
 
     @property
     def output_dim(self) -> int:
-        if self.projection_w is not None:
-            return self.projection_w.shape[1]
-        return self.embedding_table.shape[1]
+        return self.projection_w.shape[1]
 
     def tensors(self) -> dict[str, np.ndarray]:
-        out = {"embedding_table": self.embedding_table}
-        if self.projection_w is not None:
-            out["projection_w"] = self.projection_w
-            out["projection_b"] = self.projection_b
-        return out
+        return {"embedding_table": self.embedding_table,
+                "projection_w": self.projection_w, "projection_b": self.projection_b}
 
     def copy(self) -> "EncoderParams":
         return EncoderParams(**{k: v.copy() for k, v in self.tensors().items()})
@@ -123,18 +118,12 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
     return TokenSequence(text_ids(text, vocab)[:max_len], max_len)
 
 
-def init_params(vocab_size: int, embed_dim: int, output_dim: int | None,
+def init_params(vocab_size: int, embed_dim: int, output_dim: int,
                 seed: int) -> EncoderParams:
-    """Seeded initialization: table uniform(-0.05, 0.05), Xavier projection.
-
-    ``output_dim=None`` builds a projection-free encoder whose output is
-    the pooled ``embed_dim`` vector itself.
-    """
+    """Seeded initialization: table uniform(-0.05, 0.05), Xavier projection."""
     table_rng = derive_rng(seed, "init", "embedding")
     table = table_rng.uniform(-0.05, 0.05, size=(vocab_size, embed_dim))
     table[0, :] = 0.0  # pad row, never pooled but kept at zero
-    if output_dim is None:
-        return EncoderParams(embedding_table=table)
     proj_rng = derive_rng(seed, "init", "projection")
     limit = np.sqrt(6.0 / (embed_dim + output_dim))
     w = proj_rng.uniform(-limit, limit, size=(embed_dim, output_dim))
@@ -169,8 +158,6 @@ def encode_batch_forward(params: EncoderParams, seqs: list[TokenSequence]):
     """Forward pass for a batch; returns (outputs, cache for backward)."""
     pool, lengths = _pooling_matrix(seqs, params.embedding_table.shape[0])
     pooled = (pool @ params.embedding_table) / lengths[:, None]
-    if params.projection_w is None:
-        return pooled, {"pool": pool, "lengths": lengths}
     out = np.tanh(pooled @ params.projection_w + params.projection_b)
     cache = {"pool": pool, "lengths": lengths, "pooled": pooled, "out": out}
     return out, cache
@@ -179,20 +166,15 @@ def encode_batch_forward(params: EncoderParams, seqs: list[TokenSequence]):
 def encode_batch_backward(params: EncoderParams, cache: dict,
                           grad_out: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss w.r.t. all tensors, given dL/d(outputs)."""
-    if params.projection_w is None:
-        grad_pooled = grad_out
-        grads = {}
-    else:
-        grad_affine = grad_out * (1.0 - cache["out"] ** 2)
-        grads = {
-            "projection_w": cache["pooled"].T @ grad_affine,
-            "projection_b": grad_affine.sum(axis=0),
-        }
-        grad_pooled = grad_affine @ params.projection_w.T
-    # P.T walks the batch rows in order and each row's tokens in order,
-    # the same summation order as a scatter-add over the flattened batch
-    grads["embedding_table"] = cache["pool"].T @ (grad_pooled / cache["lengths"][:, None])
-    return grads
+    grad_affine = grad_out * (1.0 - cache["out"] ** 2)
+    grad_pooled = grad_affine @ params.projection_w.T
+    return {
+        "projection_w": cache["pooled"].T @ grad_affine,
+        "projection_b": grad_affine.sum(axis=0),
+        # P.T walks the batch rows in order and each row's tokens in order,
+        # the same summation order as a scatter-add over the flattened batch
+        "embedding_table": cache["pool"].T @ (grad_pooled / cache["lengths"][:, None]),
+    }
 
 
 def embed_corpus(params: EncoderParams, vocab: Vocabulary, corpus: Corpus,
@@ -237,9 +219,8 @@ def load_checkpoint(path) -> EncoderParams:
             raise ValueError(f"checkpoint version {header.get('version')!r} is not "
                              f"supported; this build reads version {CHECKPOINT_VERSION}")
         names = header.get("tensors")
-        if names not in (["embedding_table"],
-                         ["embedding_table", "projection_b", "projection_w"]):
-            raise ValueError(f"checkpoint tensor list {names!r} is not one "
+        if names != ["embedding_table", "projection_b", "projection_w"]:
+            raise ValueError(f"checkpoint tensor list {names!r} is not the one "
                              "save_checkpoint writes")
         tensors = {}
         for name in names:
@@ -258,12 +239,11 @@ def load_checkpoint(path) -> EncoderParams:
     if table.ndim != 2 or table.size == 0:
         raise ValueError(f"checkpoint tensor 'embedding_table' has shape {table.shape}, "
                          "not a non-empty V x d table")
-    if "projection_w" in tensors:
-        w, b = tensors["projection_w"], tensors["projection_b"]
-        if w.ndim != 2 or w.shape[0] != table.shape[1] or w.size == 0:
-            raise ValueError(f"checkpoint tensor 'projection_w' has shape {w.shape}, "
-                             f"not ({table.shape[1]}, d') with d' >= 1")
-        if b.shape != w.shape[1:]:
-            raise ValueError(f"checkpoint tensor 'projection_b' has shape {b.shape}, "
-                             f"not {w.shape[1:]}")
+    w, b = tensors["projection_w"], tensors["projection_b"]
+    if w.ndim != 2 or w.shape[0] != table.shape[1] or w.size == 0:
+        raise ValueError(f"checkpoint tensor 'projection_w' has shape {w.shape}, "
+                         f"not ({table.shape[1]}, d') with d' >= 1")
+    if b.shape != w.shape[1:]:
+        raise ValueError(f"checkpoint tensor 'projection_b' has shape {b.shape}, "
+                         f"not {w.shape[1:]}")
     return EncoderParams(**tensors)

@@ -82,8 +82,6 @@ def reference_forward(params, seqs):
     mask = np.arange(ids.shape[1])[None, :] < lengths[:, None]
     gathered = params.embedding_table[ids] * mask[:, :, None]
     pooled = gathered.sum(axis=1) / lengths[:, None]
-    if params.projection_w is None:
-        return pooled, {"ids": ids, "lengths": lengths, "mask": mask}
     out = np.tanh(pooled @ params.projection_w + params.projection_b)
     return out, {"ids": ids, "lengths": lengths, "mask": mask,
                  "pooled": pooled, "out": out}
@@ -91,16 +89,12 @@ def reference_forward(params, seqs):
 
 def reference_backward(params, cache, grad_out):
     ids, lengths, mask = cache["ids"], cache["lengths"], cache["mask"]
-    if params.projection_w is None:
-        grad_pooled = grad_out
-        grads = {}
-    else:
-        grad_affine = grad_out * (1.0 - cache["out"] ** 2)
-        grads = {
-            "projection_w": cache["pooled"].T @ grad_affine,
-            "projection_b": grad_affine.sum(axis=0),
-        }
-        grad_pooled = grad_affine @ params.projection_w.T
+    grad_affine = grad_out * (1.0 - cache["out"] ** 2)
+    grads = {
+        "projection_w": cache["pooled"].T @ grad_affine,
+        "projection_b": grad_affine.sum(axis=0),
+    }
+    grad_pooled = grad_affine @ params.projection_w.T
     per_position = (grad_pooled / lengths[:, None])[:, None, :] * mask[:, :, None]
     grad_table = np.zeros_like(params.embedding_table)
     np.add.at(grad_table, ids.ravel(), per_position.reshape(-1, per_position.shape[2]))
@@ -148,7 +142,7 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("output_dim", [None, 8])
+@pytest.mark.parametrize("output_dim", [8])
 @pytest.mark.parametrize("optimizer,weight_decay", [("adamw", 0.0), ("adamw", 0.01),
                                                     ("sgd", 0.0), ("sgd", 0.01)])
 def test_training_steps_match_the_reference(output_dim, optimizer, weight_decay):
@@ -203,11 +197,10 @@ def test_embed_corpus_matches_the_reference():
              "gamma delta epsilon zeta eta theta alpha beta."]
     corpus = Corpus([Document(f"d{i}", t, [t]) for i, t in enumerate(texts)])
     vocab = vocab_of(corpus, 100)
-    for output_dim in (None, 5):
-        params = init_params(len(vocab), 7, output_dim, seed=1)
-        seqs = [tokenize(t, vocab, 4) for t in texts]
-        expected, _ = reference_forward(params, seqs)
-        assert same_bits(embed_corpus(params, vocab, corpus, 4), expected)
+    params = init_params(len(vocab), 7, 5, seed=1)
+    seqs = [tokenize(t, vocab, 4) for t in texts]
+    expected, _ = reference_forward(params, seqs)
+    assert same_bits(embed_corpus(params, vocab, corpus, 4), expected)
 
 
 # Pieces whose lowercasing or tokenizing is unusual: Greek final sigma,

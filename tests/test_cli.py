@@ -331,6 +331,78 @@ class TestTrainCommand:
         assert json.loads(err)["message"].startswith(message)
         assert not out_dir.exists() and not pairs.exists() and not tfidf.exists()
 
+    def test_every_option_reaches_the_config(self, capsys, tmp_path):
+        # options map to TrainConfig fields by dest, so a misspelled dest would
+        # drop its option without an error
+        corpus = make_synth(capsys, tmp_path)
+        out_dir = tmp_path / "run"
+        values = {"k": 3, "method": "tps", "batch-size": 8, "lr": 0.01, "temperature": 0.3,
+                  "alpha": 0.7, "epochs": 2, "seed": 5, "max-len-train": 32,
+                  "max-len-test": 48, "optimizer": "sgd", "weight-decay": 0.01,
+                  "embed-dim": 6, "output-dim": 5, "max-vocab": 200}
+        argv = ["train", "--corpus", str(corpus), "--out-dir", str(out_dir)]
+        for flag, value in values.items():
+            argv += [f"--{flag}", str(value)]
+        parser = cli.build_parser()
+        settings = vars(parser.parse_args(argv))
+        defaults = vars(parser.parse_args(argv[:5] + ["--k", "2"]))
+        options = settings.keys() - {"command", "func", "corpus", "out_dir", "format",
+                                     "dump_pairs", "dump_tfidf"}
+        assert len(options) == len(values)
+        assert all(settings[dest] != defaults[dest] for dest in options)
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        config = json.loads((out_dir / "metrics.json").read_text())["config"]
+        for dest in options:
+            assert config[dest] == settings[dest], dest
+
+    @pytest.mark.parametrize("flag", ["dump-pairs", "dump-tfidf"])
+    def test_dump_in_missing_directory_fails_before_training(self, capsys, tmp_path,
+                                                             monkeypatch, flag):
+        corpus = make_synth(capsys, tmp_path)
+        out_dir, dump = tmp_path / "run", tmp_path / "missing" / "dump.jsonl"
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+        code, _, err = run(capsys, *train_args(corpus, out_dir), f"--{flag}", str(dump))
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "FileNotFoundError",
+            "message": f"--{flag} {dump}: directory {dump.parent} does not exist"}
+        assert trained == [] and not out_dir.exists()
+
+    @pytest.mark.parametrize("bad_id", ["", "two words", "tab\tid"],
+                             ids=["empty", "space", "tab"])
+    def test_unwritable_id_fails_before_training(self, capsys, tmp_path, monkeypatch,
+                                                 bad_id):
+        corpus = make_synth(capsys, tmp_path)
+        lines = corpus.read_text().splitlines()
+        lines[3] = json.dumps({**json.loads(lines[3]), "id": bad_id})
+        corpus.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "run"
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+        code, _, err = run(capsys, *train_args(corpus, out_dir))
+        assert code == 1
+        assert json.loads(err)["message"].startswith(
+            f"document id {bad_id!r} is empty or contains whitespace")
+        assert trained == [] and not out_dir.exists()
+
+    def test_tps_epoch_with_no_batch_fails(self, capsys, tmp_path):
+        # every anchor's partner is document 0, so no batch has 2 disjoint pairs
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"d{i}", "text": "Red fox runs. Blue owl sleeps. Green frog sings."})
+            + "\n" for i in range(4)))
+        out_dir = tmp_path / "run"
+        code, _, err = run(capsys, "train", "--corpus", str(corpus), "--out-dir", str(out_dir),
+                           "--method", "tps", "--batch-size", "4", "--k", "2", "--epochs", "2")
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "epoch 1: no batch of 2 collision-free tps pairs can be formed, so "
+                       "all 4 documents are unscheduled (first: 'd0', 'd1', 'd2', 'd3')"}
+        assert not out_dir.exists()
+
     def test_defaults_are_the_train_config_defaults(self, capsys, tmp_path):
         corpus = make_synth(capsys, tmp_path)
         out_dir = tmp_path / "run"
@@ -556,7 +628,7 @@ class TestEmbedVocabCheck:
     def embed(self, capsys, tmp_path, tokens, rows=100, payload=None):
         corpus = make_synth(capsys, tmp_path)
         checkpoint = tmp_path / "model.ckpt"
-        save_checkpoint(init_params(rows, 8, None, seed=0), checkpoint)
+        save_checkpoint(init_params(rows, 8, 8, seed=0), checkpoint)
         vocab = tmp_path / "vocab.json"
         vocab.write_text(json.dumps({"tokens": tokens} if payload is None else payload))
         code, _, err = run(capsys, "embed", "--corpus", str(corpus),
@@ -599,7 +671,7 @@ class TestEmbedVocabCheck:
     def test_file_that_is_not_json_rejected(self, capsys, tmp_path, data):
         corpus = make_synth(capsys, tmp_path)
         checkpoint, vocab = tmp_path / "model.ckpt", tmp_path / "vocab.json"
-        save_checkpoint(init_params(3, 8, None, seed=0), checkpoint)
+        save_checkpoint(init_params(3, 8, 8, seed=0), checkpoint)
         vocab.write_bytes(data)
         code, _, err = run(capsys, "embed", "--corpus", str(corpus),
                            "--checkpoint", str(checkpoint), "--vocab", str(vocab),
@@ -635,7 +707,7 @@ class TestEmbedInputChecks:
         docs = [{"id": "a", "text": "alpha beta."}, {"id": bad_id, "text": "beta gamma."}]
         corpus.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
         checkpoint = tmp_path / "model.ckpt"
-        save_checkpoint(init_params(5, 8, None, seed=0), checkpoint)
+        save_checkpoint(init_params(5, 8, 8, seed=0), checkpoint)
         vocab = tmp_path / "vocab.json"
         vocab.write_text(json.dumps({"tokens": ["<pad>", "<unk>", "alpha", "beta",
                                                "gamma"]}))
@@ -646,12 +718,15 @@ class TestEmbedInputChecks:
 
     @pytest.mark.parametrize("bad_id", ["", "two words", "tab\tid"],
                              ids=["empty", "space", "tab"])
-    def test_unwritable_id_fails_before_any_output(self, capsys, tmp_path, bad_id):
+    def test_unwritable_id_fails_before_any_output(self, capsys, tmp_path, monkeypatch,
+                                                   bad_id):
         # the good id comes first: a row-by-row check would leave it written
+        embedded = []
+        monkeypatch.setattr(cli, "embed_corpus", lambda *args: embedded.append(args))
         code, err = self.embed(capsys, tmp_path, bad_id=bad_id)
         assert code == 1 and err["error"] == "ValueError"
         assert f"document id {bad_id!r} is empty or contains whitespace" in err["message"]
-        assert not (tmp_path / "emb.txt").exists()
+        assert embedded == [] and not (tmp_path / "emb.txt").exists()
 
     def test_max_len_below_one_rejected(self, capsys, tmp_path):
         code, err = self.embed(capsys, tmp_path, max_len="0")

@@ -111,9 +111,6 @@ class TestTrainConfig:
             with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
                 TrainConfig(**{field: value})
 
-    def test_no_projection_allowed(self):
-        assert TrainConfig(output_dim=None).output_dim is None
-
     def test_zero_epochs_allowed_for_evaluation_only_runs(self):
         assert TrainConfig(epochs=0).epochs == 0
 
@@ -663,10 +660,12 @@ class TestTrain:
         assert result.history[0]["label_match_rate"] >= 0.95
 
     def test_tps_unlabeled_corpus_has_no_match_rate(self):
-        corpus = toy_corpus(12, sentences=5)
+        labeled = generate_synthetic_corpus(docs_per_topic=3, seed=0)
+        corpus = Corpus(tuple(Document(doc.id, doc.text) for doc in labeled.documents))
         cfg = self.small_config(method="tps", num_clusters=2, epochs=1,
                                 batch_size=4)
         result = train(corpus, cfg)
+        assert result.history[0]["batch_losses"]
         assert "label_match_rate" not in result.history[0]
 
     def test_final_params_differ_from_best_when_best_is_early(self):

@@ -37,11 +37,9 @@ def encode_one(params, seq):
     return out[0]
 
 
-def random_params(rng, vocab_size, embed_dim, output_dim=None):
+def random_params(rng, vocab_size, embed_dim, output_dim=3):
     table = rng.normal(scale=0.5, size=(vocab_size, embed_dim))
     table[0, :] = 0.0
-    if output_dim is None:
-        return EncoderParams(embedding_table=table)
     return EncoderParams(
         embedding_table=table,
         projection_w=rng.normal(scale=0.5, size=(embed_dim, output_dim)),
@@ -134,15 +132,17 @@ class TestEncode:
         params = random_params(rng, vocab_size=6, embed_dim=4)
         seq = TokenSequence(np.array([3]), max_len=3)
         out = encode_one(params, seq)
-        assert np.allclose(out, params.embedding_table[3])
+        expected = np.tanh(params.embedding_table[3] @ params.projection_w
+                           + params.projection_b)
+        assert np.allclose(out, expected)
 
     def test_two_tokens_mean(self):
         rng = np.random.default_rng(1)
         params = random_params(rng, vocab_size=6, embed_dim=4)
         seq = TokenSequence(np.array([2, 5]), max_len=3)
         out = encode_one(params, seq)
-        expected = (params.embedding_table[2] + params.embedding_table[5]) / 2
-        assert np.allclose(out, expected)
+        pooled = (params.embedding_table[2] + params.embedding_table[5]) / 2
+        assert np.allclose(out, np.tanh(pooled @ params.projection_w + params.projection_b))
 
     def test_projection_applies_tanh(self):
         rng = np.random.default_rng(2)
@@ -208,13 +208,12 @@ class TestGradients:
             numeric.ravel()[k] = (lp - lm) / (2 * step)
         return numeric
 
-    @pytest.mark.parametrize("with_projection", [False, True])
-    def test_finite_difference_check(self, with_projection):
+    def test_finite_difference_check(self):
         rng = np.random.default_rng(7)
         for trial in range(5):
             v = int(rng.integers(4, 12))
             d = int(rng.integers(2, 6))
-            d_out = int(rng.integers(2, 5)) if with_projection else None
+            d_out = int(rng.integers(2, 5))
             params = random_params(rng, v, d, d_out)
             seqs = random_seqs(rng, n=int(rng.integers(2, 5)), vocab_size=v, max_len=5)
             coeffs = rng.normal(size=(len(seqs), params.output_dim))
@@ -255,11 +254,6 @@ class TestInitParams:
         assert np.array_equal(a.embedding_table, b.embedding_table)
         assert np.array_equal(a.projection_w, b.projection_w)
         assert not np.array_equal(a.embedding_table, c.embedding_table)
-
-    def test_no_projection_variant(self):
-        params = init_params(10, 6, None, seed=1)
-        assert params.projection_w is None
-        assert params.output_dim == 6
 
 
 class TestEmbedCorpus:
@@ -365,9 +359,16 @@ def npy_bytes(array):
 
 
 TABLE = np.arange(6.0).reshape(3, 2)
-GOOD = checkpoint_bytes(["embedding_table"], [TABLE])
-HEADER_END = GOOD.index(b"\n") + 1
 PROJECTED = ["embedding_table", "projection_b", "projection_w"]
+
+
+def projected(table=TABLE, bias=np.zeros(4), w=np.ones((2, 4))):
+    """A checkpoint's bytes with the given tensors, the others valid."""
+    return checkpoint_bytes(PROJECTED, [table, bias, w])
+
+
+GOOD = projected()
+HEADER_END = GOOD.index(b"\n") + 1
 V1 = (b'{"format": "sadcluster-checkpoint", "tensors": ["embedding_table"], '
       b'"version": 1}\n{"data": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], '
       b'"name": "embedding_table", "shape": [3, 2]}\n')
@@ -375,7 +376,7 @@ V1 = (b'{"format": "sadcluster-checkpoint", "tensors": ["embedding_table"], '
 # file bytes -> the error load_checkpoint must raise for them
 BAD_CHECKPOINTS = {
     "version-1": (V1, "checkpoint version 1 is not supported"),
-    "truncated-data": (GOOD[:-1], "checkpoint tensor 'embedding_table'"),
+    "truncated-data": (GOOD[:-1], "checkpoint tensor 'projection_w'"),
     "truncated-record-header": (GOOD[:HEADER_END + 30],
                                 "checkpoint tensor 'embedding_table'"),
     "no-records": (GOOD[:HEADER_END], "checkpoint tensor 'embedding_table'"),
@@ -387,39 +388,32 @@ BAD_CHECKPOINTS = {
     "json-not-an-object": (b"[2]\n" + GOOD[HEADER_END:], "not a checkpoint file"),
     "tensor-list": (checkpoint_bytes(["embedding_table", "projection_w"],
                                      [TABLE, TABLE]), "tensor list"),
-    "float32": (checkpoint_bytes(["embedding_table"], [TABLE.astype(np.float32)]),
-                "dtype <f4, not native float64"),
-    "big-endian": (checkpoint_bytes(["embedding_table"], [TABLE.astype(">f8")]),
-                   "dtype >f8, not native float64"),
-    "pickled": (checkpoint_bytes(["embedding_table"],
-                                 [np.array([Unpickles()], dtype=object)]),
+    "table-only": (checkpoint_bytes(["embedding_table"], [TABLE]), "tensor list"),
+    "float32": (projected(table=TABLE.astype(np.float32)),
+                "'embedding_table' has dtype <f4, not native float64"),
+    "big-endian": (projected(table=TABLE.astype(">f8")),
+                   "'embedding_table' has dtype >f8, not native float64"),
+    "pickled": (projected(table=np.array([Unpickles()], dtype=object)),
                 "checkpoint tensor 'embedding_table'.*allow_pickle"),
-    "table-1d": (checkpoint_bytes(["embedding_table"], [np.arange(3.0)]),
-                 r"'embedding_table' has shape \(3,\)"),
-    "table-3d": (checkpoint_bytes(["embedding_table"], [np.zeros((3, 2, 1))]),
+    "table-1d": (projected(table=np.arange(3.0)), r"'embedding_table' has shape \(3,\)"),
+    "table-3d": (projected(table=np.zeros((3, 2, 1))),
                  r"'embedding_table' has shape \(3, 2, 1\)"),
-    "table-no-columns": (checkpoint_bytes(["embedding_table"], [np.zeros((3, 0))]),
+    "table-no-columns": (projected(table=np.zeros((3, 0))),
                          r"'embedding_table' has shape \(3, 0\)"),
-    "table-nan": (checkpoint_bytes(["embedding_table"], [np.where(TABLE == 4, np.nan, TABLE)]),
+    "table-nan": (projected(table=np.where(TABLE == 4, np.nan, TABLE)),
                   "'embedding_table' has non-finite values"),
-    "table-inf": (checkpoint_bytes(["embedding_table"], [np.where(TABLE == 4, -np.inf, TABLE)]),
+    "table-inf": (projected(table=np.where(TABLE == 4, -np.inf, TABLE)),
                   "'embedding_table' has non-finite values"),
-    "projection-rows": (checkpoint_bytes(PROJECTED, [TABLE, np.zeros(4), np.zeros((3, 4))]),
-                        r"'projection_w' has shape \(3, 4\)"),
-    "projection-1d": (checkpoint_bytes(PROJECTED, [TABLE, np.zeros(2), np.zeros(2)]),
+    "projection-rows": (projected(w=np.zeros((3, 4))), r"'projection_w' has shape \(3, 4\)"),
+    "projection-1d": (projected(bias=np.zeros(2), w=np.zeros(2)),
                       r"'projection_w' has shape \(2,\)"),
-    "projection-no-columns": (checkpoint_bytes(PROJECTED,
-                                               [TABLE, np.zeros(0), np.zeros((2, 0))]),
+    "projection-no-columns": (projected(bias=np.zeros(0), w=np.zeros((2, 0))),
                               r"'projection_w' has shape \(2, 0\)"),
-    "bias-length": (checkpoint_bytes(PROJECTED, [TABLE, np.zeros(3), np.zeros((2, 4))]),
-                    r"'projection_b' has shape \(3,\)"),
-    "bias-2d": (checkpoint_bytes(PROJECTED, [TABLE, np.zeros((1, 4)), np.zeros((2, 4))]),
-                r"'projection_b' has shape \(1, 4\)"),
-    "projection-nan": (checkpoint_bytes(PROJECTED,
-                                        [TABLE, np.zeros(4), np.full((2, 4), np.nan)]),
+    "bias-length": (projected(bias=np.zeros(3)), r"'projection_b' has shape \(3,\)"),
+    "bias-2d": (projected(bias=np.zeros((1, 4))), r"'projection_b' has shape \(1, 4\)"),
+    "projection-nan": (projected(w=np.full((2, 4), np.nan)),
                        "'projection_w' has non-finite values"),
-    "bias-inf": (checkpoint_bytes(PROJECTED, [TABLE, np.full(4, np.inf), np.zeros((2, 4))]),
-                 "'projection_b' has non-finite values"),
+    "bias-inf": (projected(bias=np.full(4, np.inf)), "'projection_b' has non-finite values"),
 }
 
 
@@ -435,14 +429,6 @@ class TestCheckpoint:
             assert loaded[name].dtype == np.float64 and loaded[name].shape == tensor.shape
             assert loaded[name].tobytes() == tensor.tobytes(), name
 
-    def test_projection_free_roundtrip(self, tmp_path):
-        params = init_params(vocab_size=7, embed_dim=3, output_dim=None, seed=2)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(params, path)
-        loaded = load_checkpoint(path)
-        assert loaded.projection_w is None and loaded.projection_b is None
-        assert loaded.embedding_table.tobytes() == params.embedding_table.tobytes()
-
     def test_layout_is_a_header_line_then_npy_records(self, tmp_path):
         params = init_params(vocab_size=6, embed_dim=4, output_dim=2, seed=5)
         path = tmp_path / "model.ckpt"
@@ -457,7 +443,7 @@ class TestCheckpoint:
             assert fh.read() == b""
 
     def test_bytes_deterministic(self, tmp_path):
-        params = init_params(vocab_size=6, embed_dim=4, output_dim=None, seed=5)
+        params = init_params(vocab_size=6, embed_dim=4, output_dim=2, seed=5)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(params, p1)
         save_checkpoint(params, p2)
@@ -472,7 +458,10 @@ class TestCheckpoint:
     def test_reads_the_records_it_is_given(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(GOOD)
-        assert load_checkpoint(path).embedding_table.tobytes() == TABLE.tobytes()
+        params = load_checkpoint(path)
+        assert params.embedding_table.tobytes() == TABLE.tobytes()
+        assert params.projection_b.tobytes() == np.zeros(4).tobytes()
+        assert params.projection_w.tobytes() == np.ones((2, 4)).tobytes()
 
     @pytest.mark.parametrize("kind", list(BAD_CHECKPOINTS))
     def test_rejects_other_files(self, tmp_path, kind):
