@@ -34,7 +34,6 @@ from .evaluate import silhouette_score
 from .rng import derive_rng, derive_seed
 from .tfidf import (
     PositivePairing,
-    blended_similarity,
     fit_tfidf,
     index_tokens,
     label_match_rate,
@@ -447,11 +446,11 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
                 except (ValueError, FloatingPointError) as err:
                     raise RuntimeError(f"epoch {epoch}, batch {b}: {err}") from err
         else:
-            # epoch 1 pairs on TF-IDF alone (top1_from_matrix masks a copy); later
-            # epochs blend in the last epoch's embeddings: no update happened since
-            sims = sim_tfidf if epoch == 1 else blended_similarity(
-                sim_tfidf, similarity_matrix(embeddings), config.alpha, epoch)
-            pairing = top1_from_matrix(sims)
+            # epoch 1 pairs on TF-IDF alone; later epochs blend in the last
+            # epoch's embeddings: no update happened since
+            pairing = top1_from_matrix(
+                sim_tfidf, None if epoch == 1 else similarity_matrix(embeddings),
+                config.alpha ** (epoch - 1))
             if epoch == 1:
                 first_pairs = pairing
             if all_labeled:

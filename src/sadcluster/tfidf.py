@@ -16,6 +16,10 @@ import numpy as np
 import scipy.sparse
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# The n x n similarity and pairing passes work one block of rows at a time,
+# about 1M float64 elements (8 MB) per block, so their temporaries stay
+# small at any n.
+PAIRING_BLOCK_ELEMENTS = 1 << 20
 
 
 def tokenize_text(text: str) -> list[str]:
@@ -96,6 +100,12 @@ def transform_corpus(idf: np.ndarray, terms: list[np.ndarray]) -> scipy.sparse.c
     return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, dim))
 
 
+def _row_blocks(n: int):
+    """Slices of about ``PAIRING_BLOCK_ELEMENTS`` elements of an n-column matrix."""
+    step = max(1, PAIRING_BLOCK_ELEMENTS // max(1, n))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
 def similarity_matrix(vectors) -> np.ndarray:
     """Dense n x n cosine similarity of the rows of a dense or sparse matrix.
 
@@ -112,7 +122,13 @@ def similarity_matrix(vectors) -> np.ndarray:
         norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
         safe = np.where(norms > 0, norms, 1.0)
         unit = scipy.sparse.diags(1.0 / safe) @ x
-        sims = np.asarray((unit @ unit.T).todense())
+        unit_t = unit.T.tocsr()
+        n = x.shape[0]
+        sims = np.empty((n, n))
+        # one block of rows at a time, so the sparse product of all rows never
+        # sits beside the dense result
+        for rows in _row_blocks(n):
+            sims[rows] = (unit[rows] @ unit_t).toarray()
     else:
         raise TypeError("expected a 2-D array or a scipy sparse matrix")
     zero = norms == 0
@@ -122,17 +138,38 @@ def similarity_matrix(vectors) -> np.ndarray:
     return sims
 
 
-def top1_from_matrix(sims: np.ndarray) -> PositivePairing:
-    """Partner of each row = argmax off the diagonal, ties to smallest index."""
-    n = sims.shape[0]
+def top1_from_matrix(sim_tfidf: np.ndarray, sim_model: np.ndarray | None = None,
+                     weight: float = 1.0) -> PositivePairing:
+    """Partner of each row = argmax off the diagonal, ties to smallest index.
+
+    The rows compared are those of sim_tfidf, or with ``sim_model`` those
+    of the blend weight * sim_tfidf + (1 - weight) * sim_model, bit for
+    bit as ``blended_similarity`` forms it. The blend is formed one block
+    of rows at a time, so no n x n array is made.
+    """
+    n = sim_tfidf.shape[0]
     if n < 2:
         raise ValueError("need at least 2 documents to sample positives")
-    if sims.shape != (n, n):
+    if sim_tfidf.shape != (n, n):
         raise ValueError("similarity matrix must be square")
-    masked = sims.astype(np.float64, copy=True)
-    np.fill_diagonal(masked, -np.inf)
-    partner = np.argmax(masked, axis=1)
-    return PositivePairing(partner, masked[np.arange(n), partner])
+    if sim_model is not None and sim_model.shape != (n, n):
+        raise ValueError(f"shape mismatch: {sim_tfidf.shape} vs {sim_model.shape}")
+    if not 0.0 <= weight <= 1.0:
+        raise ValueError("weight must be in [0, 1]")
+    partner = np.empty(n, dtype=np.int64)
+    similarity = np.empty(n)
+    for rows in _row_blocks(n):
+        if sim_model is None:
+            blk = sim_tfidf[rows].astype(np.float64)
+        else:
+            blk = np.multiply(sim_tfidf[rows], weight, dtype=np.float64)
+            blk += np.multiply(sim_model[rows], 1.0 - weight, dtype=np.float64)
+        r = np.arange(blk.shape[0])
+        blk[r, r + rows.start] = -np.inf
+        best = np.argmax(blk, axis=1)
+        partner[rows] = best
+        similarity[rows] = blk[r, best]
+    return PositivePairing(partner, similarity)
 
 
 def blended_similarity(sim_tfidf: np.ndarray, sim_model: np.ndarray,

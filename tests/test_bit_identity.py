@@ -3,7 +3,9 @@
 The references below are the straightforward implementations: a padded
 gather with a masked sum for the forward pass, ``np.add.at`` for the
 embedding gradient, AdamW/SGD written as whole-array expressions,
-TF-IDF built one document vector at a time, the vocabulary counted
+TF-IDF built one document vector at a time, its cosine as one sparse
+product of all rows, top-1 pairing on a whole masked copy of the
+epoch's blended matrix, the vocabulary counted
 token by token with a ``Counter``, and k-means, silhouette,
 MI and EMI written as loops over clusters, samples and table cells, and
 Fisher-Yates with one draw per swap. The sparse pooling and the in-place
@@ -12,8 +14,9 @@ from per-sentence token ids must equal tokenizing the joined view, and a
 text's sentences must tokenize to the text's tokens; the one-call
 Fisher-Yates must give the same permutations and leave the stream where
 the per-swap draws do; the one-pass TF-IDF matrix must give the same
-similarities; and the vocabulary and ids built from token indices must
-equal the counted ones, in dict order and id for id. k-means must match bit for bit; the metrics, whose sums
+similarities, and the row-blocked similarity and pairing passes the
+same bytes at any block size; and the vocabulary and ids built from
+token indices must equal the counted ones, in dict order and id for id. k-means must match bit for bit; the metrics, whose sums
 run in another order, must agree within 1e-12.
 """
 
@@ -22,8 +25,11 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from sadcluster import tfidf
 from sadcluster.augment import shuffle_divide
 from sadcluster.cluster import (
     _kmeanspp_init,
@@ -66,10 +72,12 @@ from sadcluster.rng import derive_rng, fisher_yates
 from sadcluster.synth import generate_synthetic_corpus
 from test_encoder import vocab_of
 from sadcluster.tfidf import (
+    blended_similarity,
     fit_tfidf,
     index_tokens,
     similarity_matrix,
     tokenize_text,
+    top1_from_matrix,
     transform_corpus,
 )
 
@@ -317,6 +325,11 @@ def reference_similarity(texts):
     x = scipy.sparse.csr_matrix(
         (np.concatenate([v for _, v in vectors]), np.concatenate([i for i, _ in vectors]),
          indptr), shape=(len(vectors), len(vocabulary)))
+    return idf, x, reference_sparse_similarity(x)
+
+
+def reference_sparse_similarity(x):
+    """Cosine of the unit rows as one sparse product, then made dense."""
     norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
     safe = np.where(norms > 0, norms, 1.0)
     unit = scipy.sparse.diags(1.0 / safe) @ x
@@ -324,7 +337,7 @@ def reference_similarity(texts):
     zero = norms == 0
     sims[zero, :] = 0.0
     sims[:, zero] = 0.0
-    return idf, x, sims
+    return sims
 
 
 def tfidf_case(name):
@@ -360,6 +373,64 @@ def test_tfidf_matrix_matches_the_per_document_reference(case):
     assert np.array_equal(x.indices, expected_x.indices)
     assert same_bits(x.data, expected_x.data)
     assert same_bits(similarity_matrix(x), expected_sims)
+
+
+@pytest.mark.parametrize("case", ["oov-only-and-zero-rows", "synthetic-n120"])
+@pytest.mark.parametrize("block_rows", [1, 7, 1000])
+def test_sparse_similarity_blocks_match_the_one_product_reference(case, block_rows):
+    # 7-row blocks leave a ragged last block; the first case has empty rows
+    texts = tfidf_case(case)
+    tokens, terms = index_tokens(texts)
+    x = transform_corpus(fit_tfidf(terms, len(tokens)), terms)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tfidf, "PAIRING_BLOCK_ELEMENTS", block_rows * len(texts))
+        assert same_bits(similarity_matrix(x), reference_sparse_similarity(x))
+
+
+def reference_top1(sims):
+    """Mask the diagonal of a whole copy, argmax each row."""
+    n = sims.shape[0]
+    masked = sims.astype(np.float64, copy=True)
+    np.fill_diagonal(masked, -np.inf)
+    partner = np.argmax(masked, axis=1)
+    return partner, masked[np.arange(n), partner]
+
+
+def tied_vectors(rng, n, dim, duplicates, zeros):
+    """Random rows, some copied from others (ties) and some all-zero."""
+    x = rng.normal(size=(n, dim))
+    x[rng.integers(0, n, size=duplicates)] = x[rng.integers(0, n, size=duplicates)]
+    x[rng.integers(0, n, size=zeros)] = 0.0
+    return x
+
+
+@st.composite
+def pairing_cases(draw):
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tfidf_rows = tied_vectors(rng, n, draw(st.integers(1, 6)),
+                              draw(st.integers(0, n)), draw(st.integers(0, 3)))
+    model_rows = tied_vectors(rng, n, draw(st.integers(1, 6)),
+                              draw(st.integers(0, n)), draw(st.integers(0, 3)))
+    block_rows = draw(st.integers(1, n))
+    block_elements = block_rows * n + draw(st.integers(0, n - 1))
+    return (similarity_matrix(tfidf_rows), similarity_matrix(model_rows),
+            draw(st.sampled_from([0.0, 0.37, 0.5, 1.0])), draw(st.integers(1, 5)),
+            block_elements)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(pairing_cases())
+def test_blocked_top1_matches_the_whole_blend_reference(case):
+    sim_tfidf, sim_model, alpha, epoch, block_elements = case
+    expected_partner, expected_similarity = reference_top1(
+        blended_similarity(sim_tfidf, sim_model, alpha, epoch))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tfidf, "PAIRING_BLOCK_ELEMENTS", block_elements)
+        pairing = top1_from_matrix(sim_tfidf, None if epoch == 1 else sim_model,
+                                   alpha ** (epoch - 1))
+    assert same_bits(pairing.partner, expected_partner)
+    assert same_bits(pairing.similarity, expected_similarity)
 
 
 def reference_build_vocab(texts, max_vocab):

@@ -617,14 +617,19 @@ class TestTrain:
             calls.append(out)
             return out
 
-        blended = []
-        real_blend = contrastive.blended_similarity
+        sim_models = []
+        real_top1 = contrastive.top1_from_matrix
+
+        def capturing(sim_tfidf, sim_model=None, weight=1.0):
+            sim_models.append(sim_model)
+            return real_top1(sim_tfidf, sim_model, weight)
+
         monkeypatch.setattr(contrastive, "embed_corpus", counting)
-        monkeypatch.setattr(contrastive, "blended_similarity",
-                            lambda s_tfidf, s_model, *a: blended.append(s_model)
-                            or real_blend(s_tfidf, s_model, *a))
+        monkeypatch.setattr(contrastive, "top1_from_matrix", capturing)
         train(corpus, self.small_config(method="tps", epochs=3))
         assert len(calls) == 3  # once per epoch, none for pairing
+        assert sim_models[0] is None  # epoch 1 pairs on TF-IDF alone
+        blended = sim_models[1:]
         assert len(blended) == 2
         for epoch_embeddings, s_model in zip(calls, blended):
             assert np.array_equal(s_model, similarity_matrix(epoch_embeddings))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,16 @@ def fitted(*texts):
 
 def tfidf_matrix(corpus):
     return fitted(*(doc.text for doc in corpus.documents))[2]
+
+
+def peak_bytes(call):
+    """Peak bytes that ``call()`` allocates beyond what exists before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def row(x, i):
@@ -229,6 +240,21 @@ class TestTop1Sampling:
         top1_from_matrix(sims)
         assert sims.tobytes() == before.tobytes()
 
+    def test_blend_argument_checks(self):
+        m = np.zeros((3, 3))
+        with pytest.raises(ValueError, match="shape"):
+            top1_from_matrix(m, np.zeros((2, 2)), 0.5)
+        with pytest.raises(ValueError, match="weight"):
+            top1_from_matrix(m, m, 1.5)
+
+    def test_blend_makes_no_n_by_n_temporary(self):
+        # a whole blend, or a masked copy of it, would alone be n*n*8 bytes
+        n = 3000
+        rng = np.random.default_rng(10)
+        sim_tfidf, sim_model = rng.random((n, n)), rng.random((n, n))
+        assert peak_bytes(lambda: top1_from_matrix(sim_tfidf, sim_model, 0.5)) \
+            < 0.5 * n * n * 8
+
     def test_self_partner_rejected_by_type(self):
         with pytest.raises(ValueError):
             PositivePairing(np.array([0, 0]), np.array([1.0, 1.0]))
@@ -241,6 +267,13 @@ class TestSimilarityMatrix:
         x = scipy.sparse.csr_matrix(dense)
         assert np.allclose(similarity_matrix(x), similarity_matrix(x.toarray()),
                            atol=1e-12)
+
+    def test_sparse_path_holds_little_beside_its_result(self):
+        # the product of all rows at once (87% dense here) would sit beside
+        # the n*n*8-byte result
+        n = 3000
+        x = scipy.sparse.random(n, 50, density=0.2, random_state=1, format="csr")
+        assert peak_bytes(lambda: similarity_matrix(x)) < 1.5 * n * n * 8
 
     def test_other_inputs_rejected(self):
         with pytest.raises(TypeError):
