@@ -45,8 +45,8 @@ def _write_json(payload: dict, path) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _load_labeled(path, format: str) -> Corpus:
-    corpus = load_corpus(path, format=format)
+def _load_labeled(path) -> Corpus:
+    corpus = load_corpus(path)
     missing = [doc.id for doc in corpus.documents if doc.label is None]
     if missing:
         raise ValueError(
@@ -149,24 +149,22 @@ def read_embeddings(path):
     return ids, np.stack(rows)
 
 
+def _given(args, *own) -> dict:
+    """The options given on the command line, less the ``own`` ones the
+    command reads itself. A sub-parser built with ``argparse.SUPPRESS``
+    sets nothing for an option not given, so the library default holds."""
+    return {k: v for k, v in vars(args).items() if k not in {"command", "func", *own}}
+
+
 def cmd_synth(args) -> int:
-    corpus = generate_synthetic_corpus(
-        topics=args.topics,
-        docs_per_topic=args.docs_per_topic,
-        vocab_per_topic=args.vocab_per_topic,
-        sentences_per_doc=args.sentences_per_doc,
-        tokens_per_sentence=args.tokens_per_sentence,
-        overlap=args.overlap,
-        seed=args.seed,
-    )
-    save_corpus(corpus, args.out)
+    save_corpus(generate_synthetic_corpus(**_given(args, "out")), args.out)
     return 0
 
 
 def cmd_preprocess(args) -> int:
     if args.min_sentences < 0:
         raise ValueError("min_sentences must be >= 0 (0 keeps every document)")
-    corpus = load_corpus(getattr(args, "in"), format=args.format)
+    corpus = load_corpus(getattr(args, "in"))
     before = len(corpus)
     if args.profile == "newsgroup":
         corpus = preprocess_newsgroup_style(corpus, min_words=args.min_words)
@@ -240,18 +238,21 @@ def _dump_pairs(corpus: Corpus, method: str, first_pairs, path) -> None:
 
 
 def cmd_train(args) -> int:
-    corpus = load_corpus(args.corpus, format=args.format)
+    corpus = load_corpus(args.corpus)
     settings = vars(args)
     config = TrainConfig(**{f.name: settings[f.name] for f in dataclasses.fields(TrainConfig)
                             if f.name in settings})
-    # an id embed cannot write or a dump with no directory fails now, not after the run
+    # a bad id or an output path train cannot write fails now, not after the run
     check_ids([doc.id for doc in corpus.documents])
     for flag, dump in (("--dump-pairs", args.dump_pairs), ("--dump-tfidf", args.dump_tfidf)):
         if dump and not Path(dump).parent.is_dir():
             raise FileNotFoundError(f"{flag} {dump}: directory {Path(dump).parent} "
                                     "does not exist")
-    result = train(corpus, config)
     out_dir = Path(args.out_dir)
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise NotADirectoryError(f"--out-dir {out_dir}: {nearest} is not a directory")
+    result = train(corpus, config)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.best_params, out_dir / "best.ckpt")
     save_checkpoint(result.final_params, out_dir / "final.ckpt")
@@ -277,7 +278,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    corpus = load_corpus(args.corpus, format=args.format)
+    corpus = load_corpus(args.corpus)
     check_ids([doc.id for doc in corpus.documents])
     params = load_checkpoint(args.checkpoint)
     vocab = load_vocab(args.vocab)
@@ -292,14 +293,7 @@ def cmd_embed(args) -> int:
 
 def cmd_cluster(args) -> int:
     ids, embeddings = read_embeddings(args.embeddings)
-    model = spherical_kmeans(
-        embeddings,
-        k=args.k,
-        seed=args.seed,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        restarts=args.restarts,
-    )
+    model = spherical_kmeans(embeddings, **_given(args, "embeddings", "out"))
     with open(args.out, "w", encoding="utf-8") as fh:
         for doc_id, cluster in zip(ids, model.assignments):
             fh.write(json.dumps({"cluster": int(cluster), "id": doc_id},
@@ -335,7 +329,7 @@ def _read_assignments(path) -> dict[str, int]:
 
 
 def cmd_eval(args) -> int:
-    corpus = _load_labeled(args.corpus, format=args.format)
+    corpus = _load_labeled(args.corpus)
     assignments = _read_assignments(args.assignments)
     clusters = []
     for doc in corpus.documents:
@@ -379,15 +373,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic topic-block corpus")
+    p = sub.add_parser("synth", help="generate a synthetic topic-block corpus",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
-    p.add_argument("--topics", type=int, default=4)
-    p.add_argument("--docs-per-topic", type=int, default=50)
-    p.add_argument("--vocab-per-topic", type=int, default=600)
-    p.add_argument("--sentences-per-doc", type=int, default=10)
-    p.add_argument("--tokens-per-sentence", type=int, default=10)
-    p.add_argument("--overlap", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--topics", type=int)
+    p.add_argument("--docs-per-topic", type=int)
+    p.add_argument("--vocab-per-topic", type=int)
+    p.add_argument("--sentences-per-doc", type=int)
+    p.add_argument("--tokens-per-sentence", type=int)
+    p.add_argument("--overlap", type=float)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess", help="clean a corpus and report stats")
@@ -395,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--profile", choices=("newsgroup", "reuters", "none"),
                    default="none")
-    p.add_argument("--format", choices=("jsonl", "dir-per-class"),
-                   default="jsonl")
     p.add_argument("--min-words", type=int, default=10)
     p.add_argument("--top-k-classes", type=int, default=10)
     p.add_argument("--min-sentences", type=int, default=0)
@@ -407,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--k", type=int, required=True, dest="num_clusters", metavar="K")
-    p.add_argument("--format", choices=("jsonl", "dir-per-class"),
-                   default="jsonl")
     p.add_argument("--method", choices=("sad", "tps"), default=TrainConfig.method)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
@@ -434,27 +425,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("jsonl", "dir-per-class"),
-                   default="jsonl")
     p.add_argument("--max-len", type=int, default=TrainConfig.max_len_test)
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("cluster", help="spherical k-means over an embeddings file")
+    p = sub.add_parser("cluster", help="spherical k-means over an embeddings file",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("eval", help="score assignments against gold labels")
     p.add_argument("--assignments", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("jsonl", "dir-per-class"),
-                   default="jsonl")
     p.add_argument("--embeddings", default=None)
     p.add_argument("--silhouette-seed", type=int, default=0)
     p.add_argument("--sample-cap", type=int, default=2000)

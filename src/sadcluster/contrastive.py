@@ -57,9 +57,6 @@ class TrainConfig:
     temperature: float = 0.5
     learning_rate: float = 3e-5
     optimizer: str = "adamw"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     epochs: int | None = None
     alpha: float = 0.5
@@ -76,10 +73,15 @@ class TrainConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
+        for name in ("temperature", "learning_rate", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
         if self.optimizer not in ("adamw", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -260,6 +262,10 @@ class OptimizerState:
     scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
+# AdamW's moment decay rates and denominator term: the usual values, fixed
+ADAMW_BETA1 = 0.9
+ADAMW_BETA2 = 0.999
+ADAMW_EPS = 1e-8
 # AdamW makes a dozen elementwise passes; running all of them on one block
 # of rows before the next keeps the block in cache. About 64k elements
 # (512 KB) per block.
@@ -313,7 +319,7 @@ def _adamw_block(p, g, m, v, a, b, t: int, config: TrainConfig) -> None:
         p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p),
     so the result is bit-identical to it.
     """
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAMW_BETA1, ADAMW_BETA2
     np.multiply(g, 1 - b1, out=a)
     m *= b1
     m += a
@@ -323,7 +329,7 @@ def _adamw_block(p, g, m, v, a, b, t: int, config: TrainConfig) -> None:
     v += a
     np.divide(v, 1 - b2**t, out=a)
     np.sqrt(a, out=a)
-    a += config.eps
+    a += ADAMW_EPS
     np.divide(m, 1 - b1**t, out=b)
     b /= a
     if config.weight_decay:  # adding wd p = 0 to a finite step changes nothing

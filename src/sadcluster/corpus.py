@@ -2,9 +2,9 @@
 
 Documents come in as jsonl (one object per line with ``id``, ``text`` and
 optional ``label``/``labels``) or as a directory tree with one folder per
-class. Preprocessing profiles mirror the usual newsgroup / newswire
-cleanup rules: header and footer stripping, URL and email removal,
-multi-label and duplicate filtering, top-k class selection.
+class; the path says which. Preprocessing profiles mirror the usual
+newsgroup / newswire cleanup rules: header and footer stripping, URL and
+email removal, multi-label and duplicate filtering, top-k class selection.
 """
 
 import json
@@ -149,33 +149,18 @@ def _parse_jsonl_line(line: str, lineno: int) -> Document:
     return Document(doc_id, text, label=label, labels=labels)
 
 
-def load_corpus(path, format: str = "jsonl") -> Corpus:
-    """Load a corpus from ``jsonl`` or ``dir-per-class`` layout.
+def load_corpus(path) -> Corpus:
+    """Load a corpus: a directory is read as one folder per class, any
+    other path as jsonl.
 
     Document order is deterministic: input order for jsonl, lexicographic
-    path order for dir-per-class. Duplicate ids and malformed lines raise
+    path order for a directory. Duplicate ids and malformed lines raise
     with the offending line number.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"corpus path does not exist: {path}")
-    if format == "jsonl":
-        documents = []
-        seen: dict[str, int] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                doc = _parse_jsonl_line(line, lineno)
-                if doc.id in seen:
-                    raise ValueError(
-                        f"line {lineno}: duplicate id {doc.id!r} "
-                        f"(first seen on line {seen[doc.id]})"
-                    )
-                seen[doc.id] = lineno
-                documents.append(doc)
-        return Corpus(documents)
-    if format == "dir-per-class":
+    if path.is_dir():
         class_dirs = sorted(p for p in path.iterdir() if p.is_dir())
         if not class_dirs:
             raise ValueError(f"no class directories under {path}")
@@ -186,7 +171,21 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
                 text = file.read_text(encoding="utf-8", errors="replace")
                 documents.append(Document(f"{class_dir.name}/{file.name}", text, label=label))
         return Corpus(documents, label_names=label_names)
-    raise ValueError(f"unknown corpus format {format!r}")
+    documents = []
+    seen: dict[str, int] = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            doc = _parse_jsonl_line(line, lineno)
+            if doc.id in seen:
+                raise ValueError(
+                    f"line {lineno}: duplicate id {doc.id!r} "
+                    f"(first seen on line {seen[doc.id]})"
+                )
+            seen[doc.id] = lineno
+            documents.append(doc)
+    return Corpus(documents)
 
 
 def save_corpus(corpus: Corpus, path) -> None:

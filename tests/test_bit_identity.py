@@ -39,6 +39,9 @@ from sadcluster.cluster import (
     spherical_kmeans,
 )
 from sadcluster.contrastive import (
+    ADAMW_BETA1,
+    ADAMW_BETA2,
+    ADAMW_EPS,
     OptimizerState,
     TrainConfig,
     build_batch_sad,
@@ -119,7 +122,7 @@ def reference_optimizer_step(tensors, grads, config, state):
         return
     state["step"] += 1
     t = state["step"]
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAMW_BETA1, ADAMW_BETA2
     for name, grad in grads.items():
         if name not in state["m"]:
             state["m"][name] = np.zeros_like(grad)
@@ -132,7 +135,7 @@ def reference_optimizer_step(tensors, grads, config, state):
         v += (1 - b2) * grad**2
         m_hat = m / (1 - b1**t)
         v_hat = v / (1 - b2**t)
-        tensors[name] -= lr * (m_hat / (np.sqrt(v_hat) + config.eps)
+        tensors[name] -= lr * (m_hat / (np.sqrt(v_hat) + ADAMW_EPS)
                                + wd * tensors[name])
 
 

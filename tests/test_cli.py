@@ -12,9 +12,11 @@ import pytest
 from sadcluster import cli, contrastive
 from sadcluster import corpus as corpus_module
 from sadcluster.cli import main, read_embeddings, write_embeddings
+from sadcluster.cluster import spherical_kmeans
 from sadcluster.contrastive import TrainConfig, train
 from sadcluster.encoder import init_params, save_checkpoint, tokenize
 from sadcluster.corpus import load_corpus, save_corpus, Corpus
+from sadcluster.synth import generate_synthetic_corpus
 from sadcluster.tfidf import (
     fit_tfidf,
     index_tokens,
@@ -52,6 +54,13 @@ class TestSynthCommand:
         assert len(corpus) == 40
         labels = corpus.labels_array()
         assert sorted(set(labels)) == [0, 1, 2, 3]
+
+    def test_defaults_are_the_library_defaults(self, capsys, tmp_path):
+        path, expected = tmp_path / "c.jsonl", tmp_path / "expected.jsonl"
+        code, _, err = run(capsys, "synth", "--out", str(path))
+        assert code == 0, err
+        save_corpus(generate_synthetic_corpus(), expected)
+        assert path.read_bytes() == expected.read_bytes()
 
     def test_same_seed_identical_bytes(self, capsys, tmp_path):
         a = make_synth(capsys, tmp_path, name="a.jsonl")
@@ -314,6 +323,42 @@ class TestTrainCommand:
         assert error["message"].startswith(message)
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("temperature", "nan", "temperature must be finite"),
+        ("lr", "nan", "learning_rate must be finite"),
+        ("lr", "inf", "learning_rate must be finite"),
+        ("weight-decay", "nan", "weight_decay must be finite"),
+        ("weight-decay", "-1", "weight_decay must be >= 0"),
+    ])
+    def test_bad_float_setting_fails_before_training(self, capsys, tmp_path, monkeypatch,
+                                                     flag, value, message):
+        corpus_path = make_synth(capsys, tmp_path)
+        out_dir = tmp_path / "run"
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+        code, _, err = run(capsys, *train_args(corpus_path, out_dir, **{flag: value}))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+        assert trained == [] and not out_dir.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    def test_out_dir_that_cannot_be_a_directory_fails_before_training(
+            self, capsys, tmp_path, monkeypatch, below):
+        corpus_path = make_synth(capsys, tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out_dir = taken / "sub" / "run" if below else taken
+        before = sorted(tmp_path.rglob("*"))
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+        code, _, err = run(capsys, *train_args(corpus_path, out_dir))
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "NotADirectoryError",
+            "message": f"--out-dir {out_dir}: {taken} is not a directory"}
+        assert trained == [] and sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("failure,flags,message", [
         ("preflight", {}, "1 document(s) cannot be trained on"),
         ("k-above-corpus-size", {"k": 42}, "corpus too small: 41 documents"),
@@ -346,7 +391,7 @@ class TestTrainCommand:
         parser = cli.build_parser()
         settings = vars(parser.parse_args(argv))
         defaults = vars(parser.parse_args(argv[:5] + ["--k", "2"]))
-        options = settings.keys() - {"command", "func", "corpus", "out_dir", "format",
+        options = settings.keys() - {"command", "func", "corpus", "out_dir",
                                      "dump_pairs", "dump_tfidf"}
         assert len(options) == len(values)
         assert all(settings[dest] != defaults[dest] for dest in options)
@@ -483,6 +528,18 @@ class TestEmbedClusterEval:
             assert set(record) == {"cluster", "id"}
             assert 0 <= record["cluster"] < 4
 
+    def test_cluster_defaults_are_the_library_defaults(self, capsys, tmp_path):
+        emb, assign = tmp_path / "emb.txt", tmp_path / "a.jsonl"
+        embeddings = np.random.default_rng(0).normal(size=(30, 5))
+        write_embeddings([f"d{i}" for i in range(30)], embeddings, emb)
+        code, out, err = run(capsys, "cluster", "--embeddings", str(emb),
+                             "--out", str(assign), "--k", "3")
+        assert code == 0, err
+        model = spherical_kmeans(read_embeddings(emb)[1], k=3)
+        assert [json.loads(line)["cluster"] for line in assign.read_text().splitlines()] \
+            == model.assignments.tolist()
+        assert json.loads(out)["iterations"] == model.iterations_run
+
     def test_more_restarts_never_worse(self, capsys, tmp_path):
         _, _, emb = self.pipeline(capsys, tmp_path)
         objectives = {}
@@ -591,6 +648,54 @@ class TestEmbedClusterEval:
         assert code == 0
         payload = json.loads(metrics.read_text())
         assert abs(payload["silhouette"] - record["silhouette"]) <= 1e-9
+
+
+def make_class_tree(capsys, tmp_path):
+    """The synth corpus as one folder of ``.txt`` files per class."""
+    root = tmp_path / "tree"
+    for line in make_synth(capsys, tmp_path).read_text().splitlines():
+        record = json.loads(line)
+        folder = root / f"topic{record['label']}"
+        folder.mkdir(parents=True, exist_ok=True)
+        (folder / f"{record['id']}.txt").write_text(record["text"], encoding="utf-8")
+    return root
+
+
+class TestDirectoryCorpus:
+    def test_pipeline_reads_the_layout_from_the_path(self, capsys, tmp_path):
+        tree = make_class_tree(capsys, tmp_path)
+        out_dir = tmp_path / "run"
+        emb, assign, report = tmp_path / "emb.txt", tmp_path / "a.jsonl", tmp_path / "m.json"
+        for argv in (train_args(tree, out_dir, epochs=2),
+                     ["embed", "--corpus", str(tree), "--checkpoint",
+                      str(out_dir / "best.ckpt"), "--vocab", str(out_dir / "vocab.json"),
+                      "--out", str(emb)],
+                     ["cluster", "--embeddings", str(emb), "--out", str(assign), "--k", "4"],
+                     ["eval", "--assignments", str(assign), "--corpus", str(tree),
+                      "--embeddings", str(emb), "--out", str(report)]):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, (argv[0], err)
+        corpus = load_corpus(tree)
+        ids, _ = read_embeddings(emb)
+        assert ids == [doc.id for doc in corpus.documents]
+        assert ids[0].startswith("topic0/") and ids[-1].startswith("topic3/")
+        confusion = json.loads(report.read_text())["confusion"]
+        # the folders are the gold classes: 10 documents each
+        assert [sum(row) for row in confusion] == [10, 10, 10, 10]
+
+    def test_file_name_with_a_space_fails_before_training(self, capsys, tmp_path,
+                                                          monkeypatch):
+        tree = make_class_tree(capsys, tmp_path)
+        first = sorted((tree / "topic0").iterdir())[0]
+        first.rename(first.with_name("two words.txt"))
+        out_dir = tmp_path / "run"
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+        code, _, err = run(capsys, *train_args(tree, out_dir))
+        assert code == 1
+        assert json.loads(err)["message"].startswith(
+            "document id 'topic0/two words.txt' is empty or contains whitespace")
+        assert trained == [] and not out_dir.exists()
 
 
 class TestEmbeddingsInput:

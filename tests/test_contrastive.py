@@ -105,6 +105,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=-1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["temperature", "learning_rate", "weight_decay"])
+    def test_rejects_non_finite_float(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            TrainConfig(**{field: value})
+
+    def test_rejects_negative_weight_decay(self):
+        with pytest.raises(ValueError, match="^weight_decay must be >= 0$"):
+            TrainConfig(weight_decay=-1.0)
+
     @pytest.mark.parametrize("field", ["embed_dim", "output_dim"])
     def test_rejects_dimension_below_one(self, field):
         for value in (0, -1):

@@ -77,7 +77,7 @@ class TestLoadCorpus:
     def test_jsonl_single_doc(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text('{"id": "a", "text": "One two. Three four.", "label": 0}\n')
-        corpus = load_corpus(p, format="jsonl")
+        corpus = load_corpus(p)
         assert len(corpus) == 1
         doc = corpus.documents[0]
         assert doc.id == "a"
@@ -132,7 +132,7 @@ class TestLoadCorpus:
             d.mkdir()
             for name in names:
                 (d / name).write_text(f"{cls} {name} body text here.")
-        corpus = load_corpus(tmp_path, format="dir-per-class")
+        corpus = load_corpus(tmp_path)
         assert corpus.label_names == ["arts", "sports"]
         assert [d.id for d in corpus.documents] == [
             "arts/z.txt", "sports/a.txt", "sports/b.txt",
