@@ -2,14 +2,13 @@
 
 Every subcommand is rerunnable: the same inputs and seed produce the
 same output bytes. All randomness flows from --seed through named
-sub-streams, so results cannot depend on scheduling. Errors exit
-nonzero with a one-line JSON object on stderr.
+sub-streams, so results cannot depend on scheduling. A failure exits 1
+with a one-line JSON object on stderr; a usage error exits 2 (argparse).
 """
 
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -149,11 +148,23 @@ def read_embeddings(path):
     return ids, np.stack(rows)
 
 
+def _check_outputs(args) -> None:
+    """Fail before any work on a file to write that cannot be created."""
+    for flag in args.outputs:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path and Path(path).is_dir():
+            raise IsADirectoryError(f"{flag} {path} is a directory")
+        if path and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"{flag} {path}: directory {Path(path).parent} "
+                                    "does not exist")
+
+
 def _given(args, *own) -> dict:
     """The options given on the command line, less the ``own`` ones the
     command reads itself. A sub-parser built with ``argparse.SUPPRESS``
     sets nothing for an option not given, so the library default holds."""
-    return {k: v for k, v in vars(args).items() if k not in {"command", "func", *own}}
+    return {k: v for k, v in vars(args).items()
+            if k not in {"command", "func", "outputs", *own}}
 
 
 def cmd_synth(args) -> int:
@@ -242,12 +253,8 @@ def cmd_train(args) -> int:
     settings = vars(args)
     config = TrainConfig(**{f.name: settings[f.name] for f in dataclasses.fields(TrainConfig)
                             if f.name in settings})
-    # a bad id or an output path train cannot write fails now, not after the run
+    # a bad id or an out-dir train cannot create fails now, not after the run
     check_ids([doc.id for doc in corpus.documents])
-    for flag, dump in (("--dump-pairs", args.dump_pairs), ("--dump-tfidf", args.dump_tfidf)):
-        if dump and not Path(dump).parent.is_dir():
-            raise FileNotFoundError(f"{flag} {dump}: directory {Path(dump).parent} "
-                                    "does not exist")
     out_dir = Path(args.out_dir)
     nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not nearest.is_dir():
@@ -278,6 +285,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    if args.max_len < 1:
+        raise ValueError(f"--max-len must be >= 1, got {args.max_len}")
     corpus = load_corpus(args.corpus)
     check_ids([doc.id for doc in corpus.documents])
     params = load_checkpoint(args.checkpoint)
@@ -349,20 +358,19 @@ def cmd_eval(args) -> int:
         embeddings = embeddings[[row[doc.id] for doc in corpus.documents]]
 
     report = evaluate_clustering(labels, clusters, embeddings=embeddings,
-                                 sample_cap=args.sample_cap,
                                  seed=args.silhouette_seed)
     payload = {
         "schema_version": METRICS_SCHEMA_VERSION,
         "acc": report.acc,
         "ami": report.ami,
-        "silhouette": None if math.isnan(report.silhouette) else report.silhouette,
+        "silhouette": report.silhouette,
         "mapping": {str(c): int(l) for c, l in sorted(report.mapping.items())},
         "confusion": [[int(v) for v in row] for row in report.confusion],
         "n": len(labels),
     }
     _write_json(payload, args.out)
     print(json.dumps({"acc": report.acc, "ami": report.ami,
-                      "silhouette": payload["silhouette"]}, sort_keys=True))
+                      "silhouette": report.silhouette}, sort_keys=True))
     return 0
 
 
@@ -383,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokens-per-sentence", type=int)
     p.add_argument("--overlap", type=float)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, outputs=("--out",))
 
     p = sub.add_parser("preprocess", help="clean a corpus and report stats")
     p.add_argument("--in", required=True)
@@ -394,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k-classes", type=int, default=10)
     p.add_argument("--min-sentences", type=int, default=0)
     p.add_argument("--stats", default=None)
-    p.set_defaults(func=cmd_preprocess)
+    p.set_defaults(func=cmd_preprocess, outputs=("--out", "--stats"))
 
     p = sub.add_parser("train", help="contrastive training with per-epoch selection")
     p.add_argument("--corpus", required=True)
@@ -418,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vocab", type=int, default=TrainConfig.max_vocab)
     p.add_argument("--dump-tfidf", default=None)
     p.add_argument("--dump-pairs", default=None)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, outputs=("--dump-pairs", "--dump-tfidf"))
 
     p = sub.add_parser("embed", help="embed a corpus with a saved checkpoint")
     p.add_argument("--corpus", required=True)
@@ -426,18 +434,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-len", type=int, default=TrainConfig.max_len_test)
-    p.set_defaults(func=cmd_embed)
+    p.set_defaults(func=cmd_embed, outputs=("--out",))
 
     p = sub.add_parser("cluster", help="spherical k-means over an embeddings file",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--restarts", type=int)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_cluster)
+    p.set_defaults(func=cmd_cluster, outputs=("--out",))
 
     p = sub.add_parser("eval", help="score assignments against gold labels")
     p.add_argument("--assignments", required=True)
@@ -445,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--embeddings", default=None)
     p.add_argument("--silhouette-seed", type=int, default=0)
-    p.add_argument("--sample-cap", type=int, default=2000)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, outputs=("--out",))
 
     return parser
 
@@ -455,6 +459,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except Exception as err:  # surfaced as machine-readable JSON
         print(json.dumps({"error": type(err).__name__, "message": str(err)},

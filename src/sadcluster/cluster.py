@@ -14,6 +14,11 @@ import scipy.sparse
 
 from .rng import derive_rng
 
+# one k-means recipe for train and the cluster command: a recorded seed reproduces it
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 100
+KMEANS_TOL = 1e-6
+
 
 @dataclass
 class ClusterModel:
@@ -106,11 +111,11 @@ def _update_centroids(x, assignments, centroids):
     return centroids
 
 
-def _run_once(x, k, rng, max_iter, tol) -> ClusterModel:
+def _run_once(x, k, rng) -> ClusterModel:
     centroids = _kmeanspp_init(x, k, rng)
     history = []
     # iteration 0 scores the k-means++ seeding; each later one updates first
-    for iterations in range(max_iter + 1):
+    for iterations in range(KMEANS_MAX_ITER + 1):
         if iterations:
             centroids = _update_centroids(x, assignments, centroids)
         sims = x @ centroids.T
@@ -121,19 +126,19 @@ def _run_once(x, k, rng, max_iter, tol) -> ClusterModel:
             assert history[-1] >= history[-2] - 1e-9, (
                 f"objective decreased: {history[-2]} -> {history[-1]}"
             )
-            if history[-1] - history[-2] < tol:
+            if history[-1] - history[-2] < KMEANS_TOL:
                 break
     return ClusterModel(centroids, assignments, history[-1], iterations, history)
 
 
-def spherical_kmeans(embeddings: np.ndarray, k: int, seed: int = 0,
-                     max_iter: int = 100, tol: float = 1e-6,
-                     restarts: int = 10) -> ClusterModel:
+def spherical_kmeans(embeddings: np.ndarray, k: int, seed: int = 0) -> ClusterModel:
     """Cluster rows of ``embeddings`` into ``k`` groups by cosine.
 
-    Runs ``restarts`` independent k-means++ initializations and keeps the
-    run with the highest objective. Rows are normalized internally, so
-    the result is invariant to positive rescaling of any input row.
+    Runs ``KMEANS_RESTARTS`` k-means++ initializations, each for at most
+    ``KMEANS_MAX_ITER`` updates or until an update gains less than
+    ``KMEANS_TOL``, and keeps the run with the highest objective. Rows are
+    normalized internally, so the result is invariant to positive
+    rescaling of any input row.
     """
     x = _normalize_rows(embeddings)
     n = x.shape[0]
@@ -141,11 +146,7 @@ def spherical_kmeans(embeddings: np.ndarray, k: int, seed: int = 0,
         raise ValueError("k must be >= 2")
     if n < k:
         raise ValueError(f"need at least k={k} points, got {n}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if max_iter < 0:
-        raise ValueError("max_iter must be >= 0")
     # max keeps the first of equal objectives: ties go to the earliest restart
-    return max((_run_once(x, k, derive_rng(seed, "kmeans", r), max_iter, tol)
-                for r in range(restarts)), key=lambda model: model.objective)
+    return max((_run_once(x, k, derive_rng(seed, "kmeans", r))
+                for r in range(KMEANS_RESTARTS)), key=lambda model: model.objective)
 

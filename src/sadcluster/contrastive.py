@@ -481,7 +481,7 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
         cluster_model = spherical_kmeans(embeddings, k=config.num_clusters,
                                          seed=kmeans_seed)
         silhouette = silhouette_score(embeddings, cluster_model.assignments,
-                                      sample_cap=2000, seed=silhouette_seed)
+                                      seed=silhouette_seed)
         record = {
             "epoch": epoch,
             "loss": float(np.mean(batch_losses)),

@@ -14,6 +14,9 @@ from scipy.special import gammaln
 
 from .rng import derive_rng
 
+# At most this many points are scored; train and the eval command share it.
+SILHOUETTE_SAMPLE_CAP = 2000
+
 
 @dataclass
 class EvalReport:
@@ -21,7 +24,7 @@ class EvalReport:
 
     acc: float
     ami: float
-    silhouette: float
+    silhouette: float | None
     confusion: np.ndarray
     mapping: dict[int, int]
 
@@ -140,18 +143,15 @@ def adjusted_mutual_information(labels, clusters) -> float:
     return float((mi - emi) / denom)
 
 
-def silhouette_score(embeddings: np.ndarray, assignments, sample_cap: int = 2000,
-                     seed: int = 0) -> float:
+def silhouette_score(embeddings: np.ndarray, assignments, seed: int = 0) -> float:
     """Mean silhouette with cosine distance d = 1 - cos.
 
     s(i) = (b - a) / max(a, b) with a = mean intra-cluster distance
     (excluding self) and b = smallest mean distance to another cluster.
     Singletons score 0, as does the a = b = 0 degenerate case. When n
-    exceeds ``sample_cap``, scores are averaged over a seeded subsample
-    of points (distances still use the full dataset).
+    exceeds ``SILHOUETTE_SAMPLE_CAP``, scores are averaged over a seeded
+    subsample of that many points (distances still use the full dataset).
     """
-    if sample_cap < 1:
-        raise ValueError("sample_cap must be >= 1")
     x = np.asarray(embeddings, dtype=np.float64)
     assignments = np.asarray(assignments, dtype=np.int64)
     n = x.shape[0]
@@ -168,8 +168,9 @@ def silhouette_score(embeddings: np.ndarray, assignments, sample_cap: int = 2000
         raise ValueError("embeddings contain a zero row")
     unit = x / norms[:, None]
 
-    if n > sample_cap:
-        sample = np.sort(derive_rng(seed, "silhouette").choice(n, size=sample_cap, replace=False))
+    if n > SILHOUETTE_SAMPLE_CAP:
+        sample = np.sort(derive_rng(seed, "silhouette").choice(
+            n, size=SILHOUETTE_SAMPLE_CAP, replace=False))
     else:
         sample = np.arange(n)
 
@@ -190,24 +191,15 @@ def silhouette_score(embeddings: np.ndarray, assignments, sample_cap: int = 2000
 
 
 def evaluate_clustering(labels, clusters, embeddings: np.ndarray | None = None,
-                        sample_cap: int = 2000, seed: int = 0) -> EvalReport:
-    """Full metric report; silhouette is NaN when embeddings are omitted.
-
-    ``sample_cap`` is checked even without embeddings, so a bad value
-    fails the same way whether or not a silhouette is asked for.
-    """
-    if sample_cap < 1:
-        raise ValueError("sample_cap must be >= 1")
+                        seed: int = 0) -> EvalReport:
+    """Full metric report; silhouette is None when embeddings are omitted."""
     acc, mapping = clustering_accuracy(labels, clusters)
     ami = adjusted_mutual_information(labels, clusters)
-    if embeddings is not None:
-        sil = silhouette_score(embeddings, clusters, sample_cap=sample_cap, seed=seed)
-    else:
-        sil = float("nan")
     return EvalReport(
         acc=acc,
         ami=ami,
-        silhouette=sil,
+        silhouette=(None if embeddings is None
+                    else silhouette_score(embeddings, clusters, seed=seed)),
         confusion=confusion_matrix(labels, clusters),
         mapping=mapping,
     )

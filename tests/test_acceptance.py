@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from sadcluster import cluster
 from sadcluster.augment import shuffle_divide
 from sadcluster.cli import read_embeddings
 from sadcluster.cluster import spherical_kmeans
@@ -255,17 +256,19 @@ def exhaustive_two_partition_objective(x):
     return best
 
 
-def test_criterion_07_kmeans_monotone_and_exhaustive_optimum():
-    for run in range(100):
-        rng = np.random.default_rng(600 + run)
-        n = int(rng.integers(8, 40))
-        d = int(rng.integers(2, 8))
-        k = int(rng.integers(2, 5))
-        x = rng.normal(size=(n, d))
-        model = spherical_kmeans(x, k=k, seed=run, restarts=2)
-        history = model.objective_history
-        assert all(history[i + 1] >= history[i] - 1e-9
-                   for i in range(len(history) - 1))
+def test_criterion_07_kmeans_monotone_and_exhaustive_optimum(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(cluster, "KMEANS_RESTARTS", 2)
+        for run in range(100):
+            rng = np.random.default_rng(600 + run)
+            n = int(rng.integers(8, 40))
+            d = int(rng.integers(2, 8))
+            k = int(rng.integers(2, 5))
+            x = rng.normal(size=(n, d))
+            model = spherical_kmeans(x, k=k, seed=run)
+            history = model.objective_history
+            assert all(history[i + 1] >= history[i] - 1e-9
+                       for i in range(len(history) - 1))
 
     for trial in range(5):
         rng = np.random.default_rng(700 + trial)

@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from sadcluster import tfidf
+from sadcluster import evaluate, tfidf
 from sadcluster.augment import shuffle_divide
 from sadcluster.cluster import (
     _kmeanspp_init,
@@ -684,10 +684,11 @@ def silhouette_case(name):
 
 @pytest.mark.parametrize("case", ["singletons", "identical-points", "sampled",
                                   "non-contiguous-ids"])
-def test_silhouette_matches_the_loop_reference(case):
+def test_silhouette_matches_the_loop_reference(case, monkeypatch):
     x, assignments, cap = silhouette_case(case)
+    monkeypatch.setattr(evaluate, "SILHOUETTE_SAMPLE_CAP", cap)
     for seed in (0, 3):
-        got = silhouette_score(x, assignments, sample_cap=cap, seed=seed)
+        got = silhouette_score(x, assignments, seed=seed)
         assert abs(got - reference_silhouette(x, assignments, cap, seed)) <= 1e-12
     if case == "identical-points":
         assert got == 0.0

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sadcluster import cli, contrastive
+from sadcluster import cli, contrastive, evaluate
 from sadcluster import corpus as corpus_module
 from sadcluster.cli import main, read_embeddings, write_embeddings
 from sadcluster.cluster import spherical_kmeans
@@ -391,7 +391,7 @@ class TestTrainCommand:
         parser = cli.build_parser()
         settings = vars(parser.parse_args(argv))
         defaults = vars(parser.parse_args(argv[:5] + ["--k", "2"]))
-        options = settings.keys() - {"command", "func", "corpus", "out_dir",
+        options = settings.keys() - {"command", "func", "outputs", "corpus", "out_dir",
                                      "dump_pairs", "dump_tfidf"}
         assert len(options) == len(values)
         assert all(settings[dest] != defaults[dest] for dest in options)
@@ -540,17 +540,6 @@ class TestEmbedClusterEval:
             == model.assignments.tolist()
         assert json.loads(out)["iterations"] == model.iterations_run
 
-    def test_more_restarts_never_worse(self, capsys, tmp_path):
-        _, _, emb = self.pipeline(capsys, tmp_path)
-        objectives = {}
-        for restarts in ("1", "10"):
-            code, out, _ = run(capsys, "cluster", "--embeddings", str(emb),
-                               "--k", "4", "--restarts", restarts,
-                               "--out", str(tmp_path / f"a{restarts}.jsonl"))
-            assert code == 0
-            objectives[restarts] = json.loads(out)["objective"]
-        assert objectives["10"] >= objectives["1"]
-
     def test_eval_on_gold_labels_scores_perfect(self, capsys, tmp_path):
         corpus_path = make_synth(capsys, tmp_path)
         corpus = load_corpus(corpus_path)
@@ -568,28 +557,6 @@ class TestEmbedClusterEval:
         assert payload["silhouette"] is None
         assert payload["mapping"] == {"0": 0, "1": 1, "2": 2, "3": 3}
         assert np.trace(np.array(payload["confusion"])) == 40
-
-    def test_eval_rejects_sample_cap_below_one(self, capsys, tmp_path):
-        corpus_path = make_synth(capsys, tmp_path)
-        corpus = load_corpus(corpus_path)
-        assign = tmp_path / "gold.jsonl"
-        assign.write_text("".join(json.dumps({"id": d.id, "cluster": d.label}) + "\n"
-                                  for d in corpus.documents))
-        emb = tmp_path / "emb.txt"
-        rng = np.random.default_rng(0)
-        write_embeddings([d.id for d in corpus.documents],
-                         rng.normal(size=(len(corpus), 4)), emb)
-        argv = ["eval", "--assignments", str(assign), "--corpus", str(corpus_path),
-                "--out", str(tmp_path / "m.json")]
-        # the cap is checked whether or not a silhouette is asked for
-        for args in (argv + ["--embeddings", str(emb)], argv):
-            for cap in ("0", "-1"):
-                code, _, err = run(capsys, *args, "--sample-cap", cap)
-                assert code == 1
-                assert json.loads(err) == {"error": "ValueError",
-                                           "message": "sample_cap must be >= 1"}
-            code, _, err = run(capsys, *args, "--sample-cap", "1")
-            assert code == 0, err
 
     def test_eval_rejects_cluster_values_that_are_not_indices(self, capsys, tmp_path):
         # JSON true/false load as bool, which Python counts as an int
@@ -631,23 +598,38 @@ class TestEmbedClusterEval:
         payload = json.loads(err)
         assert "no cluster assignment" in payload["message"]
 
-    def test_pipeline_composition_matches_train_history(self, capsys, tmp_path):
-        corpus, out_dir, emb = self.pipeline(capsys, tmp_path)
-        train_metrics = json.loads((out_dir / "metrics.json").read_text())
-        record = train_metrics["history"][train_metrics["best_epoch"] - 1]
-        assign = tmp_path / "assign.jsonl"
-        code, _, _ = run(capsys, "cluster", "--embeddings", str(emb),
-                         "--k", "4", "--out", str(assign),
-                         "--seed", str(record["kmeans_seed"]))
-        assert code == 0
-        metrics = tmp_path / "metrics.json"
-        code, _, _ = run(capsys, "eval", "--assignments", str(assign),
-                         "--corpus", str(corpus), "--out", str(metrics),
-                         "--embeddings", str(emb),
-                         "--silhouette-seed", str(record["silhouette_seed"]))
-        assert code == 0
-        payload = json.loads(metrics.read_text())
-        assert abs(payload["silhouette"] - record["silhouette"]) <= 1e-9
+    def test_pipeline_composition_matches_train_history(self, capsys, tmp_path,
+                                                        monkeypatch):
+        # embed -> cluster -> eval with an epoch's recorded seeds gives that
+        # epoch's silhouette bit for bit; a cap below n = 40 makes train and
+        # eval both score a seeded subsample
+        monkeypatch.setattr(evaluate, "SILHOUETTE_SAMPLE_CAP", 25)
+        corpus = make_synth(capsys, tmp_path)
+        for method in ("sad", "tps"):
+            out_dir = tmp_path / method
+            code, _, err = run(capsys, *train_args(corpus, out_dir, method=method,
+                                                   epochs="4"))
+            assert code == 0, err
+            metrics = json.loads((out_dir / "metrics.json").read_text())
+            history = metrics["history"]
+            assert metrics["best_epoch"] < len(history)  # two different epochs
+            emb, assign = out_dir / "emb.txt", out_dir / "assign.jsonl"
+            for checkpoint, record in (("best.ckpt", history[metrics["best_epoch"] - 1]),
+                                       ("final.ckpt", history[-1])):
+                for argv in (
+                    ["embed", "--corpus", str(corpus), "--checkpoint",
+                     str(out_dir / checkpoint), "--vocab", str(out_dir / "vocab.json"),
+                     "--out", str(emb), "--max-len", "128"],
+                    ["cluster", "--embeddings", str(emb), "--k", "4", "--out", str(assign),
+                     "--seed", str(record["kmeans_seed"])],
+                    ["eval", "--assignments", str(assign), "--corpus", str(corpus),
+                     "--out", str(out_dir / "eval.json"), "--embeddings", str(emb),
+                     "--silhouette-seed", str(record["silhouette_seed"])],
+                ):
+                    code, _, err = run(capsys, *argv)
+                    assert code == 0, err
+                payload = json.loads((out_dir / "eval.json").read_text())
+                assert payload["silhouette"] == record["silhouette"], (method, checkpoint)
 
 
 def make_class_tree(capsys, tmp_path):
@@ -833,11 +815,16 @@ class TestEmbedInputChecks:
         assert f"document id {bad_id!r} is empty or contains whitespace" in err["message"]
         assert embedded == [] and not (tmp_path / "emb.txt").exists()
 
-    def test_max_len_below_one_rejected(self, capsys, tmp_path):
+    def test_max_len_below_one_rejected(self, capsys, tmp_path, monkeypatch):
+        # checked before the corpus and checkpoint are read
+        called = []
+        for name in ("load_corpus", "load_checkpoint", "embed_corpus"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: called.append(name))
         code, err = self.embed(capsys, tmp_path, max_len="0")
         assert code == 1 and err == {"error": "ValueError",
-                                     "message": "max_len must be >= 1"}
-        assert not (tmp_path / "emb.txt").exists()
+                                     "message": "--max-len must be >= 1, got 0"}
+        assert called == [] and not (tmp_path / "emb.txt").exists()
+        monkeypatch.undo()
         code, err = self.embed(capsys, tmp_path, max_len="1")
         assert code == 0, err
 
@@ -907,3 +894,85 @@ class TestCliPlumbing:
                            "--out", str(tmp_path / "m.json"))
         assert code == 1
         assert "unlabeled" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--corpus", "{dir}/c.jsonl", "--k", "4"],
+        ["cluster", "--embeddings", "{dir}/e.txt", "--out", "{dir}/a.jsonl", "--k", "abc"],
+        ["fit", "--out", "{dir}/a.jsonl"],
+        ["cluster", "--embeddings", "{dir}/e.txt", "--out", "{dir}/a.jsonl", "--k", "4",
+         "--restarts", "1"],
+        ["eval", "--assignments", "{dir}/a.jsonl", "--corpus", "{dir}/c.jsonl",
+         "--out", "{dir}/m.json", "--sample-cap", "1"],
+    ], ids=["missing-option", "bad-int", "unknown-command", "no-restarts", "no-sample-cap"])
+    def test_usage_error_exits_2_with_usage_and_no_output(self, capsys, tmp_path, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(dir=tmp_path) for arg in argv])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: sadcluster")
+        assert list(tmp_path.iterdir()) == []
+
+
+OUTPUT_CASES = {
+    "synth": ("generate_synthetic_corpus", ["synth", "--out", "{out}/c.jsonl"]),
+    "preprocess-out": ("save_corpus", ["preprocess", "--in", "{corpus}",
+                                       "--out", "{out}/clean.jsonl"]),
+    "preprocess-stats": ("save_corpus", ["preprocess", "--in", "{corpus}",
+                                         "--out", "{dir}/clean.jsonl",
+                                         "--stats", "{out}/s.json"]),
+    "embed": ("embed_corpus", ["embed", "--corpus", "{corpus}", "--checkpoint",
+                               "{dir}/model.ckpt", "--vocab", "{dir}/vocab.json",
+                               "--out", "{out}/emb.txt"]),
+    "cluster": ("spherical_kmeans", ["cluster", "--embeddings", "{dir}/emb.txt",
+                                     "--k", "4", "--out", "{out}/a.jsonl"]),
+    "eval": ("evaluate_clustering", ["eval", "--assignments", "{dir}/gold.jsonl",
+                                     "--corpus", "{corpus}", "--embeddings",
+                                     "{dir}/emb.txt", "--out", "{out}/m.json"]),
+}
+
+
+class TestOutputsCheckedFirst:
+    """Each subcommand checks every file it writes, that it is not a
+    directory and that its directory exists, before it reads its inputs or
+    does any work."""
+
+    def inputs(self, capsys, tmp_path):
+        corpus = make_synth(capsys, tmp_path)
+        docs = load_corpus(corpus).documents
+        save_checkpoint(init_params(5, 8, 8, seed=0), tmp_path / "model.ckpt")
+        (tmp_path / "vocab.json").write_text(json.dumps(
+            {"tokens": ["<pad>", "<unk>", "alpha", "beta", "gamma"]}))
+        write_embeddings([doc.id for doc in docs],
+                         np.random.default_rng(0).normal(size=(len(docs), 4)),
+                         tmp_path / "emb.txt")
+        (tmp_path / "gold.jsonl").write_text("".join(
+            json.dumps({"id": doc.id, "cluster": doc.label}) + "\n" for doc in docs))
+        return corpus
+
+    @pytest.mark.parametrize("case", OUTPUT_CASES)
+    @pytest.mark.parametrize("fault", ["missing-directory", "is-a-directory"])
+    def test_unwritable_output_fails_before_any_work(self, capsys, tmp_path, monkeypatch,
+                                                     case, fault):
+        corpus = self.inputs(capsys, tmp_path)
+        work, template = OUTPUT_CASES[case]
+        real, called = getattr(cli, work), []
+        monkeypatch.setattr(cli, work, lambda *a, **kw: called.append(a) or real(*a, **kw))
+        missing = tmp_path / "missing"
+        argv = [arg.format(corpus=corpus, dir=tmp_path, out=missing) for arg in template]
+        flag, path = next((argv[i - 1], arg) for i, arg in enumerate(argv)
+                          if arg.startswith(str(missing)))
+        if fault == "is-a-directory":
+            Path(path).mkdir(parents=True)
+            expected = {"error": "IsADirectoryError", "message": f"{flag} {path} is a directory"}
+        else:
+            expected = {"error": "FileNotFoundError",
+                        "message": f"{flag} {path}: directory {missing} does not exist"}
+        before = sorted(tmp_path.rglob("*"))
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and len(err.splitlines()) == 1
+        assert json.loads(err) == expected
+        assert called == [] and sorted(tmp_path.rglob("*")) == before
+        # the same command with the directory present runs the work
+        argv = [arg.format(corpus=corpus, dir=tmp_path, out=tmp_path) for arg in template]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert len(called) == 1

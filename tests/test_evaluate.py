@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import hypergeom
 
+from sadcluster import evaluate
 from sadcluster.evaluate import (
     adjusted_mutual_information,
     clustering_accuracy,
@@ -247,29 +248,26 @@ class TestSilhouette:
         with pytest.raises(ValueError):
             silhouette_score(np.eye(3), [0, 0, 0])
 
-    def test_sample_cap_below_one_rejected(self):
-        for cap in (0, -1):
-            with pytest.raises(ValueError, match="sample_cap must be >= 1"):
-                silhouette_score(np.eye(4), [0, 0, 1, 1], sample_cap=cap)
-
-    def test_subsample_deterministic(self):
+    def test_subsample_deterministic(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "SILHOUETTE_SAMPLE_CAP", 100)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(300, 4))
         labels = rng.integers(0, 3, size=300)
-        a = silhouette_score(x, labels, sample_cap=100, seed=9)
-        b = silhouette_score(x, labels, sample_cap=100, seed=9)
-        c = silhouette_score(x, labels, sample_cap=100, seed=10)
+        a = silhouette_score(x, labels, seed=9)
+        b = silhouette_score(x, labels, seed=9)
+        c = silhouette_score(x, labels, seed=10)
         assert a == b
         assert a != c
 
-    def test_subsample_close_to_full(self):
+    def test_subsample_close_to_full(self, monkeypatch):
         rng = np.random.default_rng(7)
         a = np.array([1.0, 0.0, 0.0]) + rng.normal(scale=0.1, size=(200, 3))
         b = np.array([0.0, 1.0, 0.0]) + rng.normal(scale=0.1, size=(200, 3))
         x = np.vstack([a, b])
         labels = np.array([0] * 200 + [1] * 200)
         full = silhouette_score(x, labels)
-        sub = silhouette_score(x, labels, sample_cap=150, seed=0)
+        monkeypatch.setattr(evaluate, "SILHOUETTE_SAMPLE_CAP", 150)
+        sub = silhouette_score(x, labels, seed=0)
         assert abs(full - sub) < 0.05
 
     def test_range_bounds(self):
@@ -298,6 +296,6 @@ class TestEvaluateClustering:
         assert report.acc == pytest.approx(matched / 30, abs=1e-12)
         assert -1.0 <= report.silhouette <= 1.0
 
-    def test_silhouette_nan_without_embeddings(self):
+    def test_silhouette_none_without_embeddings(self):
         report = evaluate_clustering([0, 1], [0, 1])
-        assert math.isnan(report.silhouette)
+        assert report.silhouette is None
