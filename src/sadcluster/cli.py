@@ -106,19 +106,21 @@ def write_embeddings(ids, embeddings: np.ndarray, path) -> None:
     check_ids(ids)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"dim={embeddings.shape[1]}\n")
-        for doc_id, row in zip(ids, embeddings):
-            fh.write(doc_id + " " + " ".join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(doc_id + " " + " ".join(map(repr, row.tolist())) + "\n"
+                      for doc_id, row in zip(ids, embeddings))
 
 
 def read_embeddings(path):
     """Returns (ids in file order, n x d float array).
 
     The one reader of the format ``write_embeddings`` writes, whether the
-    file came from ``embed`` or from another encoder. Each line is
-    converted to floats as it is read. A bad header, a wrong value count,
-    a repeated id and a non-finite value raise ValueError naming the line.
+    file came from ``embed`` or from another encoder. A bad header, a
+    wrong value count, a repeated id and a non-finite value raise
+    ValueError naming the line, and a value ``float`` cannot parse raises
+    its error; of several bad lines, the first is reported.
     """
-    ids, rows, seen = [], [], set()
+    ids, lines, values, seen = [], [], [], set()
+    problem = None  # raised once the lines before it are checked for non-finite values
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("dim="):
@@ -132,20 +134,31 @@ def read_embeddings(path):
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            doc_id, *values = line.split()
-            if len(values) != dim:
-                raise ValueError(f"line {lineno}: expected {dim} values, got {len(values)}")
-            if doc_id in seen:
-                raise ValueError(f"line {lineno}: duplicate id {doc_id!r}")
-            row = np.array([float(v) for v in values])
-            if not np.all(np.isfinite(row)):
-                raise ValueError(f"line {lineno}: non-finite value")
+            doc_id, *row = line.split()
+            if len(row) != dim:
+                problem = ValueError(f"line {lineno}: expected {dim} values, got {len(row)}")
+            elif doc_id in seen:
+                problem = ValueError(f"line {lineno}: duplicate id {doc_id!r}")
+            else:
+                try:
+                    values += map(float, row)
+                except ValueError as err:
+                    problem = err
+                    del values[len(ids) * dim:]
+            if problem is not None:
+                break
             seen.add(doc_id)
             ids.append(doc_id)
-            rows.append(row)
+            lines.append(lineno)
+    x = np.array(values).reshape(len(ids), dim)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"line {lines[bad[0]]}: non-finite value")
+    if problem is not None:
+        raise problem
     if not ids:
         raise ValueError(f"embeddings file is empty: {path}")
-    return ids, np.stack(rows)
+    return ids, x
 
 
 def _check_outputs(args) -> None:

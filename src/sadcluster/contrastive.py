@@ -258,7 +258,7 @@ class OptimizerState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
-    # two scratch blocks per tensor that every AdamW step computes into
+    # two scratch blocks per tensor that every step computes into
     scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
@@ -266,67 +266,97 @@ class OptimizerState:
 ADAMW_BETA1 = 0.9
 ADAMW_BETA2 = 0.999
 ADAMW_EPS = 1e-8
-# AdamW makes a dozen elementwise passes; running all of them on one block
-# of rows before the next keeps the block in cache. About 64k elements
-# (512 KB) per block.
+# AdamW makes ten elementwise passes over every row; running all of them
+# on one block of rows before the next keeps the block in cache. About 64k
+# elements (512 KB) per block.
 ADAMW_BLOCK_ELEMENTS = 1 << 16
 
 
 def optimizer_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                   config: TrainConfig, state: OptimizerState) -> None:
+                   config: TrainConfig, state: OptimizerState,
+                   rows: dict[str, np.ndarray] | None = None) -> None:
     """One in-place AdamW (decoupled weight decay) or SGD update.
 
     ``tensors`` maps names to the arrays to update in place (for an
-    encoder, ``params.tensors()``). Non-finite gradients abort with the
-    tensor name.
+    encoder, ``params.tensors()``). ``rows`` maps a name to the sorted
+    distinct rows its gradient covers, as ``encode_batch_backward``
+    returns them: ``grads[name]`` then holds just those rows, and every
+    other row takes the step of a zero gradient, bit for bit. A gradient
+    whose name is not in ``rows`` covers its whole tensor. Non-finite
+    gradients, or values after the update, abort with the tensor name.
     """
+    rows = rows or {}
     for name, grad in grads.items():
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"non-finite gradient for {name}")
-        if tensors[name].shape != grad.shape:
+        shape = tensors[name].shape
+        if name in rows:
+            shape = (len(rows[name]), *shape[1:])
+        if grad.shape != shape:
             raise ValueError(f"shape mismatch for {name}")
-    if config.optimizer == "sgd":
-        lr, wd = config.learning_rate, config.weight_decay
-        for name, grad in grads.items():
-            tensors[name] -= lr * (grad + wd * tensors[name])
-    else:
+    adamw = config.optimizer == "adamw"
+    if adamw:
         state.step += 1
-        for name, grad in grads.items():
-            if name not in state.m:
-                state.m[name] = np.zeros_like(grad)
-                state.v[name] = np.zeros_like(grad)
-            # row blocks of 1-d views, so 0-d tensors are updated in place too
-            p, g, m, v = np.atleast_1d(tensors[name], grad, state.m[name], state.v[name])
-            rows = max(1, ADAMW_BLOCK_ELEMENTS // max(1, math.prod(g.shape[1:])))
-            if name not in state.scratch:
-                state.scratch[name] = (np.empty_like(g[:rows]), np.empty_like(g[:rows]))
-            a, b = state.scratch[name]
-            for start in range(0, len(g), rows):
-                block = slice(start, start + rows)
-                n = min(rows, len(g) - start)
-                _adamw_block(p[block], g[block], m[block], v[block], a[:n], b[:n],
-                             state.step, config)
-    for name, tensor in tensors.items():
-        if not np.all(np.isfinite(tensor)):
-            raise FloatingPointError(f"non-finite values in {name} after update")
+    for name, grad in grads.items():
+        if adamw and name not in state.m:
+            state.m[name] = np.zeros_like(tensors[name])
+            state.v[name] = np.zeros_like(tensors[name])
+        # row blocks of 1-d views, so 0-d tensors are updated in place too
+        p, g = np.atleast_1d(tensors[name], grad)
+        if adamw:
+            m, v = np.atleast_1d(state.m[name], state.v[name])
+        size = max(1, ADAMW_BLOCK_ELEMENTS // max(1, math.prod(p.shape[1:])))
+        if name not in state.scratch:
+            state.scratch[name] = (np.empty_like(p[:size]), np.empty_like(p[:size]))
+        a, b = state.scratch[name]
+        # a dense gradient is the case where every row is touched
+        touched = rows[name] if name in rows else np.arange(len(p))
+        for start in range(0, len(p), size):
+            block, n = slice(start, start + size), min(size, len(p) - start)
+            lo, hi = np.searchsorted(touched, (start, start + n))
+            local, g_block = touched[lo:hi] - start, g[lo:hi]
+            if adamw:
+                _adamw_block(p[block], m[block], v[block], a[:n], b[:n], local,
+                             g_block, state.step, config)
+            else:
+                _sgd_block(p[block], a[:n], local, g_block, config)
+            if not np.all(np.isfinite(p[block])):
+                raise FloatingPointError(f"non-finite values in {name} after update")
 
 
-def _adamw_block(p, g, m, v, a, b, t: int, config: TrainConfig) -> None:
+def _sgd_block(p, a, rows, g, config: TrainConfig) -> None:
+    """SGD on one block, in place, with ``a`` as scratch: the operations of
+    p -= lr (g + wd p) in the whole-array order. ``g`` holds the gradient
+    of the block's ``rows``; every other row's is +0.0."""
+    np.multiply(p, config.weight_decay, out=a)
+    with_grad = g + a[rows]
+    a += 0.0  # a row without gradient adds wd p to +0.0; see _adamw_block
+    a[rows] = with_grad
+    a *= config.learning_rate
+    p -= a
+
+
+def _adamw_block(p, m, v, a, b, rows, g, t: int, config: TrainConfig) -> None:
     """AdamW on one block, in place, with ``a`` and ``b`` as scratch.
 
-    The same operations in the same order as the whole-array form
+    ``g`` holds the gradient of the block's ``rows``, sorted distinct
+    indices; every other row's is +0.0. The result is bit-identical to
+    the whole-array form on the full gradient
         m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g**2,
         p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p),
-    so the result is bit-identical to it.
+    while the gradient terms are computed for ``rows`` alone.
     """
     b1, b2 = ADAMW_BETA1, ADAMW_BETA2
-    np.multiply(g, 1 - b1, out=a)
     m *= b1
-    m += a
-    np.square(g, out=a)
-    a *= 1 - b2
     v *= b2
-    v += a
+    with_grad = m[rows] + g * (1 - b1)
+    v[rows] += np.square(g) * (1 - b2)
+    # A row without gradient adds (1 - b1) 0.0 = +0.0 to m b1, which turns
+    # a -0.0 moment into +0.0, and later steps see that sign; the pass
+    # stays so that any state steps as the whole-array form does. v >= +0.0
+    # always, so adding +0.0 to it is the identity and is skipped.
+    m += 0.0
+    m[rows] = with_grad
     np.divide(v, 1 - b2**t, out=a)
     np.sqrt(a, out=a)
     a += ADAMW_EPS
@@ -344,8 +374,8 @@ def _train_step(params: EncoderParams, state: OptimizerState,
     out, cache = encode_batch_forward(params, views)
     loss = nt_xent_loss(out, config.temperature)
     grad_out = nt_xent_gradient(out, config.temperature)
-    grads = encode_batch_backward(params, cache, grad_out)
-    optimizer_step(params.tensors(), grads, config, state)
+    grads, rows = encode_batch_backward(params, cache, grad_out)
+    optimizer_step(params.tensors(), grads, config, state, rows)
     return loss
 
 
@@ -562,9 +592,9 @@ def supervised_finetune(params: EncoderParams, vocab: Vocabulary,
                 "head_b": d_logits.sum(axis=0),
             }
             grad_out = d_logits @ head["head_w"].T
-            enc_grads = encode_batch_backward(params, cache, grad_out)
+            enc_grads, enc_rows = encode_batch_backward(params, cache, grad_out)
             optimizer_step(head, head_grads, config, head_state)
-            optimizer_step(params.tensors(), enc_grads, config, enc_state)
+            optimizer_step(params.tensors(), enc_grads, config, enc_state, enc_rows)
 
     test_emb = embed_corpus(params, vocab, test_corpus, config.max_len_test)
     predictions = np.argmax(test_emb @ head["head_w"] + head["head_b"], axis=1)

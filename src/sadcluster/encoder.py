@@ -4,7 +4,8 @@ The built-in encoder is deliberately small: an embedding table, a mean
 pool over each view's token ids, and an affine projection with tanh.
 Pooling is a product with a sparse matrix holding one unit entry per
 token, so views are never padded to a common length. It trains from
-scratch with exact analytic gradients. Embeddings computed
+scratch with exact analytic gradients; the table's gradient holds only
+the rows of the batch's tokens. Embeddings computed
 elsewhere (e.g. by a pre-trained transformer run out of process) skip
 this module: ``cluster`` and ``eval`` read them as text.
 """
@@ -163,18 +164,31 @@ def encode_batch_forward(params: EncoderParams, seqs: list[TokenSequence]):
     return out, cache
 
 
-def encode_batch_backward(params: EncoderParams, cache: dict,
-                          grad_out: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. all tensors, given dL/d(outputs)."""
+def encode_batch_backward(params: EncoderParams, cache: dict, grad_out: np.ndarray
+                          ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Gradients of a scalar loss w.r.t. all tensors, given dL/d(outputs).
+
+    The table's gradient covers only the batch's tokens. Returns the
+    gradients and ``{"embedding_table": ids}``, the batch's sorted
+    distinct token ids: row k of the table gradient is that of table row
+    ``ids[k]``, and every other row's is zero. ``optimizer_step`` takes
+    both.
+    """
     grad_affine = grad_out * (1.0 - cache["out"] ** 2)
     grad_pooled = grad_affine @ params.projection_w.T
-    return {
+    pool = cache["pool"]
+    ids, columns = np.unique(pool.indices, return_inverse=True)
+    touched = scipy.sparse.csr_array((pool.data, columns, pool.indptr),
+                                     shape=(pool.shape[0], ids.size))
+    grads = {
         "projection_w": cache["pooled"].T @ grad_affine,
         "projection_b": grad_affine.sum(axis=0),
         # P.T walks the batch rows in order and each row's tokens in order,
-        # the same summation order as a scatter-add over the flattened batch
-        "embedding_table": cache["pool"].T @ (grad_pooled / cache["lengths"][:, None]),
+        # the same summation order as a scatter-add over the flattened
+        # batch; numbering the columns by touched row keeps that order
+        "embedding_table": touched.T @ (grad_pooled / cache["lengths"][:, None]),
     }
+    return grads, {"embedding_table": ids}
 
 
 def embed_corpus(params: EncoderParams, vocab: Vocabulary, corpus: Corpus,

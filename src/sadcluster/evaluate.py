@@ -16,6 +16,10 @@ from .rng import derive_rng
 
 # At most this many points are scored; train and the eval command share it.
 SILHOUETTE_SAMPLE_CAP = 2000
+# Distances are held for this many (scored point, point) pairs at a time,
+# up to twice that (less a row), or for the whole sample if it is smaller:
+# 8 MB, where the whole 2000 x n sample takes 128 MB at n = 8000.
+SILHOUETTE_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass
@@ -174,13 +178,25 @@ def silhouette_score(embeddings: np.ndarray, assignments, seed: int = 0) -> floa
     else:
         sample = np.arange(n)
 
-    dists = unit[sample] @ unit.T
-    np.subtract(1.0, dists, out=dists)
-    sums = dists @ (index[:, None] == np.arange(cluster_ids.size))
+    # A block holds about SILHOUETTE_BLOCK_ELEMENTS distances or more, or
+    # the whole sample, so BLAS takes no small-matrix kernel that sums in
+    # another order than the whole-sample product. For some n the bits
+    # still differ from that product (with OpenBLAS at n = 2100); train and
+    # eval share this code, so they agree anyway.
+    members = (index[:, None] == np.arange(cluster_ids.size)).astype(np.float64)
+    sums = np.empty((sample.size, cluster_ids.size))
+    self_dists = np.empty(sample.size)
+    for block in np.array_split(np.arange(sample.size),
+                                max(1, sample.size * n // SILHOUETTE_BLOCK_ELEMENTS)):
+        dists = unit[sample[block]] @ unit.T
+        np.subtract(1.0, dists, out=dists)
+        sums[block] = dists @ members
+        self_dists[block] = dists[np.arange(block.size), sample[block]]
+        del dists  # so the next block is not computed beside this one
     rows = np.arange(sample.size)
     own = index[sample]
     own_size = sizes[own]
-    a = (sums[rows, own] - dists[rows, sample]) / np.maximum(own_size - 1, 1)
+    a = (sums[rows, own] - self_dists) / np.maximum(own_size - 1, 1)
     means = sums / sizes
     means[rows, own] = np.inf
     b = means.min(axis=1)

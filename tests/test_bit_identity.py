@@ -8,7 +8,8 @@ product of all rows, top-1 pairing on a whole masked copy of the
 epoch's blended matrix, the vocabulary counted
 token by token with a ``Counter``, and k-means, silhouette,
 MI and EMI written as loops over clusters, samples and table cells, and
-Fisher-Yates with one draw per swap. The sparse pooling and the in-place
+Fisher-Yates with one draw per swap. The sparse pooling, the gradient of
+the touched table rows (scattered into zeros) and the row-sparse in-place
 optimizer must reproduce them bit for bit, step after step; views built
 from per-sentence token ids must equal tokenizing the joined view, and a
 text's sentences must tokenize to the text's tokens; the one-call
@@ -17,7 +18,8 @@ the per-swap draws do; the one-pass TF-IDF matrix must give the same
 similarities, and the row-blocked similarity and pairing passes the
 same bytes at any block size; and the vocabulary and ids built from
 token indices must equal the counted ones, in dict order and id for id. k-means must match bit for bit; the metrics, whose sums
-run in another order, must agree within 1e-12.
+run in another order, must agree within 1e-12, and the row-blocked
+silhouette must equal the whole-sample one on the benchmark's shapes.
 """
 
 from collections import Counter
@@ -29,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from sadcluster import evaluate, tfidf
+from sadcluster import contrastive, evaluate, tfidf
 from sadcluster.augment import shuffle_divide
 from sadcluster.cluster import (
     _kmeanspp_init,
@@ -139,18 +141,27 @@ def reference_optimizer_step(tensors, grads, config, state):
                                + wd * tensors[name])
 
 
-def random_views(rng, n, vocab_size, max_len):
-    """Views with many repeated ids, so pooling order matters."""
+def random_views(rng, n, vocab_size, max_len, high=12):
+    """Views of ids below ``high``, with many repeats, so pooling order matters."""
     views = []
     for _ in range(n):
         length = int(rng.integers(1, max_len + 1))
-        views.append(TokenSequence(rng.integers(1, min(vocab_size, 12), size=length),
+        views.append(TokenSequence(rng.integers(1, min(vocab_size, high), size=length),
                                    max_len))
     return views
 
 
 def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def full_gradients(grads, rows, tensors):
+    """The gradients with each row-sparse one scattered into rows of +0.0."""
+    full = dict(grads)
+    for name, touched in rows.items():
+        full[name] = np.zeros_like(tensors[name])
+        full[name][touched] = grads[name]
+    return full
 
 
 @pytest.mark.parametrize("output_dim", [8])
@@ -165,42 +176,108 @@ def test_training_steps_match_the_reference(output_dim, optimizer, weight_decay)
     ref_tensors = ref.tensors()
     state = OptimizerState()
     ref_state = {"step": 0, "m": {}, "v": {}}
-    for _ in range(8):
-        views = random_views(rng, 8, 40, 9)
+    for step in range(12):
+        # rows 12..39 go untouched for six steps, then batches reach them
+        views = random_views(rng, 8, 40, 9, high=12 if step < 6 else 40)
         out, cache = encode_batch_forward(fast, views)
         ref_out, ref_cache = reference_forward(ref, views)
         assert same_bits(out, ref_out)
         grad_out = nt_xent_gradient(out, config.temperature)
-        grads = encode_batch_backward(fast, cache, grad_out)
+        grads, rows = encode_batch_backward(fast, cache, grad_out)
         ref_grads = reference_backward(ref, ref_cache, grad_out)
-        assert grads.keys() == ref_grads.keys()
-        for name in grads:
-            assert same_bits(grads[name], ref_grads[name]), name
-        optimizer_step(fast.tensors(), grads, config, state)
+        assert rows.keys() == {"embedding_table"}
+        assert same_bits(rows["embedding_table"],
+                         np.unique(np.concatenate([view.ids for view in views])))
+        full = full_gradients(grads, rows, fast.tensors())
+        assert full.keys() == ref_grads.keys()
+        for name in full:
+            assert same_bits(full[name], ref_grads[name]), name
+        optimizer_step(fast.tensors(), grads, config, state, rows)
         reference_optimizer_step(ref_tensors, ref_grads, config, ref_state)
         for name, tensor in fast.tensors().items():
             assert same_bits(tensor, ref_tensors[name]), name
 
 
+def sparse_gradient(rng, shape, touched):
+    """Random rows for ``touched``, with entries of +0.0, -0.0 and subnormals."""
+    grad = rng.normal(size=(len(touched), *shape[1:]))
+    special = rng.choice([0.0, -0.0, 5e-324, -5e-324, -1e-310], size=grad.shape)
+    return np.where(rng.random(grad.shape) < 0.3, special, grad)
+
+
+def check_row_sparse_steps(config, tensors, sparse, steps, seed, minus_zero_moments):
+    """Step the optimizer with random row subsets of the ``sparse`` tensors
+    and dense gradients for the others; the reference steps on the full
+    gradients. Both must stay bit-identical, moments included."""
+    rng = np.random.default_rng(seed)
+    ref = {name: tensor.copy() for name, tensor in tensors.items()}
+    state = OptimizerState()
+    ref_state = {"step": 0, "m": {}, "v": {}}
+    if minus_zero_moments:  # a -0.0 moment meets rows with and without gradient
+        for name, tensor in tensors.items():
+            state.m[name] = np.where(rng.random(tensor.shape) < 0.5, -0.0, 0.0)
+            state.v[name] = np.zeros_like(tensor)
+            ref_state["m"][name] = state.m[name].copy()
+            ref_state["v"][name] = state.v[name].copy()
+    for step in range(steps):
+        grads, rows = {}, {}
+        for name, tensor in tensors.items():
+            if name in sparse:
+                # the last rows stay untouched for the first half, then not
+                high = len(tensor) if step >= steps // 2 else max(1, len(tensor) // 2)
+                count = int(rng.integers(0, high + 1))
+                rows[name] = np.sort(rng.choice(high, size=count, replace=False))
+                grads[name] = sparse_gradient(rng, tensor.shape, rows[name])
+            else:
+                grads[name] = sparse_gradient(rng, (1, *tensor.shape), [0])[0]
+        optimizer_step(tensors, grads, config, state, rows)
+        reference_optimizer_step(ref, full_gradients(grads, rows, tensors), config,
+                                 ref_state)
+        for name in tensors:
+            assert same_bits(tensors[name], ref[name]), name
+            if config.optimizer == "adamw":
+                assert same_bits(state.m[name], ref_state["m"][name]), name
+                assert same_bits(state.v[name], ref_state["v"][name]), name
+
+
 @pytest.mark.parametrize("optimizer,weight_decay", [("adamw", 0.0), ("adamw", 0.1),
-                                                    ("sgd", 0.1)])
+                                                    ("sgd", 0.0), ("sgd", 0.1)])
 def test_optimizer_matches_the_reference_over_many_steps(optimizer, weight_decay):
     rng = np.random.default_rng(5)
     config = TrainConfig(optimizer=optimizer, weight_decay=weight_decay,
                          learning_rate=1e-2)
-    # the table spans several AdamW blocks, the last one partial
-    fast = {"table": rng.normal(size=(9000, 16)), "bias": rng.normal(size=16),
-            "scale": np.array(rng.normal())}
-    ref = {name: tensor.copy() for name, tensor in fast.items()}
-    state = OptimizerState()
-    ref_state = {"step": 0, "m": {}, "v": {}}
-    for _ in range(20):
-        grads = {name: rng.normal(size=t.shape) * (rng.random(t.shape) < 0.3)
-                 for name, t in fast.items()}
-        optimizer_step(fast, grads, config, state)
-        reference_optimizer_step(ref, grads, config, ref_state)
-        for name in fast:
-            assert same_bits(fast[name], ref[name]), name
+    for minus_zero_moments in (False, True):
+        # the table spans several blocks, the last one partial; the bias is
+        # row-sparse too, and the table's rows include -0.0 and subnormals
+        table = rng.normal(size=(9000, 16))
+        table[:50] = rng.choice([0.0, -0.0, 5e-324, -5e-324], size=(50, 16))
+        tensors = {"table": table, "bias": rng.normal(size=16),
+                   "dense": rng.normal(size=(5, 3)), "scale": np.array(rng.normal())}
+        check_row_sparse_steps(config, tensors, {"table", "bias"}, 20, 11,
+                               minus_zero_moments)
+
+
+@st.composite
+def row_sparse_cases(draw):
+    rows = draw(st.integers(1, 70))
+    cols = draw(st.integers(1, 4))
+    config = TrainConfig(optimizer=draw(st.sampled_from(["adamw", "sgd"])),
+                         weight_decay=draw(st.sampled_from([0.0, 0.1])),
+                         learning_rate=draw(st.sampled_from([1e-3, 0.5])))
+    block_elements = draw(st.integers(1, rows * cols + 3))
+    return (config, (rows, cols), block_elements, draw(st.integers(1, 6)),
+            draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(row_sparse_cases())
+def test_row_sparse_steps_match_the_reference_property(case):
+    config, shape, block_elements, steps, seed, minus_zero_moments = case
+    table = np.random.default_rng(seed).normal(size=shape)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contrastive, "ADAMW_BLOCK_ELEMENTS", block_elements)
+        check_row_sparse_steps(config, {"table": table}, {"table"}, steps, seed,
+                               minus_zero_moments)
 
 
 def test_embed_corpus_matches_the_reference():
@@ -687,11 +764,55 @@ def silhouette_case(name):
 def test_silhouette_matches_the_loop_reference(case, monkeypatch):
     x, assignments, cap = silhouette_case(case)
     monkeypatch.setattr(evaluate, "SILHOUETTE_SAMPLE_CAP", cap)
-    for seed in (0, 3):
-        got = silhouette_score(x, assignments, seed=seed)
-        assert abs(got - reference_silhouette(x, assignments, cap, seed)) <= 1e-12
+    # distance blocks of one row, of a few rows, and the whole sample
+    for block_elements in (1, 1000, evaluate.SILHOUETTE_BLOCK_ELEMENTS):
+        monkeypatch.setattr(evaluate, "SILHOUETTE_BLOCK_ELEMENTS", block_elements)
+        for seed in (0, 3):
+            got = silhouette_score(x, assignments, seed=seed)
+            assert abs(got - reference_silhouette(x, assignments, cap, seed)) <= 1e-12
     if case == "identical-points":
         assert got == 0.0
+
+
+def reference_whole_sample_silhouette(embeddings, assignments, seed=0):
+    """The silhouette from one distance array over the whole sample."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    n = x.shape[0]
+    cluster_ids, index, sizes = np.unique(assignments, return_inverse=True,
+                                           return_counts=True)
+    unit = x / np.linalg.norm(x, axis=1)[:, None]
+    if n > evaluate.SILHOUETTE_SAMPLE_CAP:
+        sample = np.sort(derive_rng(seed, "silhouette").choice(
+            n, size=evaluate.SILHOUETTE_SAMPLE_CAP, replace=False))
+    else:
+        sample = np.arange(n)
+    dists = unit[sample] @ unit.T
+    np.subtract(1.0, dists, out=dists)
+    sums = dists @ (index[:, None] == np.arange(cluster_ids.size))
+    rows = np.arange(sample.size)
+    own = index[sample]
+    own_size = sizes[own]
+    a = (sums[rows, own] - dists[rows, sample]) / np.maximum(own_size - 1, 1)
+    means = sums / sizes
+    means[rows, own] = np.inf
+    b = means.min(axis=1)
+    top = np.maximum(a, b)
+    scores = np.divide(b - a, top, out=np.zeros(sample.size),
+                       where=(own_size > 1) & (top != 0.0))
+    return float(scores.mean())
+
+
+@pytest.mark.parametrize("n,k", [(1600, 16), (6000, 8), (8000, 20)])
+def test_row_blocked_silhouette_matches_the_whole_sample_reference(n, k):
+    # the benchmark workloads' n, k and d, in 2, 11 and 15 row blocks; on
+    # these shapes BLAS sums every entry of a block in the order it uses
+    # for the whole sample (not on every shape: see silhouette_score)
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 64)) + 2.0 * rng.normal(size=(k, 64))[rng.integers(0, k, n)]
+    assignments = spherical_kmeans(x, k=k, seed=0).assignments
+    for seed in (0, 1):
+        expected = reference_whole_sample_silhouette(x, assignments, seed)
+        assert silhouette_score(x, assignments, seed=seed) == expected
 
 
 def test_accuracy_mi_emi_and_ami_match_the_loop_references():

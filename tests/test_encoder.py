@@ -189,10 +189,16 @@ class TestEncode:
 
 class TestGradients:
     def _loss_and_grads(self, params, seqs, coeffs):
+        """The loss and the full gradients: the table's touched rows are
+        scattered into zeros, after checking they are the batch's ids."""
         out, cache = encode_batch_forward(params, seqs)
         loss = float(np.sum(out * coeffs) + 0.5 * np.sum(out**2))
-        grads = encode_batch_backward(params, cache, coeffs + out)
-        return loss, grads
+        grads, rows = encode_batch_backward(params, cache, coeffs + out)
+        ids = rows["embedding_table"]
+        assert ids.tolist() == sorted({int(i) for seq in seqs for i in seq.ids})
+        table = np.zeros_like(params.embedding_table)
+        table[ids] = grads["embedding_table"]
+        return loss, dict(grads, embedding_table=table)
 
     def _numeric_grad(self, params, seqs, coeffs, tensor_name, step=1e-4):
         tensor = params.tensors()[tensor_name]
@@ -229,8 +235,9 @@ class TestGradients:
         params = random_params(rng, vocab_size=6, embed_dim=3)
         seqs = random_seqs(rng, 3, vocab_size=6, max_len=4)
         out, cache = encode_batch_forward(params, seqs)
-        grads = encode_batch_backward(params, cache, np.ones_like(out))
-        assert np.all(grads["embedding_table"][0] == 0.0)
+        grads, rows = encode_batch_backward(params, cache, np.ones_like(out))
+        assert 0 not in rows["embedding_table"]
+        assert grads["embedding_table"].shape == (rows["embedding_table"].size, 3)
 
 
 class TestInitParams:
