@@ -431,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--max-len-train", type=int, default=TrainConfig.max_len_train)
     p.add_argument("--max-len-test", type=int, default=TrainConfig.max_len_test)
-    p.add_argument("--optimizer", choices=("adamw", "sgd"),
-                   default=TrainConfig.optimizer)
     p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
     p.add_argument("--embed-dim", type=int, default=TrainConfig.embed_dim)
     p.add_argument("--output-dim", type=int, default=TrainConfig.output_dim)

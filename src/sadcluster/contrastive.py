@@ -1,4 +1,4 @@
-"""Contrastive training: batches, NT-Xent loss, optimizers, training loop.
+"""Contrastive training: batches, NT-Xent loss, AdamW, training loop.
 
 Positive pairs come either from shuffle & divide (two halves of the same
 document) or from TF-IDF top-1 sampling (a document and its most similar
@@ -13,6 +13,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -56,7 +57,6 @@ class TrainConfig:
     batch_size: int = 320
     temperature: float = 0.5
     learning_rate: float = 3e-5
-    optimizer: str = "adamw"
     weight_decay: float = 0.0
     epochs: int | None = None
     alpha: float = 0.5
@@ -67,6 +67,9 @@ class TrainConfig:
     embed_dim: int = 64
     output_dim: int = 64
     max_vocab: int = 30000
+    # not a setting: only the benchmark's optimizer-bytes counter reads it,
+    # and it goes when the benchmark reads the program's own trace
+    optimizer: ClassVar[str] = "adamw"
 
     def __post_init__(self):
         if self.method not in ("sad", "tps"):
@@ -82,8 +85,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
-        if self.optimizer not in ("adamw", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if self.epochs is not None and self.epochs < 0:
@@ -275,7 +276,7 @@ ADAMW_BLOCK_ELEMENTS = 1 << 16
 def optimizer_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                    config: TrainConfig, state: OptimizerState,
                    rows: dict[str, np.ndarray] | None = None) -> None:
-    """One in-place AdamW (decoupled weight decay) or SGD update.
+    """One in-place AdamW (decoupled weight decay) update.
 
     ``tensors`` maps names to the arrays to update in place (for an
     encoder, ``params.tensors()``). ``rows`` maps a name to the sorted
@@ -294,17 +295,13 @@ def optimizer_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             shape = (len(rows[name]), *shape[1:])
         if grad.shape != shape:
             raise ValueError(f"shape mismatch for {name}")
-    adamw = config.optimizer == "adamw"
-    if adamw:
-        state.step += 1
+    state.step += 1
     for name, grad in grads.items():
-        if adamw and name not in state.m:
+        if name not in state.m:
             state.m[name] = np.zeros_like(tensors[name])
             state.v[name] = np.zeros_like(tensors[name])
         # row blocks of 1-d views, so 0-d tensors are updated in place too
-        p, g = np.atleast_1d(tensors[name], grad)
-        if adamw:
-            m, v = np.atleast_1d(state.m[name], state.v[name])
+        p, g, m, v = np.atleast_1d(tensors[name], grad, state.m[name], state.v[name])
         size = max(1, ADAMW_BLOCK_ELEMENTS // max(1, math.prod(p.shape[1:])))
         if name not in state.scratch:
             state.scratch[name] = (np.empty_like(p[:size]), np.empty_like(p[:size]))
@@ -315,25 +312,10 @@ def optimizer_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             block, n = slice(start, start + size), min(size, len(p) - start)
             lo, hi = np.searchsorted(touched, (start, start + n))
             local, g_block = touched[lo:hi] - start, g[lo:hi]
-            if adamw:
-                _adamw_block(p[block], m[block], v[block], a[:n], b[:n], local,
-                             g_block, state.step, config)
-            else:
-                _sgd_block(p[block], a[:n], local, g_block, config)
+            _adamw_block(p[block], m[block], v[block], a[:n], b[:n], local,
+                         g_block, state.step, config)
             if not np.all(np.isfinite(p[block])):
                 raise FloatingPointError(f"non-finite values in {name} after update")
-
-
-def _sgd_block(p, a, rows, g, config: TrainConfig) -> None:
-    """SGD on one block, in place, with ``a`` as scratch: the operations of
-    p -= lr (g + wd p) in the whole-array order. ``g`` holds the gradient
-    of the block's ``rows``; every other row's is +0.0."""
-    np.multiply(p, config.weight_decay, out=a)
-    with_grad = g + a[rows]
-    a += 0.0  # a row without gradient adds wd p to +0.0; see _adamw_block
-    a[rows] = with_grad
-    a *= config.learning_rate
-    p -= a
 
 
 def _adamw_block(p, m, v, a, b, rows, g, t: int, config: TrainConfig) -> None:
@@ -562,8 +544,7 @@ def supervised_finetune(params: EncoderParams, vocab: Vocabulary,
         "head_b": np.zeros(k),
     }
     params = params.copy()
-    enc_state = OptimizerState()
-    head_state = OptimizerState()
+    state = OptimizerState()
     epochs = 10 if config.epochs is None else config.epochs
     n = len(train_corpus)
 
@@ -593,8 +574,8 @@ def supervised_finetune(params: EncoderParams, vocab: Vocabulary,
             }
             grad_out = d_logits @ head["head_w"].T
             enc_grads, enc_rows = encode_batch_backward(params, cache, grad_out)
-            optimizer_step(head, head_grads, config, head_state)
-            optimizer_step(params.tensors(), enc_grads, config, enc_state, enc_rows)
+            optimizer_step(head | params.tensors(), head_grads | enc_grads, config,
+                           state, enc_rows)
 
     test_emb = embed_corpus(params, vocab, test_corpus, config.max_len_test)
     predictions = np.argmax(test_emb @ head["head_w"] + head["head_b"], axis=1)

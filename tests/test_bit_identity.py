@@ -2,7 +2,7 @@
 
 The references below are the straightforward implementations: a padded
 gather with a masked sum for the forward pass, ``np.add.at`` for the
-embedding gradient, AdamW/SGD written as whole-array expressions,
+embedding gradient, AdamW written as whole-array expressions,
 TF-IDF built one document vector at a time, its cosine as one sparse
 product of all rows, top-1 pairing on a whole masked copy of the
 epoch's blended matrix, the vocabulary counted
@@ -118,10 +118,6 @@ def reference_backward(params, cache, grad_out):
 def reference_optimizer_step(tensors, grads, config, state):
     lr = config.learning_rate
     wd = config.weight_decay
-    if config.optimizer == "sgd":
-        for name, grad in grads.items():
-            tensors[name] -= lr * (grad + wd * tensors[name])
-        return
     state["step"] += 1
     t = state["step"]
     b1, b2 = ADAMW_BETA1, ADAMW_BETA2
@@ -165,12 +161,10 @@ def full_gradients(grads, rows, tensors):
 
 
 @pytest.mark.parametrize("output_dim", [8])
-@pytest.mark.parametrize("optimizer,weight_decay", [("adamw", 0.0), ("adamw", 0.01),
-                                                    ("sgd", 0.0), ("sgd", 0.01)])
-def test_training_steps_match_the_reference(output_dim, optimizer, weight_decay):
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_training_steps_match_the_reference(output_dim, weight_decay):
     rng = np.random.default_rng(17)
-    config = TrainConfig(optimizer=optimizer, weight_decay=weight_decay,
-                         learning_rate=0.05, temperature=0.5)
+    config = TrainConfig(weight_decay=weight_decay, learning_rate=0.05, temperature=0.5)
     fast = init_params(40, 6, output_dim, seed=3)
     ref = fast.copy()
     ref_tensors = ref.tensors()
@@ -235,17 +229,14 @@ def check_row_sparse_steps(config, tensors, sparse, steps, seed, minus_zero_mome
                                  ref_state)
         for name in tensors:
             assert same_bits(tensors[name], ref[name]), name
-            if config.optimizer == "adamw":
-                assert same_bits(state.m[name], ref_state["m"][name]), name
-                assert same_bits(state.v[name], ref_state["v"][name]), name
+            assert same_bits(state.m[name], ref_state["m"][name]), name
+            assert same_bits(state.v[name], ref_state["v"][name]), name
 
 
-@pytest.mark.parametrize("optimizer,weight_decay", [("adamw", 0.0), ("adamw", 0.1),
-                                                    ("sgd", 0.0), ("sgd", 0.1)])
-def test_optimizer_matches_the_reference_over_many_steps(optimizer, weight_decay):
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+def test_optimizer_matches_the_reference_over_many_steps(weight_decay):
     rng = np.random.default_rng(5)
-    config = TrainConfig(optimizer=optimizer, weight_decay=weight_decay,
-                         learning_rate=1e-2)
+    config = TrainConfig(weight_decay=weight_decay, learning_rate=1e-2)
     for minus_zero_moments in (False, True):
         # the table spans several blocks, the last one partial; the bias is
         # row-sparse too, and the table's rows include -0.0 and subnormals
@@ -257,12 +248,75 @@ def test_optimizer_matches_the_reference_over_many_steps(optimizer, weight_decay
                                minus_zero_moments)
 
 
+def reference_finetune(params, vocab, train_corpus, test_corpus, use_sad, config):
+    """Fine-tuning on the dense references, with the head and the encoder
+    each stepped by an optimizer state of its own."""
+    train_labels = np.array(train_corpus.labels_array())
+    test_labels = np.array(test_corpus.labels_array())
+    k = int(max(train_labels.max(), test_labels.max())) + 1
+    head = {"head_w": np.zeros((params.output_dim, k)), "head_b": np.zeros(k)}
+    params = params.copy()
+    tensors = params.tensors()
+    head_state = {"step": 0, "m": {}, "v": {}}
+    enc_state = {"step": 0, "m": {}, "v": {}}
+    n = len(train_corpus)
+    for epoch in range(1, config.epochs + 1):
+        rng = derive_rng(config.seed, "finetune-epoch", epoch)
+        texts = []
+        for doc in train_corpus.documents:
+            if use_sad and len(doc.sentences) >= 2:
+                half_a, _ = shuffle_divide(doc, rng)
+                texts.append(" ".join(doc.sentences[i] for i in half_a))
+            else:
+                texts.append(doc.text)
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            seqs = [tokenize(texts[i], vocab, config.max_len_train) for i in idx]
+            out, cache = reference_forward(params, seqs)
+            logits = out @ head["head_w"] + head["head_b"]
+            shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+            d_logits = shifted / shifted.sum(axis=1, keepdims=True)
+            d_logits[np.arange(idx.size), train_labels[idx]] -= 1.0
+            d_logits /= idx.size
+            head_grads = {"head_w": out.T @ d_logits, "head_b": d_logits.sum(axis=0)}
+            grad_out = d_logits @ head["head_w"].T
+            reference_optimizer_step(head, head_grads, config, head_state)
+            reference_optimizer_step(tensors, reference_backward(params, cache, grad_out),
+                                     config, enc_state)
+    test_emb = embed_corpus(params, vocab, test_corpus, config.max_len_test)
+    predictions = np.argmax(test_emb @ head["head_w"] + head["head_b"], axis=1)
+    return head, float(np.mean(predictions == test_labels))
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+@pytest.mark.parametrize("use_sad", [False, True])
+def test_finetune_with_one_state_matches_two_state_reference(use_sad, weight_decay):
+    corpus = generate_synthetic_corpus(topics=3, docs_per_topic=6, vocab_per_topic=40,
+                                       seed=4)
+    docs = corpus.documents
+    train_c = Corpus(documents=docs[0::2], label_names=corpus.label_names)
+    test_c = Corpus(documents=docs[1::2], label_names=corpus.label_names)
+    vocab = vocab_of(corpus, 30000)
+    params = init_params(len(vocab), 8, 6, seed=2)
+    # 9 training documents in batches of 4: the last batch is partial
+    config = TrainConfig(batch_size=4, learning_rate=0.05, weight_decay=weight_decay,
+                         epochs=3, seed=7, max_len_train=24, max_len_test=32)
+    head, accuracy = contrastive.supervised_finetune(params, vocab, train_c, test_c,
+                                                     use_sad, config)
+    ref_head, ref_accuracy = reference_finetune(params, vocab, train_c, test_c,
+                                                use_sad, config)
+    assert head.keys() == ref_head.keys()
+    for name in head:
+        assert same_bits(head[name], ref_head[name]), name
+    assert accuracy == ref_accuracy
+
+
 @st.composite
 def row_sparse_cases(draw):
     rows = draw(st.integers(1, 70))
     cols = draw(st.integers(1, 4))
-    config = TrainConfig(optimizer=draw(st.sampled_from(["adamw", "sgd"])),
-                         weight_decay=draw(st.sampled_from([0.0, 0.1])),
+    config = TrainConfig(weight_decay=draw(st.sampled_from([0.0, 0.1])),
                          learning_rate=draw(st.sampled_from([1e-3, 0.5])))
     block_elements = draw(st.integers(1, rows * cols + 3))
     return (config, (rows, cols), block_elements, draw(st.integers(1, 6)),

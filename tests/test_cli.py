@@ -383,7 +383,7 @@ class TestTrainCommand:
         out_dir = tmp_path / "run"
         values = {"k": 3, "method": "tps", "batch-size": 8, "lr": 0.01, "temperature": 0.3,
                   "alpha": 0.7, "epochs": 2, "seed": 5, "max-len-train": 32,
-                  "max-len-test": 48, "optimizer": "sgd", "weight-decay": 0.01,
+                  "max-len-test": 48, "weight-decay": 0.01,
                   "embed-dim": 6, "output-dim": 5, "max-vocab": 200}
         argv = ["train", "--corpus", str(corpus), "--out-dir", str(out_dir)]
         for flag, value in values.items():
@@ -400,6 +400,7 @@ class TestTrainCommand:
         config = json.loads((out_dir / "metrics.json").read_text())["config"]
         for dest in options:
             assert config[dest] == settings[dest], dest
+        assert "optimizer" not in config
 
     @pytest.mark.parametrize("flag", ["dump-pairs", "dump-tfidf"])
     def test_dump_in_missing_directory_fails_before_training(self, capsys, tmp_path,
@@ -903,7 +904,10 @@ class TestCliPlumbing:
          "--restarts", "1"],
         ["eval", "--assignments", "{dir}/a.jsonl", "--corpus", "{dir}/c.jsonl",
          "--out", "{dir}/m.json", "--sample-cap", "1"],
-    ], ids=["missing-option", "bad-int", "unknown-command", "no-restarts", "no-sample-cap"])
+        ["train", "--corpus", "{dir}/c.jsonl", "--out-dir", "{dir}/run", "--k", "4",
+         "--optimizer", "sgd"],
+    ], ids=["missing-option", "bad-int", "unknown-command", "no-restarts", "no-sample-cap",
+            "no-optimizer"])
     def test_usage_error_exits_2_with_usage_and_no_output(self, capsys, tmp_path, argv):
         with pytest.raises(SystemExit) as exit_info:
             main([arg.format(dir=tmp_path) for arg in argv])

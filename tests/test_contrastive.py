@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -93,9 +94,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=-1e-3)
 
-    def test_rejects_unknown_optimizer(self):
-        with pytest.raises(ValueError, match="optimizer"):
-            TrainConfig(optimizer="rmsprop")
+    def test_optimizer_is_not_a_setting(self):
+        with pytest.raises(TypeError, match="optimizer"):
+            TrainConfig(optimizer="sgd")
+
+    def test_optimizer_constant_stays_out_of_the_recorded_config(self):
+        # a class constant: asdict, and so metrics.json, leaves it out
+        assert "optimizer" not in dataclasses.asdict(TrainConfig())
+        assert "optimizer" not in {f.name for f in dataclasses.fields(TrainConfig)}
 
     def test_rejects_alpha_out_of_range(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -402,25 +408,10 @@ class TestNtXentGradient:
 
 
 class TestOptimizerStep:
-    def test_sgd_hand_value(self):
-        params = {"w": np.array([1.0])}
-        grads = {"w": np.array([0.5])}
-        cfg = TrainConfig(optimizer="sgd", learning_rate=0.1)
-        optimizer_step(params, grads, cfg, OptimizerState())
-        assert params["w"][0] == pytest.approx(0.95, abs=1e-15)
-
-    def test_sgd_weight_decay(self):
-        params = {"w": np.array([1.0])}
-        grads = {"w": np.array([0.0])}
-        cfg = TrainConfig(optimizer="sgd", learning_rate=0.1, weight_decay=0.1)
-        optimizer_step(params, grads, cfg, OptimizerState())
-        assert params["w"][0] == pytest.approx(0.99, abs=1e-15)
-
     def test_adamw_first_step_hand_value(self):
         params = {"w": np.array([1.0])}
         grads = {"w": np.array([0.5])}
-        cfg = TrainConfig(optimizer="adamw", learning_rate=1e-3,
-                          weight_decay=0.0)
+        cfg = TrainConfig(learning_rate=1e-3, weight_decay=0.0)
         state = OptimizerState()
         optimizer_step(params, grads, cfg, state)
         # bias correction makes m_hat = g and sqrt(v_hat) = |g| on step 1,
@@ -433,7 +424,7 @@ class TestOptimizerStep:
     def test_adamw_sign_only_depends_on_gradient_sign(self):
         params = {"w": np.array([1.0, 1.0])}
         grads = {"w": np.array([0.5, -2.0])}
-        cfg = TrainConfig(optimizer="adamw", learning_rate=1e-3)
+        cfg = TrainConfig(learning_rate=1e-3)
         optimizer_step(params, grads, cfg, OptimizerState())
         moves = params["w"] - 1.0
         assert moves[0] < 0 < moves[1]
@@ -442,36 +433,44 @@ class TestOptimizerStep:
     def test_adamw_decoupled_weight_decay_with_zero_gradient(self):
         params = {"w": np.array([2.0])}
         grads = {"w": np.array([0.0])}
-        cfg = TrainConfig(optimizer="adamw", learning_rate=0.1,
-                          weight_decay=0.5)
+        cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5)
         optimizer_step(params, grads, cfg, OptimizerState())
         assert params["w"][0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0, abs=1e-12)
+
+    def test_adamw_weight_decay_adds_to_the_gradient_move(self):
+        params = {"w": np.array([2.0])}
+        grads = {"w": np.array([0.5])}
+        cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5)
+        optimizer_step(params, grads, cfg, OptimizerState())
+        # first step: lr (g / (|g| + eps) + wd p) = 0.1 (1 + 0.5 * 2)
+        assert params["w"][0] == pytest.approx(2.0 - 0.1 * (1.0 + 0.5 * 2.0), abs=1e-8)
 
     def test_zero_gradient_zero_decay_leaves_params(self):
         params = {"w": np.array([1.5, -0.5])}
         grads = {"w": np.zeros(2)}
-        for opt in ("sgd", "adamw"):
-            cfg = TrainConfig(optimizer=opt, learning_rate=0.1)
-            optimizer_step(params, grads, cfg, OptimizerState())
+        cfg = TrainConfig(learning_rate=0.1)
+        state = OptimizerState()
+        for _ in range(2):
+            optimizer_step(params, grads, cfg, state)
         assert np.array_equal(params["w"], np.array([1.5, -0.5]))
 
     def test_nonfinite_gradient_rejected_with_name(self):
         params = {"w": np.array([1.0])}
         grads = {"w": np.array([np.nan])}
-        cfg = TrainConfig(optimizer="sgd", learning_rate=0.1)
+        cfg = TrainConfig(learning_rate=0.1)
         with pytest.raises(FloatingPointError, match="w"):
             optimizer_step(params, grads, cfg, OptimizerState())
 
     def test_shape_mismatch_rejected(self):
         params = {"w": np.array([1.0])}
         grads = {"w": np.array([1.0, 2.0])}
-        cfg = TrainConfig(optimizer="sgd", learning_rate=0.1)
+        cfg = TrainConfig(learning_rate=0.1)
         with pytest.raises(ValueError, match="shape"):
             optimizer_step(params, grads, cfg, OptimizerState())
 
     def test_adamw_state_accumulates_across_steps(self):
         params = {"w": np.array([1.0])}
-        cfg = TrainConfig(optimizer="adamw", learning_rate=1e-3)
+        cfg = TrainConfig(learning_rate=1e-3)
         state = OptimizerState()
         optimizer_step(params, {"w": np.array([0.5])}, cfg, state)
         optimizer_step(params, {"w": np.array([0.5])}, cfg, state)
@@ -483,8 +482,9 @@ class TestOptimizerStep:
         params = init_params(10, 4, 3, seed=0)
         before = params.embedding_table.copy()
         grads = {name: np.ones_like(t) for name, t in params.tensors().items()}
-        cfg = TrainConfig(optimizer="sgd", learning_rate=0.01)
+        cfg = TrainConfig(learning_rate=0.01)
         optimizer_step(params.tensors(), grads, cfg, OptimizerState())
+        # AdamW's first step moves every element by lr g / (|g| + eps)
         assert np.allclose(params.embedding_table, before - 0.01)
 
 
