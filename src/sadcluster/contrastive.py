@@ -259,15 +259,13 @@ class OptimizerState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
-    # two scratch blocks per tensor that every step computes into
-    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 # AdamW's moment decay rates and denominator term: the usual values, fixed
 ADAMW_BETA1 = 0.9
 ADAMW_BETA2 = 0.999
 ADAMW_EPS = 1e-8
-# AdamW makes ten elementwise passes over every row; running all of them
+# AdamW makes nine elementwise passes over every row; running all of them
 # on one block of rows before the next keeps the block in cache. About 64k
 # elements (512 KB) per block.
 ADAMW_BLOCK_ELEMENTS = 1 << 16
@@ -282,8 +280,11 @@ def optimizer_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     encoder, ``params.tensors()``). ``rows`` maps a name to the sorted
     distinct rows its gradient covers, as ``encode_batch_backward``
     returns them: ``grads[name]`` then holds just those rows, and every
-    other row takes the step of a zero gradient, bit for bit. A gradient
-    whose name is not in ``rows`` covers its whole tensor. Non-finite
+    other row takes a zero gradient's step bit for bit. That needs no
+    moment to be -0.0, which holds from ``OptimizerState()`` on: moments
+    start at +0.0, m b1 is never zero for nonzero m (0.9 rounds even the
+    smallest subnormal away from zero), and an exact cancellation gives +0.0.
+    A gradient not named in ``rows`` covers its whole tensor. Non-finite
     gradients, or values after the update, abort with the tensor name.
     """
     rows = rows or {}
@@ -303,9 +304,7 @@ def optimizer_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         # row blocks of 1-d views, so 0-d tensors are updated in place too
         p, g, m, v = np.atleast_1d(tensors[name], grad, state.m[name], state.v[name])
         size = max(1, ADAMW_BLOCK_ELEMENTS // max(1, math.prod(p.shape[1:])))
-        if name not in state.scratch:
-            state.scratch[name] = (np.empty_like(p[:size]), np.empty_like(p[:size]))
-        a, b = state.scratch[name]
+        a, b = np.empty_like(p[:size]), np.empty_like(p[:size])
         # a dense gradient is the case where every row is touched
         touched = rows[name] if name in rows else np.arange(len(p))
         for start in range(0, len(p), size):
@@ -319,26 +318,20 @@ def optimizer_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 
 def _adamw_block(p, m, v, a, b, rows, g, t: int, config: TrainConfig) -> None:
-    """AdamW on one block, in place, with ``a`` and ``b`` as scratch.
+    """AdamW on one block, in place, with ``a`` and ``b`` as work space.
 
     ``g`` holds the gradient of the block's ``rows``, sorted distinct
-    indices; every other row's is +0.0. The result is bit-identical to
-    the whole-array form on the full gradient
+    indices; every other row's is +0.0. While m holds no -0.0 (see
+    ``optimizer_step``), this is bit for bit the whole-array form
         m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g**2,
-        p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p),
-    while the gradient terms are computed for ``rows`` alone.
+        p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p)
+    on the full gradient, with the gradient terms computed for ``rows``.
     """
     b1, b2 = ADAMW_BETA1, ADAMW_BETA2
     m *= b1
+    m[rows] += g * (1 - b1)
     v *= b2
-    with_grad = m[rows] + g * (1 - b1)
     v[rows] += np.square(g) * (1 - b2)
-    # A row without gradient adds (1 - b1) 0.0 = +0.0 to m b1, which turns
-    # a -0.0 moment into +0.0, and later steps see that sign; the pass
-    # stays so that any state steps as the whole-array form does. v >= +0.0
-    # always, so adding +0.0 to it is the identity and is skipped.
-    m += 0.0
-    m[rows] = with_grad
     np.divide(v, 1 - b2**t, out=a)
     np.sqrt(a, out=a)
     a += ADAMW_EPS
@@ -442,8 +435,7 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
     all_labeled = all(doc.label is not None for doc in corpus.documents)
     history: list[dict] = []
     best_epoch = -1
-    best_silhouette = -np.inf
-    best_params = params.copy()
+    best_silhouette = -np.inf  # a silhouette is finite, so epoch 1 always wins
     first_pairs: list | PositivePairing = []
 
     embeddings = None

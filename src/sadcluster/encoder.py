@@ -4,7 +4,7 @@ The built-in encoder is deliberately small: an embedding table, a mean
 pool over each view's token ids, and an affine projection with tanh.
 Pooling is a product with a sparse matrix holding one unit entry per
 token, so views are never padded to a common length. It trains from
-scratch with exact analytic gradients; the table's gradient holds only
+random weights with exact analytic gradients; the table's gradient holds only
 the rows of the batch's tokens. Embeddings computed
 elsewhere (e.g. by a pre-trained transformer run out of process) skip
 this module: ``cluster`` and ``eval`` read them as text.
@@ -200,11 +200,10 @@ def embed_corpus(params: EncoderParams, vocab: Vocabulary, corpus: Corpus,
     """
     if doc_ids is None:
         doc_ids = [text_ids(doc.text, vocab) for doc in corpus.documents]
-    seqs = []
-    for doc, ids in zip(corpus.documents, doc_ids):
-        if ids.size == 0:
-            raise ValueError(f"document {doc.id!r} has no tokens")
-        seqs.append(TokenSequence(ids[:max_len], max_len))
+    empty = [repr(doc.id) for doc, ids in zip(corpus.documents, doc_ids) if ids.size == 0]
+    if empty:
+        raise ValueError(f"{len(empty)} document(s) have no tokens: " + ", ".join(empty))
+    seqs = [TokenSequence(ids[:max_len], max_len) for ids in doc_ids]
     return encode_batch_forward(params, seqs)[0]
 
 

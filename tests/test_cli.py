@@ -790,9 +790,10 @@ class TestEmbedCheckpointCheck:
 
 
 class TestEmbedInputChecks:
-    def embed(self, capsys, tmp_path, bad_id="b", max_len="256"):
+    def embed(self, capsys, tmp_path, bad_id="b", max_len="256", docs=None):
         corpus = tmp_path / "corpus.jsonl"
-        docs = [{"id": "a", "text": "alpha beta."}, {"id": bad_id, "text": "beta gamma."}]
+        docs = docs or [{"id": "a", "text": "alpha beta."},
+                        {"id": bad_id, "text": "beta gamma."}]
         corpus.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
         checkpoint = tmp_path / "model.ckpt"
         save_checkpoint(init_params(5, 8, 8, seed=0), checkpoint)
@@ -815,6 +816,14 @@ class TestEmbedInputChecks:
         assert code == 1 and err["error"] == "ValueError"
         assert f"document id {bad_id!r} is empty or contains whitespace" in err["message"]
         assert embedded == [] and not (tmp_path / "emb.txt").exists()
+
+    def test_every_token_free_document_is_named(self, capsys, tmp_path):
+        docs = [{"id": f"p{i}", "text": text}
+                for i, text in enumerate(["alpha beta.", "...", "?!", "beta gamma."])]
+        code, err = self.embed(capsys, tmp_path, docs=docs)
+        assert code == 1 and err == {"error": "ValueError",
+                                     "message": "2 document(s) have no tokens: 'p1', 'p2'"}
+        assert not (tmp_path / "emb.txt").exists()
 
     def test_max_len_below_one_rejected(self, capsys, tmp_path, monkeypatch):
         # checked before the corpus and checkpoint are read

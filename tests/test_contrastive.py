@@ -7,6 +7,7 @@ import pytest
 from sadcluster import contrastive, encoder, tfidf
 from sadcluster.augment import shuffle_divide
 from sadcluster.contrastive import (
+    ADAMW_BETA1,
     OptimizerState,
     TrainConfig,
     build_batch_sad,
@@ -453,6 +454,32 @@ class TestOptimizerStep:
         for _ in range(2):
             optimizer_step(params, grads, cfg, state)
         assert np.array_equal(params["w"], np.array([1.5, -0.5]))
+
+    def test_no_moment_turns_minus_zero(self):
+        # step 1 sets m = (1 - b1) g: about 0.1 on row 0 and -5e-324, the
+        # smallest subnormal, on row 1
+        params = {"w": np.ones((2, 1))}
+        cfg = TrainConfig(learning_rate=1e-3)
+        state = OptimizerState()
+        optimizer_step(params, {"w": np.array([[1.0], [-5e-323]])}, cfg, state)
+        decayed = state.m["w"][0, 0] * ADAMW_BETA1
+        assert state.m["w"][1, 0] == -5e-324
+        # step 2 touches row 0 alone, with the g whose term cancels m b1
+        # exactly: walk g by units in the last place until it does
+        g = -decayed / (1 - ADAMW_BETA1)
+        for _ in range(8):
+            gap = decayed + g * (1 - ADAMW_BETA1)
+            if gap == 0.0:
+                break
+            g = np.nextafter(g, -np.inf if gap > 0 else np.inf)
+        assert g * (1 - ADAMW_BETA1) == -decayed
+        optimizer_step(params, {"w": np.array([[g]])}, cfg, state, {"w": np.array([0])})
+        m = state.m["w"]
+        # an exact cancellation gives +0.0
+        assert m[0, 0] == 0.0 and not np.signbit(m[0, 0])
+        # b1 = 0.9 rounds the smallest subnormal away from zero, so an
+        # untouched row keeps it: it never becomes -0.0
+        assert m[1, 0] == -5e-324
 
     def test_nonfinite_gradient_rejected_with_name(self):
         params = {"w": np.array([1.0])}
