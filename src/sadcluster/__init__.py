@@ -6,55 +6,20 @@ nearest-neighbor sampling, train a small mean-pooling encoder with the
 normalized temperature-scaled cross entropy loss, cluster the resulting
 embeddings with spherical k-means, and pick the best epoch by silhouette
 score, all without labels.
+
+The top level holds the names the README quickstart and the demos use;
+everything else is imported from its module, e.g.
+``sadcluster.evaluate.hungarian``.
 """
 
 from .augment import shuffle_divide
-from .cluster import ClusterModel, spherical_kmeans
-from .contrastive import (
-    TrainConfig,
-    TrainResult,
-    build_batch_sad,
-    build_batch_tps,
-    nt_xent_gradient,
-    nt_xent_loss,
-    optimizer_step,
-    plan_tps_batches,
-    supervised_finetune,
-    train,
-)
-from .corpus import (
-    Corpus,
-    Document,
-    filter_min_sentences,
-    load_corpus,
-    preprocess_newsgroup_style,
-    preprocess_reuters_style,
-    save_corpus,
-    split_sentences,
-)
-from .encoder import (
-    EncoderParams,
-    Vocabulary,
-    build_vocab,
-    embed_corpus,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-    tokenize,
-)
-from .evaluate import (
-    EvalReport,
-    adjusted_mutual_information,
-    clustering_accuracy,
-    confusion_matrix,
-    evaluate_clustering,
-    hungarian,
-    silhouette_score,
-)
-from .rng import derive_rng, derive_seed, fisher_yates
+from .cluster import spherical_kmeans
+from .contrastive import TrainConfig, train
+from .corpus import Corpus, Document, preprocess_newsgroup_style, split_sentences
+from .encoder import embed_corpus, init_params
+from .evaluate import evaluate_clustering
 from .synth import generate_synthetic_corpus
 from .tfidf import (
-    PositivePairing,
     blended_similarity,
     fit_tfidf,
     index_tokens,
@@ -67,51 +32,22 @@ from .tfidf import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClusterModel",
     "Corpus",
     "Document",
-    "EncoderParams",
-    "EvalReport",
-    "PositivePairing",
     "TrainConfig",
-    "TrainResult",
-    "Vocabulary",
-    "adjusted_mutual_information",
     "blended_similarity",
-    "build_batch_sad",
-    "build_batch_tps",
-    "build_vocab",
-    "clustering_accuracy",
-    "confusion_matrix",
-    "derive_rng",
-    "derive_seed",
     "embed_corpus",
     "evaluate_clustering",
-    "filter_min_sentences",
-    "fisher_yates",
     "fit_tfidf",
     "generate_synthetic_corpus",
-    "hungarian",
     "index_tokens",
     "init_params",
     "label_match_rate",
-    "load_checkpoint",
-    "load_corpus",
-    "nt_xent_gradient",
-    "nt_xent_loss",
-    "optimizer_step",
-    "plan_tps_batches",
     "preprocess_newsgroup_style",
-    "preprocess_reuters_style",
-    "save_checkpoint",
-    "save_corpus",
     "shuffle_divide",
-    "silhouette_score",
     "similarity_matrix",
     "spherical_kmeans",
     "split_sentences",
-    "supervised_finetune",
-    "tokenize",
     "top1_from_matrix",
     "train",
     "transform_corpus",

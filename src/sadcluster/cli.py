@@ -162,14 +162,23 @@ def read_embeddings(path):
 
 
 def _check_outputs(args) -> None:
-    """Fail before any work on a file to write that cannot be created."""
-    for flag in args.outputs:
-        path = getattr(args, flag[2:].replace("-", "_"))
-        if path and Path(path).is_dir():
-            raise IsADirectoryError(f"{flag} {path} is a directory")
-        if path and not Path(path).parent.is_dir():
-            raise FileNotFoundError(f"{flag} {path}: directory {Path(path).parent} "
+    """Fail before any work on a file to write that cannot be created, or
+    that another file the subcommand writes would overwrite."""
+    files = [(flag, Path(path)) for flag in args.outputs
+             if (path := getattr(args, flag[2:].replace("-", "_")))]
+    for flag, path in files:
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"{flag} {path}: directory {path.parent} "
                                     "does not exist")
+    if args.command == "train":  # its --out-dir need not exist yet
+        files += [("--out-dir", path) for path in _train_files(args.out_dir)]
+    seen = {}
+    for flag, path in files:
+        if path.is_dir():
+            raise IsADirectoryError(f"{flag} {path} is a directory")
+        other_flag, other = seen.setdefault(path.resolve(), (flag, path))
+        if other is not path:
+            raise ValueError(f"{other_flag} {other} and {flag} {path} are the same file")
 
 
 def _given(args, *own) -> dict:
@@ -261,6 +270,12 @@ def _dump_pairs(corpus: Corpus, method: str, first_pairs, path) -> None:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _train_files(out_dir) -> list[Path]:
+    """The files ``train`` writes into ``out_dir``, in the order it writes them."""
+    return [Path(out_dir) / name for name in ("best.ckpt", "final.ckpt", "vocab.json",
+                                              "metrics.json")]
+
+
 def cmd_train(args) -> int:
     corpus = load_corpus(args.corpus)
     settings = vars(args)
@@ -273,10 +288,11 @@ def cmd_train(args) -> int:
     if not nearest.is_dir():
         raise NotADirectoryError(f"--out-dir {out_dir}: {nearest} is not a directory")
     result = train(corpus, config)
+    best, final, vocab, metrics = _train_files(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(result.best_params, out_dir / "best.ckpt")
-    save_checkpoint(result.final_params, out_dir / "final.ckpt")
-    save_vocab(result.vocab, out_dir / "vocab.json")
+    save_checkpoint(result.best_params, best)
+    save_checkpoint(result.final_params, final)
+    save_vocab(result.vocab, vocab)
     _write_json(
         {
             "schema_version": METRICS_SCHEMA_VERSION,
@@ -285,7 +301,7 @@ def cmd_train(args) -> int:
             "history": result.history,
             "best_epoch": result.best_epoch,
         },
-        out_dir / "metrics.json",
+        metrics,
     )
     if args.dump_tfidf:
         _dump_tfidf(corpus, args.dump_tfidf)
@@ -371,7 +387,8 @@ def cmd_eval(args) -> int:
         embeddings = embeddings[[row[doc.id] for doc in corpus.documents]]
 
     report = evaluate_clustering(labels, clusters, embeddings=embeddings,
-                                 seed=args.silhouette_seed)
+                                 **_given(args, "assignments", "corpus", "out",
+                                          "embeddings"))
     payload = {
         "schema_version": METRICS_SCHEMA_VERSION,
         "acc": report.acc,
@@ -455,12 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_cluster, outputs=("--out",))
 
-    p = sub.add_parser("eval", help="score assignments against gold labels")
+    p = sub.add_parser("eval", help="score assignments against gold labels",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--assignments", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--embeddings", default=None)
-    p.add_argument("--silhouette-seed", type=int, default=0)
+    p.add_argument("--silhouette-seed", type=int, dest="seed", metavar="SEED")
     p.set_defaults(func=cmd_eval, outputs=("--out",))
 
     return parser
@@ -471,7 +489,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_outputs(args)
-        return args.func(args)
+        # an overflow or a NaN fails the run instead of reaching its outputs
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except Exception as err:  # surfaced as machine-readable JSON
         print(json.dumps({"error": type(err).__name__, "message": str(err)},
                          sort_keys=True), file=sys.stderr)

@@ -410,8 +410,9 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
         epochs = default_epochs(config.method, n, config.batch_size)
     if epochs < 1:
         raise ValueError("training needs at least 1 epoch")
-    if n < max(2, config.num_clusters):
-        raise ValueError(f"corpus too small: {n} documents")
+    if n < max(3, config.num_clusters):  # k-means needs k points, the silhouette 3
+        raise ValueError(f"corpus too small: {n} documents for k={config.num_clusters} "
+                         "(the silhouette needs at least 3)")
     # every text is tokenized once: the vocabulary, the views, the embeddings
     # and (tps) the TF-IDF matrix all read its terms. sad reads sentences: a
     # document's ids join its sentences' ids, as sentences split only at spaces

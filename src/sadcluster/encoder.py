@@ -86,7 +86,7 @@ class EncoderParams:
 
 
 def build_vocab(tokens: list[str], terms: list[np.ndarray],
-                max_vocab: int = 30000) -> tuple[Vocabulary, np.ndarray]:
+                max_vocab: int) -> tuple[Vocabulary, np.ndarray]:
     """Keep the ``max_vocab`` most frequent tokens, ties lexicographic.
 
     ``tokens`` and ``terms`` are what ``tfidf.index_tokens`` returns.

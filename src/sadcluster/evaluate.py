@@ -152,7 +152,8 @@ def silhouette_score(embeddings: np.ndarray, assignments, seed: int = 0) -> floa
 
     s(i) = (b - a) / max(a, b) with a = mean intra-cluster distance
     (excluding self) and b = smallest mean distance to another cluster.
-    Singletons score 0, as does the a = b = 0 degenerate case. When n
+    Singletons score 0, as does the a = b = 0 degenerate case, and each
+    score is clipped to [-1, 1], which rounding can leave. When n
     exceeds ``SILHOUETTE_SAMPLE_CAP``, scores are averaged over a seeded
     subsample of that many points (distances still use the full dataset).
     """
@@ -203,7 +204,8 @@ def silhouette_score(embeddings: np.ndarray, assignments, seed: int = 0) -> floa
     top = np.maximum(a, b)
     scores = np.divide(b - a, top, out=np.zeros(sample.size),
                        where=(own_size > 1) & (top != 0.0))
-    return float(scores.mean())
+    # 1 - cos can round below 0 for equal points, which puts a score past 1
+    return float(np.clip(scores, -1.0, 1.0).mean())
 
 
 def evaluate_clustering(labels, clusters, embeddings: np.ndarray | None = None,

@@ -376,6 +376,35 @@ class TestTrainCommand:
         assert json.loads(err)["message"].startswith(message)
         assert not out_dir.exists() and not pairs.exists() and not tfidf.exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        # AdamW's second moment, then the forward pass of the next batch
+        ("temperature", "1e-300", "epoch 1, batch 0: overflow encountered in square"),
+        ("lr", "1e300", "epoch 1, batch 1: overflow encountered in matmul"),
+    ])
+    def test_numeric_overflow_fails_the_run(self, capsys, tmp_path, flag, value, message):
+        corpus_path = make_synth(capsys, tmp_path)
+        out_dir = tmp_path / "run"
+        code, _, err = run(capsys, *train_args(corpus_path, out_dir, **{flag: value}))
+        assert code == 1 and len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "RuntimeError", "message": message}
+        assert not out_dir.exists()
+
+    def test_two_documents_fail_before_training(self, capsys, tmp_path, monkeypatch):
+        # k = 2 clusters fit 2 documents, but the per-epoch silhouette needs 3
+        corpus_path = tmp_path / "two.jsonl"
+        corpus_path.write_text("".join(
+            json.dumps({"id": f"d{i}", "text": "Alpha beta. Gamma delta."}) + "\n"
+            for i in range(2)))
+        steps = []
+        monkeypatch.setattr(contrastive, "_train_step", lambda *a: steps.append(a))
+        out_dir = tmp_path / "run"
+        code, _, err = run(capsys, *train_args(corpus_path, out_dir, k=2))
+        assert code == 1 and len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "corpus too small: 2 documents for k=2 (the silhouette needs at least 3)"}
+        assert steps == [] and not out_dir.exists()
+
     def test_every_option_reaches_the_config(self, capsys, tmp_path):
         # options map to TrainConfig fields by dest, so a misspelled dest would
         # drop its option without an error
@@ -540,6 +569,34 @@ class TestEmbedClusterEval:
         assert [json.loads(line)["cluster"] for line in assign.read_text().splitlines()] \
             == model.assignments.tolist()
         assert json.loads(out)["iterations"] == model.iterations_run
+
+    def test_eval_silhouette_seed_default_is_the_library_default(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        # a sample smaller than n, so the seed picks the points scored
+        monkeypatch.setattr(evaluate, "SILHOUETTE_SAMPLE_CAP", 10)
+        corpus_path = make_synth(capsys, tmp_path)
+        corpus = load_corpus(corpus_path)
+        ids = [doc.id for doc in corpus.documents]
+        embeddings = np.random.default_rng(0).normal(size=(len(ids), 5))
+        write_embeddings(ids, embeddings, tmp_path / "emb.txt")
+        clusters = [i % 4 for i in range(len(ids))]
+        with open(tmp_path / "a.jsonl", "w") as fh:
+            for doc_id, cluster in zip(ids, clusters):
+                fh.write(json.dumps({"id": doc_id, "cluster": cluster}) + "\n")
+        silhouettes = []
+        for seed in ([], ["--silhouette-seed", "7"]):
+            code, out, err = run(capsys, "eval", "--assignments", str(tmp_path / "a.jsonl"),
+                                 "--corpus", str(corpus_path), "--embeddings",
+                                 str(tmp_path / "emb.txt"), "--out",
+                                 str(tmp_path / "m.json"), *seed)
+            assert code == 0, err
+            silhouettes.append(json.loads(out)["silhouette"])
+        labels = corpus.labels_array()
+        assert silhouettes == [
+            evaluate.evaluate_clustering(labels, clusters, embeddings=embeddings).silhouette,
+            evaluate.evaluate_clustering(labels, clusters, embeddings=embeddings,
+                                         seed=7).silhouette]
+        assert silhouettes[0] != silhouettes[1]
 
     def test_eval_on_gold_labels_scores_perfect(self, capsys, tmp_path):
         corpus_path = make_synth(capsys, tmp_path)
@@ -989,3 +1046,44 @@ class TestOutputsCheckedFirst:
         code, _, err = run(capsys, *argv)
         assert code == 0, err
         assert len(called) == 1
+
+    def test_out_dir_file_that_is_a_directory_fails_before_training(self, capsys, tmp_path,
+                                                                     monkeypatch):
+        corpus = make_synth(capsys, tmp_path)
+        metrics = tmp_path / "run" / "metrics.json"
+        metrics.mkdir(parents=True)
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *a: trained.append(a))
+        before = sorted(tmp_path.rglob("*"))
+        code, _, err = run(capsys, *train_args(corpus, tmp_path / "run"))
+        assert code == 1 and len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "IsADirectoryError",
+                                   "message": f"--out-dir {metrics} is a directory"}
+        assert trained == [] and sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("case", ["two-dumps", "dump-over-metrics", "stats-over-out"])
+    def test_two_outputs_that_are_one_file_fail_before_any_work(self, capsys, tmp_path,
+                                                               monkeypatch, case):
+        corpus = make_synth(capsys, tmp_path)
+        (tmp_path / "run").mkdir()
+        one, other = tmp_path / "one.jsonl", tmp_path / "run" / ".." / "one.jsonl"
+        if case == "two-dumps":
+            argv = [*train_args(corpus, tmp_path / "run"),
+                    "--dump-tfidf", str(one), "--dump-pairs", str(other)]
+            expected = f"--dump-pairs {other} and --dump-tfidf {one} are the same file"
+        elif case == "dump-over-metrics":
+            metrics = tmp_path / "run" / "metrics.json"
+            argv = [*train_args(corpus, tmp_path / "run"), "--dump-pairs", str(metrics)]
+            expected = (f"--dump-pairs {metrics} and --out-dir {metrics} "
+                        "are the same file")
+        else:
+            argv = ["preprocess", "--in", str(corpus), "--out", str(one),
+                    "--stats", str(other)]
+            expected = f"--out {one} and --stats {other} are the same file"
+        called = []
+        monkeypatch.setattr(cli, "load_corpus", lambda *a: called.append(a))
+        before = sorted(tmp_path.rglob("*"))
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "ValueError", "message": expected}
+        assert called == [] and sorted(tmp_path.rglob("*")) == before

@@ -270,6 +270,13 @@ class TestSilhouette:
         sub = silhouette_score(x, labels, seed=0)
         assert abs(full - sub) < 0.05
 
+    def test_equal_points_score_at_most_one(self):
+        # two clusters of equal points, drawn by the CLI property tests: the
+        # self-distance 1 - cos rounds below 0 and the raw mean is 1 + 2**-52
+        p = [0.016175294135949037, 0.051191879769472697, 0.07357009648526548]
+        q = [-0.009775310582764306, -0.027190815936093727, -0.040956248938201864]
+        assert silhouette_score(np.array([p] * 3 + [q] * 3), [0, 0, 0, 1, 1, 1]) == 1.0
+
     def test_range_bounds(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
