@@ -55,6 +55,6 @@ for epoch in (1, 2, 3, 5):
         print(f"  (bit-identical to TF-IDF: {identical})")
     else:
         print()
-        fused = top1_from_matrix(sims, sim_model, weight)
+        fused = top1_from_matrix(sims, sim_model, alpha, epoch)
         same = np.array_equal(fused.partner, top1_from_matrix(blended).partner)
         print(f"    blended in the top-1 pass: same partners as the whole blend: {same}")

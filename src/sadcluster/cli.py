@@ -44,17 +44,6 @@ def _write_json(payload: dict, path) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _load_labeled(path) -> Corpus:
-    corpus = load_corpus(path)
-    missing = [doc.id for doc in corpus.documents if doc.label is None]
-    if missing:
-        raise ValueError(
-            f"corpus has {len(missing)} unlabeled documents "
-            f"(first: {missing[0]!r}); labels are required here"
-        )
-    return corpus
-
-
 def save_vocab(vocab: Vocabulary, path) -> None:
     tokens = [None] * len(vocab)
     for token, idx in vocab.token_to_id.items():
@@ -163,16 +152,17 @@ def read_embeddings(path):
 
 def _check_outputs(args) -> None:
     """Fail before any work on a file to write that cannot be created, or
-    that another file the subcommand writes would overwrite."""
-    files = [(flag, Path(path)) for flag in args.outputs
-             if (path := getattr(args, flag[2:].replace("-", "_")))]
+    that would overwrite an input or another file the subcommand writes."""
+    files, inputs = ([(flag, Path(path)) for flag in flags
+                      if (path := getattr(args, flag[2:].replace("-", "_")))]
+                     for flags in (args.outputs, args.inputs))
     for flag, path in files:
         if not path.parent.is_dir():
             raise FileNotFoundError(f"{flag} {path}: directory {path.parent} "
                                     "does not exist")
     if args.command == "train":  # its --out-dir need not exist yet
         files += [("--out-dir", path) for path in _train_files(args.out_dir)]
-    seen = {}
+    seen = {path.resolve(): (flag, path) for flag, path in inputs}
     for flag, path in files:
         if path.is_dir():
             raise IsADirectoryError(f"{flag} {path} is a directory")
@@ -186,7 +176,7 @@ def _given(args, *own) -> dict:
     command reads itself. A sub-parser built with ``argparse.SUPPRESS``
     sets nothing for an option not given, so the library default holds."""
     return {k: v for k, v in vars(args).items()
-            if k not in {"command", "func", "outputs", *own}}
+            if k not in {"command", "func", "inputs", "outputs", *own}}
 
 
 def cmd_synth(args) -> int:
@@ -367,14 +357,14 @@ def _read_assignments(path) -> dict[str, int]:
 
 
 def cmd_eval(args) -> int:
-    corpus = _load_labeled(args.corpus)
+    corpus = load_corpus(args.corpus)
+    labels = corpus.labels_array()
     assignments = _read_assignments(args.assignments)
     clusters = []
     for doc in corpus.documents:
         if doc.id not in assignments:
             raise ValueError(f"no cluster assignment for document {doc.id!r}")
         clusters.append(assignments[doc.id])
-    labels = corpus.labels_array()
 
     embeddings = None
     if args.embeddings:
@@ -421,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokens-per-sentence", type=int)
     p.add_argument("--overlap", type=float)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_synth, outputs=("--out",))
+    p.set_defaults(func=cmd_synth, inputs=(), outputs=("--out",))
 
     p = sub.add_parser("preprocess", help="clean a corpus and report stats")
     p.add_argument("--in", required=True)
@@ -432,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k-classes", type=int, default=10)
     p.add_argument("--min-sentences", type=int, default=0)
     p.add_argument("--stats", default=None)
-    p.set_defaults(func=cmd_preprocess, outputs=("--out", "--stats"))
+    p.set_defaults(func=cmd_preprocess, inputs=("--in",), outputs=("--out", "--stats"))
 
     p = sub.add_parser("train", help="contrastive training with per-epoch selection")
     p.add_argument("--corpus", required=True)
@@ -454,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vocab", type=int, default=TrainConfig.max_vocab)
     p.add_argument("--dump-tfidf", default=None)
     p.add_argument("--dump-pairs", default=None)
-    p.set_defaults(func=cmd_train, outputs=("--dump-pairs", "--dump-tfidf"))
+    p.set_defaults(func=cmd_train, inputs=("--corpus",),
+                   outputs=("--dump-pairs", "--dump-tfidf"))
 
     p = sub.add_parser("embed", help="embed a corpus with a saved checkpoint")
     p.add_argument("--corpus", required=True)
@@ -462,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-len", type=int, default=TrainConfig.max_len_test)
-    p.set_defaults(func=cmd_embed, outputs=("--out",))
+    p.set_defaults(func=cmd_embed, inputs=("--corpus", "--checkpoint", "--vocab"),
+                   outputs=("--out",))
 
     p = sub.add_parser("cluster", help="spherical k-means over an embeddings file",
                        argument_default=argparse.SUPPRESS)
@@ -470,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_cluster, outputs=("--out",))
+    p.set_defaults(func=cmd_cluster, inputs=("--embeddings",), outputs=("--out",))
 
     p = sub.add_parser("eval", help="score assignments against gold labels",
                        argument_default=argparse.SUPPRESS)
@@ -479,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--embeddings", default=None)
     p.add_argument("--silhouette-seed", type=int, dest="seed", metavar="SEED")
-    p.set_defaults(func=cmd_eval, outputs=("--out",))
+    p.set_defaults(func=cmd_eval, inputs=("--assignments", "--corpus", "--embeddings"),
+                   outputs=("--out",))
 
     return parser
 

@@ -45,14 +45,15 @@ class ClusterModel:
             raise ValueError("assignment out of range")
 
 
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
+def unit_rows(x) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``x`` as float64 scaled to unit L2 norm, and their norms.
+    Raises ValueError naming the first row of zero or non-finite norm."""
     x = np.asarray(x, dtype=np.float64)
     norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0):
-        raise ValueError("embeddings contain a zero row")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("embeddings contain non-finite values")
-    return x / norms[:, None]
+    for bad, what in ((norms == 0, "zero-norm"), (~np.isfinite(norms), "non-finite")):
+        if np.any(bad):
+            raise ValueError(f"{what} row {np.flatnonzero(bad)[0]}")
+    return x / norms[:, None], norms
 
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -140,7 +141,7 @@ def spherical_kmeans(embeddings: np.ndarray, k: int, seed: int = 0) -> ClusterMo
     normalized internally, so the result is invariant to positive
     rescaling of any input row.
     """
-    x = _normalize_rows(embeddings)
+    x, _ = unit_rows(embeddings)
     n = x.shape[0]
     if k < 2:
         raise ValueError("k must be >= 2")

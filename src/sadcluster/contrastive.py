@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .augment import shuffle_divide
-from .cluster import spherical_kmeans
+from .cluster import spherical_kmeans, unit_rows
 from .corpus import Corpus
 from .encoder import (
     EncoderParams,
@@ -208,10 +208,12 @@ def _normalize_embeddings(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarra
         raise ValueError("embeddings must be a 2B x d matrix")
     if x.shape[0] < 4:
         raise ValueError("need at least 2 pairs (no negatives otherwise)")
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0):
-        raise ValueError("zero-norm embedding row")
-    return x / norms[:, None], norms
+    return unit_rows(x)
+
+
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return shifted / shifted.sum(axis=1, keepdims=True)
 
 
 def _masked_logits(unit: np.ndarray, temperature: float) -> np.ndarray:
@@ -243,10 +245,7 @@ def nt_xent_gradient(embeddings: np.ndarray, temperature: float) -> np.ndarray:
     n = unit.shape[0]
     logits = _masked_logits(unit, temperature)
     pos = np.arange(n) ^ 1
-    row_max = logits.max(axis=1)
-    shifted = np.exp(logits - row_max[:, None])
-    softmax = shifted / shifted.sum(axis=1, keepdims=True)
-    g = softmax
+    g = _softmax_rows(logits)
     g[np.arange(n), pos] -= 1.0
     g /= n
     grad_unit = (g + g.T) @ unit / temperature
@@ -446,39 +445,36 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
         match_rate = None
 
         if sad:
-            for b, idx in sad_batches(n, config.batch_size, rng):
-                halves = [shuffle_divide(corpus.documents[i], rng) for i in idx]
-                if epoch == 1:
-                    first_pairs += [(b, int(i), pair) for i, pair in zip(idx, halves)]
-                try:
-                    views = build_batch_sad(halves, [unit_ids[i] for i in idx],
-                                            config.max_len_train)
-                    batch_losses.append(_train_step(params, state, views, config))
-                except (ValueError, FloatingPointError) as err:
-                    raise RuntimeError(f"epoch {epoch}, batch {b}: {err}") from err
+            batches = sad_batches(n, config.batch_size, rng)
         else:
             # epoch 1 pairs on TF-IDF alone; later epochs blend in the last
             # epoch's embeddings: no update happened since
             pairing = top1_from_matrix(
                 sim_tfidf, None if epoch == 1 else similarity_matrix(embeddings),
-                config.alpha ** (epoch - 1))
+                config.alpha, epoch)
             if epoch == 1:
                 first_pairs = pairing
             if all_labeled:
                 match_rate = label_match_rate(pairing, corpus.labels_array())
-            batches = plan_tps_batches(pairing, config.batch_size, rng)
+            batches = list(enumerate(plan_tps_batches(pairing, config.batch_size, rng)))
             if not batches:
                 first = ", ".join(repr(doc.id) for doc in corpus.documents[:5])
                 raise ValueError(f"epoch {epoch}: no batch of 2 collision-free tps pairs "
                                  f"can be formed, so all {n} documents are unscheduled "
                                  f"(first: {first})")
-            for b, anchors in enumerate(batches):
-                try:
-                    views = build_batch_tps(pairing, anchors, doc_ids,
+        for b, idx in batches:
+            try:
+                if sad:
+                    halves = [shuffle_divide(corpus.documents[i], rng) for i in idx]
+                    if epoch == 1:
+                        first_pairs += [(b, int(i), pair) for i, pair in zip(idx, halves)]
+                    views = build_batch_sad(halves, [unit_ids[i] for i in idx],
                                             config.max_len_train)
-                    batch_losses.append(_train_step(params, state, views, config))
-                except (ValueError, FloatingPointError) as err:
-                    raise RuntimeError(f"epoch {epoch}, batch {b}: {err}") from err
+                else:
+                    views = build_batch_tps(pairing, idx, doc_ids, config.max_len_train)
+                batch_losses.append(_train_step(params, state, views, config))
+            except (ValueError, FloatingPointError) as err:
+                raise RuntimeError(f"epoch {epoch}, batch {b}: {err}") from err
 
         embeddings = embed_corpus(params, vocab, corpus, config.max_len_test, doc_ids)
         kmeans_seed = derive_seed(config.seed, "kmeans-epoch", epoch)
@@ -511,11 +507,6 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
         best_epoch=best_epoch,
         first_pairs=first_pairs,
     )
-
-
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True)
 
 
 def supervised_finetune(params: EncoderParams, vocab: Vocabulary,
@@ -557,8 +548,7 @@ def supervised_finetune(params: EncoderParams, vocab: Vocabulary,
             labels = train_labels[idx]
             out, cache = encode_batch_forward(params, seqs)
             logits = out @ head["head_w"] + head["head_b"]
-            probs = _softmax_rows(logits)
-            d_logits = probs.copy()
+            d_logits = _softmax_rows(logits)
             d_logits[np.arange(idx.size), labels] -= 1.0
             d_logits /= idx.size
             head_grads = {

@@ -71,21 +71,21 @@ class Corpus:
         return len(self.documents)
 
     def labels_array(self) -> list[int]:
-        """Gold labels of all documents; raises if any is missing."""
-        labels = []
-        for doc in self.documents:
-            if doc.label is None:
-                raise ValueError(f"document {doc.id!r} has no label")
-            labels.append(doc.label)
-        return labels
+        """Gold labels of all documents; a missing one raises, naming the count and first."""
+        missing = [doc.id for doc in self.documents if doc.label is None]
+        if missing:
+            raise ValueError(f"{len(missing)} of {len(self)} documents have no label "
+                             f"(first unlabeled: {missing[0]!r})")
+        return [doc.label for doc in self.documents]
 
 
 def split_sentences(text: str) -> list[str]:
     """Split text into sentences on '.', '!', '?' followed by whitespace.
 
     Terminators are kept with their sentence. A '.' does not split when
-    the word it ends is a known abbreviation or a single initial, or when
-    it sits inside a decimal number. Empty segments are dropped.
+    the word it ends is a known abbreviation or an initial (one capital
+    letter, as in "J."), or when it sits inside a decimal number. Empty
+    segments are dropped.
     """
     boundaries = []
     n = len(text)
@@ -98,10 +98,10 @@ def split_sentences(text: str) -> list[str]:
             word_start = start
             while word_start > 0 and not text[word_start - 1].isspace():
                 word_start -= 1
-            word = text[word_start:end].lower()
-            if word in ABBREVIATIONS:
+            word = text[word_start:end]
+            if word.lower() in ABBREVIATIONS:
                 continue
-            if len(word) == 2 and word[0].isalpha():
+            if len(word) == 2 and word[0].isupper():
                 continue  # single initial, e.g. "J."
             # decimal split across whitespace, e.g. "3. 14"
             rest = text[end:].lstrip()

@@ -12,6 +12,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import gammaln
 
+from .cluster import unit_rows
 from .rng import derive_rng
 
 # At most this many points are scored; train and the eval command share it.
@@ -157,9 +158,9 @@ def silhouette_score(embeddings: np.ndarray, assignments, seed: int = 0) -> floa
     exceeds ``SILHOUETTE_SAMPLE_CAP``, scores are averaged over a seeded
     subsample of that many points (distances still use the full dataset).
     """
-    x = np.asarray(embeddings, dtype=np.float64)
+    unit, _ = unit_rows(embeddings)
     assignments = np.asarray(assignments, dtype=np.int64)
-    n = x.shape[0]
+    n = unit.shape[0]
     if assignments.shape != (n,):
         raise ValueError("assignments must match embeddings rows")
     if n < 3:
@@ -168,10 +169,6 @@ def silhouette_score(embeddings: np.ndarray, assignments, seed: int = 0) -> floa
                                            return_counts=True)
     if cluster_ids.size < 2:
         raise ValueError("silhouette requires at least 2 clusters")
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0):
-        raise ValueError("embeddings contain a zero row")
-    unit = x / norms[:, None]
 
     if n > SILHOUETTE_SAMPLE_CAP:
         sample = np.sort(derive_rng(seed, "silhouette").choice(

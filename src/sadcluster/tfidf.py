@@ -139,13 +139,13 @@ def similarity_matrix(vectors) -> np.ndarray:
 
 
 def top1_from_matrix(sim_tfidf: np.ndarray, sim_model: np.ndarray | None = None,
-                     weight: float = 1.0) -> PositivePairing:
+                     alpha: float = 1.0, epoch: int = 1) -> PositivePairing:
     """Partner of each row = argmax off the diagonal, ties to smallest index.
 
-    The rows compared are those of sim_tfidf, or with ``sim_model`` those
-    of the blend weight * sim_tfidf + (1 - weight) * sim_model, bit for
-    bit as ``blended_similarity`` forms it. The blend is formed one block
-    of rows at a time, so no n x n array is made.
+    The rows compared are those of ``blended_similarity(sim_tfidf,
+    sim_model, alpha, epoch)``, which is sim_tfidf alone at epoch 1 (when
+    ``sim_model`` may be None). The blend is formed one block of rows at
+    a time, so no n x n array is made.
     """
     n = sim_tfidf.shape[0]
     if n < 2:
@@ -154,16 +154,15 @@ def top1_from_matrix(sim_tfidf: np.ndarray, sim_model: np.ndarray | None = None,
         raise ValueError("similarity matrix must be square")
     if sim_model is not None and sim_model.shape != (n, n):
         raise ValueError(f"shape mismatch: {sim_tfidf.shape} vs {sim_model.shape}")
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError("weight must be in [0, 1]")
     partner = np.empty(n, dtype=np.int64)
     similarity = np.empty(n)
-    for rows in _row_blocks(n):
-        if sim_model is None:
-            blk = sim_tfidf[rows].astype(np.float64)
-        else:
-            blk = np.multiply(sim_tfidf[rows], weight, dtype=np.float64)
-            blk += np.multiply(sim_model[rows], 1.0 - weight, dtype=np.float64)
+    blocks = _row_blocks(n)  # the first is the largest
+    # one buffer holds each block's blend: a new array per block faults in fresh pages
+    buffer = np.empty((blocks[0].stop, n))
+    for rows in blocks:
+        blk = blended_similarity(sim_tfidf[rows],
+                                 None if sim_model is None else sim_model[rows],
+                                 alpha, epoch, out=buffer[:rows.stop - rows.start])
         r = np.arange(blk.shape[0])
         blk[r, r + rows.start] = -np.inf
         best = np.argmax(blk, axis=1)
@@ -172,27 +171,26 @@ def top1_from_matrix(sim_tfidf: np.ndarray, sim_model: np.ndarray | None = None,
     return PositivePairing(partner, similarity)
 
 
-def blended_similarity(sim_tfidf: np.ndarray, sim_model: np.ndarray,
-                       alpha: float, epoch: int) -> np.ndarray:
-    """Per-epoch blend of lexical and model similarity.
+def blended_similarity(sim_tfidf: np.ndarray, sim_model: np.ndarray | None,
+                       alpha: float, epoch: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-epoch blend of lexical and model similarity, into ``out`` if given.
 
     S = a^(epoch-1) * sim_tfidf + (1 - a^(epoch-1)) * sim_model. At
-    epoch 1 the result is sim_tfidf exactly, bit for bit.
+    epoch 1 the result is sim_tfidf exactly, bit for bit, and
+    ``sim_model`` is not read.
     """
-    sim_tfidf = np.asarray(sim_tfidf, dtype=np.float64)
-    sim_model = np.asarray(sim_model, dtype=np.float64)
-    if sim_tfidf.shape != sim_model.shape:
-        raise ValueError(
-            f"shape mismatch: {sim_tfidf.shape} vs {sim_model.shape}"
-        )
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
     if epoch < 1:
         raise ValueError("epoch numbering starts at 1")
     if epoch == 1:
-        return sim_tfidf.copy()
+        return np.positive(sim_tfidf, out=out, dtype=np.float64)  # a copy
+    if np.shape(sim_tfidf) != np.shape(sim_model):
+        raise ValueError(f"shape mismatch: {np.shape(sim_tfidf)} vs {np.shape(sim_model)}")
     w = alpha ** (epoch - 1)
-    return w * sim_tfidf + (1.0 - w) * sim_model
+    blend = np.multiply(sim_tfidf, w, out=out, dtype=np.float64)
+    blend += np.multiply(sim_model, 1.0 - w, dtype=np.float64)  # in place: one temporary
+    return blend
 
 
 def label_match_rate(pairing: PositivePairing, labels) -> float:

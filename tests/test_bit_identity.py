@@ -35,10 +35,10 @@ from sadcluster import contrastive, evaluate, tfidf
 from sadcluster.augment import shuffle_divide
 from sadcluster.cluster import (
     _kmeanspp_init,
-    _normalize_rows,
     _reseed_empty,
     _update_centroids,
     spherical_kmeans,
+    unit_rows,
 )
 from sadcluster.contrastive import (
     ADAMW_BETA1,
@@ -557,7 +557,7 @@ def test_blocked_top1_matches_the_whole_blend_reference(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tfidf, "PAIRING_BLOCK_ELEMENTS", block_elements)
         pairing = top1_from_matrix(sim_tfidf, None if epoch == 1 else sim_model,
-                                   alpha ** (epoch - 1))
+                                   alpha, epoch)
     assert same_bits(pairing.partner, expected_partner)
     assert same_bits(pairing.similarity, expected_similarity)
 
@@ -644,7 +644,7 @@ def reference_run_once(x, k, rng, max_iter, tol):
 
 
 def reference_kmeans(embeddings, k, seed, max_iter=100, tol=1e-6, restarts=10):
-    x = _normalize_rows(embeddings)
+    x = unit_rows(embeddings)[0]
     best = None
     for r in range(restarts):
         run = reference_run_once(x, k, derive_rng(seed, "kmeans", r), max_iter, tol)
@@ -768,7 +768,7 @@ def kmeans_case(name):
 def test_kmeans_matches_the_loop_reference(case):
     x, k, seed = kmeans_case(case)
     if case == "reseeded-empty-cluster":
-        unit = _normalize_rows(x)
+        unit = unit_rows(x)[0]
         first = _kmeanspp_init(unit, k, derive_rng(seed, "kmeans", 0))
         assert np.bincount(np.argmax(unit @ first.T, axis=1), minlength=k).min() == 0
     model = spherical_kmeans(x, k=k, seed=seed)
@@ -784,9 +784,9 @@ def test_update_centroids_matches_the_masked_sums():
     rng = np.random.default_rng(43)
     for _ in range(50):
         n, d, k = int(rng.integers(2, 80)), int(rng.integers(2, 20)), int(rng.integers(2, 9))
-        x = _normalize_rows(rng.normal(size=(n, d)))
+        x = unit_rows(rng.normal(size=(n, d)))[0]
         assignments = rng.integers(0, k, size=n)  # some clusters stay empty
-        start = _normalize_rows(rng.normal(size=(k, d)))
+        start = unit_rows(rng.normal(size=(k, d)))[0]
         got = _update_centroids(x, assignments, start.copy())
         assert same_bits(got, reference_update_centroids(x, assignments, start.copy()))
 

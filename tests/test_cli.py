@@ -420,7 +420,7 @@ class TestTrainCommand:
         parser = cli.build_parser()
         settings = vars(parser.parse_args(argv))
         defaults = vars(parser.parse_args(argv[:5] + ["--k", "2"]))
-        options = settings.keys() - {"command", "func", "outputs", "corpus", "out_dir",
+        options = settings.keys() - {"command", "func", "inputs", "outputs", "corpus", "out_dir",
                                      "dump_pairs", "dump_tfidf"}
         assert len(options) == len(values)
         assert all(settings[dest] != defaults[dest] for dest in options)
@@ -1060,6 +1060,33 @@ class TestOutputsCheckedFirst:
         assert json.loads(err) == {"error": "IsADirectoryError",
                                    "message": f"--out-dir {metrics} is a directory"}
         assert trained == [] and sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("case", ["embed", "cluster", "train", "preprocess"])
+    def test_output_that_is_an_input_fails_before_any_work(self, capsys, tmp_path, case):
+        corpus = self.inputs(capsys, tmp_path)
+        emb = tmp_path / "emb.txt"
+        (tmp_path / "run").mkdir()
+        source = emb if case == "cluster" else corpus
+        alias = tmp_path / "run" / ".." / source.name  # the same file by another path
+        argv, in_flag, out_flag = {
+            "embed": (["embed", "--corpus", str(corpus), "--checkpoint",
+                       str(tmp_path / "model.ckpt"), "--vocab", str(tmp_path / "vocab.json"),
+                       "--out", str(alias)], "--corpus", "--out"),
+            "cluster": (["cluster", "--embeddings", str(emb), "--k", "4", "--out", str(alias)],
+                        "--embeddings", "--out"),
+            "train": ([*train_args(corpus, tmp_path / "run"), "--dump-pairs", str(alias)],
+                      "--corpus", "--dump-pairs"),
+            "preprocess": (["preprocess", "--in", str(corpus), "--out", str(alias)],
+                           "--in", "--out"),
+        }[case]
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": f"{in_flag} {source} and {out_flag} {alias} are the same file"}
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*")
+                if path.is_file()} == before
 
     @pytest.mark.parametrize("case", ["two-dumps", "dump-over-metrics", "stats-over-out"])
     def test_two_outputs_that_are_one_file_fail_before_any_work(self, capsys, tmp_path,

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from sadcluster.cli import main
 
 # Unicode letters, digits and "_" (which the tokenizer splits on); a word
-# has 2 characters or more, because "x." reads as an initial, not an end
+# has 2 characters or more, because a capital such as "Ω." reads as an
+# initial, not an end
 WORDS = st.text(alphabet="aé中ßΩz19_", min_size=2, max_size=4)
 SENTENCES = st.lists(WORDS, min_size=1, max_size=5).map(" ".join)
 # empty and punctuation-only sentences, drawn among the worded ones

@@ -356,6 +356,13 @@ class TestNtXentLoss:
         with pytest.raises(ValueError, match="zero-norm"):
             nt_xent_loss(x, 0.5)
 
+    @pytest.mark.parametrize("function", [nt_xent_loss, nt_xent_gradient])
+    def test_rejects_nan_row(self, function):
+        x = np.ones((4, 3))
+        x[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite row 1"):
+            function(x, 0.5)
+
     def test_rejects_odd_row_count(self):
         with pytest.raises(ValueError, match="2B"):
             nt_xent_loss(np.ones((5, 3)), 0.5)
@@ -657,9 +664,9 @@ class TestTrain:
         sim_models = []
         real_top1 = contrastive.top1_from_matrix
 
-        def capturing(sim_tfidf, sim_model=None, weight=1.0):
-            sim_models.append(sim_model)
-            return real_top1(sim_tfidf, sim_model, weight)
+        def capturing(*args, **kwargs):
+            sim_models.append(args[1])
+            return real_top1(*args, **kwargs)
 
         monkeypatch.setattr(contrastive, "embed_corpus", counting)
         monkeypatch.setattr(contrastive, "top1_from_matrix", capturing)

@@ -35,6 +35,13 @@ class TestSplitSentences:
             "We listened.",
         ]
 
+    @pytest.mark.parametrize("text, expected", [
+        ("It is plan b. Then we left.", ["It is plan b.", "Then we left."]),
+        ("中. 好", ["中.", "好"]),
+    ])
+    def test_one_letter_that_is_not_a_capital_ends_a_sentence(self, text, expected):
+        assert split_sentences(text) == expected
+
     def test_run_of_terminators_is_one_boundary(self):
         assert split_sentences("What?! Right... sure.") == ["What?!", "Right...", "sure."]
 
@@ -163,6 +170,13 @@ class TestCorpusValidation:
     def test_labels_array_requires_all_labels(self):
         corpus = Corpus([Document("a", "x", label=0), Document("b", "y")])
         with pytest.raises(ValueError, match="no label"):
+            corpus.labels_array()
+
+    def test_labels_array_error_names_the_count_and_first_id(self):
+        corpus = Corpus([Document("a", "x", label=0), Document("b", "y"),
+                         Document("c", "z")])
+        with pytest.raises(ValueError, match=r"^2 of 3 documents have no label "
+                                             r"\(first unlabeled: 'b'\)$"):
             corpus.labels_array()
 
 

@@ -244,6 +244,12 @@ class TestSilhouette:
         v = silhouette_score(x2, [0, 0, 1])
         assert v == pytest.approx(2 / 3, abs=1e-12)
 
+    def test_nan_row_rejected(self):
+        x = np.eye(3)
+        x[2, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite row 2"):
+            silhouette_score(x, [0, 0, 1])
+
     def test_single_cluster_errors(self):
         with pytest.raises(ValueError):
             silhouette_score(np.eye(3), [0, 0, 0])

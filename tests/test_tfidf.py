@@ -7,6 +7,7 @@ import scipy.sparse
 
 from sadcluster.corpus import Corpus, Document
 from sadcluster.tfidf import (
+    PAIRING_BLOCK_ELEMENTS,
     PositivePairing,
     blended_similarity,
     fit_tfidf,
@@ -243,17 +244,20 @@ class TestTop1Sampling:
     def test_blend_argument_checks(self):
         m = np.zeros((3, 3))
         with pytest.raises(ValueError, match="shape"):
-            top1_from_matrix(m, np.zeros((2, 2)), 0.5)
-        with pytest.raises(ValueError, match="weight"):
-            top1_from_matrix(m, m, 1.5)
+            top1_from_matrix(m, np.zeros((2, 2)), 0.5, 2)
+        with pytest.raises(ValueError, match="alpha"):
+            top1_from_matrix(m, m, 1.5, 2)
 
     def test_blend_makes_no_n_by_n_temporary(self):
-        # a whole blend, or a masked copy of it, would alone be n*n*8 bytes
+        # a block's blend and one temporary; a third block (say the previous
+        # block's blend, still alive) is past 2.5 of them, and a whole blend
+        # alone would be n*n*8 bytes
         n = 3000
         rng = np.random.default_rng(10)
         sim_tfidf, sim_model = rng.random((n, n)), rng.random((n, n))
-        assert peak_bytes(lambda: top1_from_matrix(sim_tfidf, sim_model, 0.5)) \
-            < 0.5 * n * n * 8
+        block_bytes = PAIRING_BLOCK_ELEMENTS // n * n * 8
+        assert peak_bytes(lambda: top1_from_matrix(sim_tfidf, sim_model, 0.5, 2)) \
+            < 2.5 * block_bytes
 
     def test_self_partner_rejected_by_type(self):
         with pytest.raises(ValueError):
@@ -295,6 +299,20 @@ class TestBlendedSimilarity:
         out = blended_similarity(sim_tfidf, sim_model, alpha=0.37, epoch=1)
         assert np.array_equal(out, sim_tfidf)
         assert out.tobytes() == sim_tfidf.tobytes()
+
+    def test_epoch_one_does_not_read_the_model_similarity(self):
+        sim_tfidf = np.random.default_rng(11).random((4, 4))
+        out = blended_similarity(sim_tfidf, None, alpha=0.5, epoch=1)
+        assert out.tobytes() == sim_tfidf.tobytes()
+        assert out is not sim_tfidf
+
+    def test_out_receives_the_blend(self):
+        rng = np.random.default_rng(12)
+        a, b = rng.random((3, 4)), rng.random((3, 4))
+        for epoch in (1, 3):
+            out = np.empty((3, 4))
+            assert blended_similarity(a, b, 0.5, epoch, out=out) is out
+            assert out.tobytes() == blended_similarity(a, b, 0.5, epoch).tobytes()
 
     def test_alpha_zero_later_epochs_is_model(self):
         a = np.full((3, 3), 0.2)
