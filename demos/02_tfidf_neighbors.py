@@ -3,8 +3,9 @@
 Positive pairs for TPS come from nearest neighbors in TF-IDF space at
 epoch 1; later epochs blend in model similarity with a weight that
 decays geometrically, so training gradually trusts its own embeddings.
-``top1_from_matrix`` can form that blend itself, one block of rows at a
-time, and pair on it without an n x n copy.
+``top1_from_matrix`` takes the model's embeddings and forms the model
+similarity and the blend itself, one block of rows at a time, so it
+pairs without an n x n copy of either.
 """
 
 import numpy as np
@@ -42,8 +43,9 @@ for n in range(5):
           f"(topic {partner.label}), sim {pairing.similarity[n]:.3f}")
 
 # blend weight alpha^(epoch-1) moves from pure TF-IDF to mostly model
-rng = np.random.default_rng(0)
-sim_model = rng.uniform(0, 1, size=sims.shape)
+# seeded stand-in embeddings: one Gaussian row of 8 values per document
+embeddings = np.random.default_rng(0).normal(size=(len(corpus), 8))
+sim_model = similarity_matrix(embeddings)
 alpha = 0.5
 print("\nblend weight on the TF-IDF term by epoch (alpha=0.5):")
 for epoch in (1, 2, 3, 5):
@@ -55,6 +57,6 @@ for epoch in (1, 2, 3, 5):
         print(f"  (bit-identical to TF-IDF: {identical})")
     else:
         print()
-        fused = top1_from_matrix(sims, sim_model, alpha, epoch)
+        fused = top1_from_matrix(sims, embeddings, alpha, epoch)
         same = np.array_equal(fused.partner, top1_from_matrix(blended).partner)
         print(f"    blended in the top-1 pass: same partners as the whole blend: {same}")

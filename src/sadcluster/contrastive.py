@@ -449,9 +449,7 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
         else:
             # epoch 1 pairs on TF-IDF alone; later epochs blend in the last
             # epoch's embeddings: no update happened since
-            pairing = top1_from_matrix(
-                sim_tfidf, None if epoch == 1 else similarity_matrix(embeddings),
-                config.alpha, epoch)
+            pairing = top1_from_matrix(sim_tfidf, embeddings, config.alpha, epoch)
             if epoch == 1:
                 first_pairs = pairing
             if all_labeled:

@@ -11,6 +11,7 @@ semantic as training progresses.
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -106,63 +107,103 @@ def _row_blocks(n: int):
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-def similarity_matrix(vectors) -> np.ndarray:
-    """Dense n x n cosine similarity of the rows of a dense or sparse matrix.
+class _UnitRows(NamedTuple):
+    """What every block of a cosine similarity reads: the rows scaled to
+    unit norm (zero-norm rows stay 0), their transpose, and which rows
+    have zero norm."""
 
-    Zero-norm rows give 0 rows and columns.
-    """
+    unit: np.ndarray | scipy.sparse.csr_matrix
+    unit_t: np.ndarray | scipy.sparse.csr_matrix
+    zero: np.ndarray
+
+
+def _unit_rows(vectors) -> _UnitRows:
     if isinstance(vectors, np.ndarray):
         x = np.asarray(vectors, dtype=np.float64)
         norms = np.linalg.norm(x, axis=1)
         safe = np.where(norms > 0, norms, 1.0)
         unit = x / safe[:, None]
-        sims = unit @ unit.T
-    elif scipy.sparse.issparse(vectors):
-        x = vectors
-        norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
+        return _UnitRows(unit, unit.T, norms == 0)
+    if scipy.sparse.issparse(vectors):
+        norms = np.sqrt(np.asarray(vectors.multiply(vectors).sum(axis=1)).ravel())
         safe = np.where(norms > 0, norms, 1.0)
-        unit = scipy.sparse.diags(1.0 / safe) @ x
-        unit_t = unit.T.tocsr()
-        n = x.shape[0]
-        sims = np.empty((n, n))
-        # one block of rows at a time, so the sparse product of all rows never
-        # sits beside the dense result
-        for rows in _row_blocks(n):
-            sims[rows] = (unit[rows] @ unit_t).toarray()
+        unit = scipy.sparse.diags(1.0 / safe) @ vectors
+        return _UnitRows(unit, unit.T.tocsr(), norms == 0)
+    raise TypeError("expected a 2-D array or a scipy sparse matrix")
+
+
+def _similarity_rows(u: _UnitRows, rows: slice, out: np.ndarray | None) -> np.ndarray:
+    if scipy.sparse.issparse(u.unit):
+        block = (u.unit[rows] @ u.unit_t).toarray(out=out)
     else:
-        raise TypeError("expected a 2-D array or a scipy sparse matrix")
-    zero = norms == 0
-    if np.any(zero):
-        sims[zero, :] = 0.0
-        sims[:, zero] = 0.0
+        block = np.matmul(u.unit[rows], u.unit_t, out=out)
+    if np.any(u.zero):
+        block[u.zero[rows]] = 0.0
+        block[:, u.zero] = 0.0
+    return block
+
+
+def similarity_matrix(vectors, rows: slice | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Dense cosine similarity of the rows of a dense or sparse matrix,
+    into ``out`` if given.
+
+    The whole n x n matrix, or with ``rows`` only those rows of it. The
+    whole matrix is filled one block of ``_row_blocks(n)`` at a time, so
+    for each such block ``rows`` gives its rows bit for bit, and the
+    product of all rows never sits beside the result. Zero-norm rows
+    give 0 rows and columns. ``vectors`` may also be the ``_unit_rows``
+    of a matrix, so a caller asking for many blocks normalizes it once.
+    """
+    u = vectors if isinstance(vectors, _UnitRows) else _unit_rows(vectors)
+    if rows is not None:
+        return _similarity_rows(u, rows, out)
+    n = u.zero.size
+    sims = np.empty((n, n)) if out is None else out
+    for block in _row_blocks(n):
+        _similarity_rows(u, block, sims[block])
     return sims
 
 
-def top1_from_matrix(sim_tfidf: np.ndarray, sim_model: np.ndarray | None = None,
+def top1_from_matrix(sim_tfidf: np.ndarray, embeddings: np.ndarray | None = None,
                      alpha: float = 1.0, epoch: int = 1) -> PositivePairing:
     """Partner of each row = argmax off the diagonal, ties to smallest index.
 
     The rows compared are those of ``blended_similarity(sim_tfidf,
-    sim_model, alpha, epoch)``, which is sim_tfidf alone at epoch 1 (when
-    ``sim_model`` may be None). The blend is formed one block of rows at
-    a time, so no n x n array is made.
+    similarity_matrix(embeddings), alpha, epoch)``, which is sim_tfidf
+    alone at epoch 1 (when ``embeddings`` is not read and may be None).
+    The model similarity and the blend are formed one block of rows at a
+    time, each model block by ``similarity_matrix(embeddings, rows)``,
+    so no n x n array is made.
     """
     n = sim_tfidf.shape[0]
     if n < 2:
         raise ValueError("need at least 2 documents to sample positives")
     if sim_tfidf.shape != (n, n):
         raise ValueError("similarity matrix must be square")
-    if sim_model is not None and sim_model.shape != (n, n):
-        raise ValueError(f"shape mismatch: {sim_tfidf.shape} vs {sim_model.shape}")
+    model = None
+    if epoch > 1:
+        if embeddings is None:
+            raise ValueError(f"epoch {epoch} blends in the model similarity, "
+                             "but no embeddings were given")
+        if len(np.shape(embeddings)) != 2 or np.shape(embeddings)[0] != n:
+            raise ValueError(f"embeddings of shape {np.shape(embeddings)} do not give "
+                             f"one row per row of the {sim_tfidf.shape} similarity")
+        model = _unit_rows(embeddings)
     partner = np.empty(n, dtype=np.int64)
     similarity = np.empty(n)
     blocks = _row_blocks(n)  # the first is the largest
-    # one buffer holds each block's blend: a new array per block faults in fresh pages
+    # one buffer holds each block's blend and one its model similarity: new
+    # arrays per block, freed together, are trimmed from the heap and fault
+    # in fresh pages for the next block
     buffer = np.empty((blocks[0].stop, n))
+    model_buffer = None if model is None else np.empty_like(buffer)
     for rows in blocks:
-        blk = blended_similarity(sim_tfidf[rows],
-                                 None if sim_model is None else sim_model[rows],
-                                 alpha, epoch, out=buffer[:rows.stop - rows.start])
+        size = rows.stop - rows.start
+        blk = blended_similarity(
+            sim_tfidf[rows],
+            None if model is None else similarity_matrix(model, rows, model_buffer[:size]),
+            alpha, epoch, out=buffer[:size])
         r = np.arange(blk.shape[0])
         blk[r, r + rows.start] = -np.inf
         best = np.argmax(blk, axis=1)

@@ -15,8 +15,9 @@ from per-sentence token ids must equal tokenizing the joined view, and a
 text's sentences must tokenize to the text's tokens; the one-call
 Fisher-Yates must give the same permutations and leave the stream where
 the per-swap draws do; the one-pass TF-IDF matrix must give the same
-similarities, and the row-blocked similarity and pairing passes the
-same bytes at any block size; and the vocabulary and ids built from
+similarities, the row-blocked similarity and pairing passes the
+same bytes at any block size, and each row block of the similarity the
+rows of the whole matrix; and the vocabulary and ids built from
 token indices must equal the counted ones, in dict order and id for id. k-means must match bit for bit; the metrics, whose sums
 run in another order, must agree within 1e-12, and the row-blocked
 silhouette must equal the whole-sample one on the benchmark's shapes.
@@ -543,7 +544,7 @@ def pairing_cases(draw):
                               draw(st.integers(0, n)), draw(st.integers(0, 3)))
     block_rows = draw(st.integers(1, n))
     block_elements = block_rows * n + draw(st.integers(0, n - 1))
-    return (similarity_matrix(tfidf_rows), similarity_matrix(model_rows),
+    return (similarity_matrix(tfidf_rows), model_rows,
             draw(st.sampled_from([0.0, 0.37, 0.5, 1.0])), draw(st.integers(1, 5)),
             block_elements)
 
@@ -551,15 +552,41 @@ def pairing_cases(draw):
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(pairing_cases())
 def test_blocked_top1_matches_the_whole_blend_reference(case):
-    sim_tfidf, sim_model, alpha, epoch, block_elements = case
-    expected_partner, expected_similarity = reference_top1(
-        blended_similarity(sim_tfidf, sim_model, alpha, epoch))
+    # the model similarity's bits depend on the row blocks it is formed in,
+    # so the reference forms the whole one under the same block size
+    sim_tfidf, model_rows, alpha, epoch, block_elements = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tfidf, "PAIRING_BLOCK_ELEMENTS", block_elements)
-        pairing = top1_from_matrix(sim_tfidf, None if epoch == 1 else sim_model,
+        expected_partner, expected_similarity = reference_top1(
+            blended_similarity(sim_tfidf, similarity_matrix(model_rows), alpha, epoch))
+        pairing = top1_from_matrix(sim_tfidf, None if epoch == 1 else model_rows,
                                    alpha, epoch)
     assert same_bits(pairing.partner, expected_partner)
     assert same_bits(pairing.similarity, expected_similarity)
+
+
+def with_zero_rows(x, rows):
+    """``x`` with the given rows set to zero, in the format of ``x``."""
+    x = x.tolil(copy=True) if scipy.sparse.issparse(x) else x.copy()
+    x[rows] = 0.0
+    return x.tocsr() if scipy.sparse.issparse(x) else x
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("n, last_rows", [(6000, 84), (6001, 85), (1774, 1), (40, 40)])
+def test_row_blocks_of_the_similarity_are_the_whole_ones_rows(sparse, n, last_rows):
+    # 6000 x 64 is the tps-short-n6000 embedding; 6001 and 1774 leave a
+    # short and a one-row last block, and one block covers a small n
+    rng = np.random.default_rng(n)
+    x = (scipy.sparse.random(n, 300, density=0.03, random_state=rng, format="csr")
+         if sparse else rng.normal(size=(n, 64)))
+    x = with_zero_rows(x, [0, n // 2, n - 1])
+    blocks = tfidf._row_blocks(n)
+    assert blocks[-1].stop - blocks[-1].start == last_rows
+    whole = similarity_matrix(x)
+    for rows in blocks:
+        assert same_bits(similarity_matrix(x, rows), whole[rows])
+    assert not whole[[0, n // 2, n - 1]].any() and not whole[:, n - 1].any()
 
 
 def reference_build_vocab(texts, max_vocab):

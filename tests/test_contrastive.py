@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sadcluster import contrastive, encoder, tfidf
+from sadcluster import contrastive, encoder, evaluate, tfidf
 from sadcluster.augment import shuffle_divide
 from sadcluster.contrastive import (
     ADAMW_BETA1,
@@ -24,8 +24,9 @@ from sadcluster.corpus import Corpus, Document
 from sadcluster.encoder import init_params, text_ids, tokenize
 from sadcluster.rng import derive_rng
 from sadcluster.synth import generate_synthetic_corpus
-from sadcluster.tfidf import PositivePairing, similarity_matrix
+from sadcluster.tfidf import PositivePairing
 from test_encoder import vocab_of
+from test_tfidf import peak_bytes
 
 
 def reference_nt_xent(embeddings, temperature):
@@ -661,22 +662,35 @@ class TestTrain:
             calls.append(out)
             return out
 
-        sim_models = []
+        paired_on = []
         real_top1 = contrastive.top1_from_matrix
 
         def capturing(*args, **kwargs):
-            sim_models.append(args[1])
+            paired_on.append(args[1])
             return real_top1(*args, **kwargs)
 
         monkeypatch.setattr(contrastive, "embed_corpus", counting)
         monkeypatch.setattr(contrastive, "top1_from_matrix", capturing)
         train(corpus, self.small_config(method="tps", epochs=3))
         assert len(calls) == 3  # once per epoch, none for pairing
-        assert sim_models[0] is None  # epoch 1 pairs on TF-IDF alone
-        blended = sim_models[1:]
-        assert len(blended) == 2
-        for epoch_embeddings, s_model in zip(calls, blended):
-            assert np.array_equal(s_model, similarity_matrix(epoch_embeddings))
+        assert paired_on[0] is None  # epoch 1 pairs on TF-IDF alone
+        # epochs 2 and 3 pair on epochs 1 and 2's embeddings themselves
+        assert len(paired_on) == 3
+        assert paired_on[1] is calls[0] and paired_on[2] is calls[1]
+
+    def test_tps_holds_one_n_by_n_array(self, monkeypatch):
+        # the TF-IDF similarity is the only n x n array: the blended epochs
+        # form the model similarity one block of rows at a time. Blocks of
+        # 64 rows keep every blocked pass small beside n x n, as the default
+        # 1M-element blocks are at n = 18.8k but are not at this n
+        corpus = generate_synthetic_corpus(topics=4, docs_per_topic=300, vocab_per_topic=100,
+                                           sentences_per_doc=2, tokens_per_sentence=6, seed=8)
+        n = len(corpus)
+        monkeypatch.setattr(tfidf, "PAIRING_BLOCK_ELEMENTS", 64 * n)
+        monkeypatch.setattr(evaluate, "SILHOUETTE_BLOCK_ELEMENTS", 64 * n)
+        config = self.small_config(method="tps", epochs=2, batch_size=64,
+                                   embed_dim=16, output_dim=16)
+        assert peak_bytes(lambda: train(corpus, config)) < 1.5 * n * n * 8
 
     @pytest.mark.parametrize("method", ["sad", "tps"])
     def test_each_text_is_tokenized_once(self, monkeypatch, method):

@@ -1,10 +1,12 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse
 
+from sadcluster import tfidf
 from sadcluster.corpus import Corpus, Document
 from sadcluster.tfidf import (
     PAIRING_BLOCK_ELEMENTS,
@@ -243,21 +245,31 @@ class TestTop1Sampling:
 
     def test_blend_argument_checks(self):
         m = np.zeros((3, 3))
-        with pytest.raises(ValueError, match="shape"):
-            top1_from_matrix(m, np.zeros((2, 2)), 0.5, 2)
         with pytest.raises(ValueError, match="alpha"):
             top1_from_matrix(m, m, 1.5, 2)
 
+    def test_blended_epoch_without_embeddings_fails_before_any_block(self, monkeypatch):
+        monkeypatch.setattr(tfidf, "blended_similarity",
+                            lambda *args, **kwargs: pytest.fail("a block ran"))
+        with pytest.raises(ValueError, match="epoch 2 .* no embeddings"):
+            top1_from_matrix(np.zeros((4, 4)), None, 0.5, 2)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 5), (4,)])
+    def test_embeddings_need_one_row_per_document(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"{shape}") + ".*" +
+                           re.escape("(4, 4)")):
+            top1_from_matrix(np.zeros((4, 4)), np.ones(shape), 0.5, 2)
+
     def test_blend_makes_no_n_by_n_temporary(self):
-        # a block's blend and one temporary; a third block (say the previous
-        # block's blend, still alive) is past 2.5 of them, and a whole blend
-        # alone would be n*n*8 bytes
+        # a block of model similarity, its blend and one temporary; a fourth
+        # block (say the previous block's, still alive) is past 3.5 of them,
+        # and the whole model similarity alone would be n*n*8 bytes
         n = 3000
         rng = np.random.default_rng(10)
-        sim_tfidf, sim_model = rng.random((n, n)), rng.random((n, n))
+        sim_tfidf, embeddings = rng.random((n, n)), rng.normal(size=(n, 8))
         block_bytes = PAIRING_BLOCK_ELEMENTS // n * n * 8
-        assert peak_bytes(lambda: top1_from_matrix(sim_tfidf, sim_model, 0.5, 2)) \
-            < 2.5 * block_bytes
+        assert peak_bytes(lambda: top1_from_matrix(sim_tfidf, embeddings, 0.5, 2)) \
+            < 3.5 * block_bytes
 
     def test_self_partner_rejected_by_type(self):
         with pytest.raises(ValueError):
