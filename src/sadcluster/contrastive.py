@@ -34,11 +34,11 @@ from .encoder import (
 from .evaluate import silhouette_score
 from .rng import derive_rng, derive_seed
 from .tfidf import (
+    PackedSimilarity,
     PositivePairing,
     fit_tfidf,
     index_tokens,
     label_match_rate,
-    similarity_matrix,
     top1_from_matrix,
     transform_corpus,
 )
@@ -430,7 +430,7 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
                          seed=config.seed)
     state = OptimizerState()
 
-    sim_tfidf = None if sad else similarity_matrix(tfidf)
+    sim_tfidf = None if sad else PackedSimilarity(tfidf)
 
     all_labeled = all(doc.label is not None for doc in corpus.documents)
     history: list[dict] = []

@@ -125,9 +125,15 @@ def _unit_rows(vectors) -> _UnitRows:
         unit = x / safe[:, None]
         return _UnitRows(unit, unit.T, norms == 0)
     if scipy.sparse.issparse(vectors):
-        norms = np.sqrt(np.asarray(vectors.multiply(vectors).sum(axis=1)).ravel())
+        # a canonical copy (sorted columns, duplicates summed), which the
+        # product below turns into rows that all list their columns in
+        # descending order, so S_ij and S_ji add the same products in the
+        # same order and the similarity is symmetric bit for bit
+        x = scipy.sparse.csr_matrix(vectors, copy=True)
+        x.sum_duplicates()
+        norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
         safe = np.where(norms > 0, norms, 1.0)
-        unit = scipy.sparse.diags(1.0 / safe) @ vectors
+        unit = scipy.sparse.diags(1.0 / safe) @ x
         return _UnitRows(unit, unit.T.tocsr(), norms == 0)
     raise TypeError("expected a 2-D array or a scipy sparse matrix")
 
@@ -165,13 +171,54 @@ def similarity_matrix(vectors, rows: slice | None = None,
     return sims
 
 
-def top1_from_matrix(sim_tfidf: np.ndarray, embeddings: np.ndarray | None = None,
+class PackedSimilarity:
+    """``similarity_matrix(vectors)`` of a sparse matrix, held as its
+    block-lower triangle: for each block I of ``_row_blocks(n)`` only
+    ``S[I, :I.stop]``, about 4·n² bytes instead of 8·n².
+
+    The sparse similarity is symmetric bit for bit (see ``_unit_rows``),
+    so ``packed[rows]`` for one of the blocks gives those rows of the
+    whole matrix bit for bit: its own tile, then the transpose of every
+    later block's columns ``rows``. The rows come back in one buffer
+    that every read reuses, so each read overwrites the one before.
+    """
+
+    def __init__(self, vectors):
+        if not scipy.sparse.issparse(vectors):
+            raise TypeError("expected a scipy sparse matrix")
+        u = _unit_rows(vectors)
+        n = u.zero.size
+        self.shape = (n, n)
+        self.blocks = _row_blocks(n)  # the first is the largest
+        # one buffer takes each block's whole rows, then every read
+        self._buffer = np.empty((self.blocks[0].stop if self.blocks else 0, n))
+        self._tiles = []
+        for rows in self.blocks:
+            block = similarity_matrix(u, rows, self._buffer[:rows.stop - rows.start])
+            self._tiles.append(block[:, :rows.stop].copy())
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        if rows not in self.blocks:
+            raise ValueError(f"{rows} is not one of the {len(self.blocks)} row blocks "
+                             "of the packed similarity")
+        i = self.blocks.index(rows)
+        out = self._buffer[:rows.stop - rows.start]
+        out[:, :rows.stop] = self._tiles[i]
+        for later, tile in zip(self.blocks[i + 1:], self._tiles[i + 1:]):
+            out[:, later] = tile[:, rows].T
+        return out
+
+
+def top1_from_matrix(sim_tfidf: np.ndarray | PackedSimilarity,
+                     embeddings: np.ndarray | None = None,
                      alpha: float = 1.0, epoch: int = 1) -> PositivePairing:
     """Partner of each row = argmax off the diagonal, ties to smallest index.
 
     The rows compared are those of ``blended_similarity(sim_tfidf,
     similarity_matrix(embeddings), alpha, epoch)``, which is sim_tfidf
     alone at epoch 1 (when ``embeddings`` is not read and may be None).
+    ``sim_tfidf`` is an n x n array or a ``PackedSimilarity``: either is
+    read as ``sim_tfidf[rows]`` for each block of ``_row_blocks(n)``.
     The model similarity and the blend are formed one block of rows at a
     time, each model block by ``similarity_matrix(embeddings, rows)``,
     so no n x n array is made.

@@ -17,12 +17,16 @@ Fisher-Yates must give the same permutations and leave the stream where
 the per-swap draws do; the one-pass TF-IDF matrix must give the same
 similarities, the row-blocked similarity and pairing passes the
 same bytes at any block size, and each row block of the similarity the
-rows of the whole matrix; and the vocabulary and ids built from
-token indices must equal the counted ones, in dict order and id for id. k-means must match bit for bit; the metrics, whose sums
-run in another order, must agree within 1e-12, and the row-blocked
-silhouette must equal the whole-sample one on the benchmark's shapes.
+rows of the whole matrix; the sparse similarity must equal its
+transpose, so the packed one gives the whole matrix's rows; and the
+vocabulary and ids built from token indices must equal the counted
+ones, in dict order and id for id. k-means must match bit for bit; the
+metrics, whose sums run in another order, must agree within 1e-12, and
+the row-blocked silhouette must equal the whole-sample one on the
+benchmark's shapes.
 """
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -78,6 +82,7 @@ from sadcluster.rng import derive_rng, fisher_yates
 from sadcluster.synth import generate_synthetic_corpus
 from test_encoder import vocab_of
 from sadcluster.tfidf import (
+    PackedSimilarity,
     blended_similarity,
     fit_tfidf,
     index_tokens,
@@ -587,6 +592,56 @@ def test_row_blocks_of_the_similarity_are_the_whole_ones_rows(sparse, n, last_ro
     for rows in blocks:
         assert same_bits(similarity_matrix(x, rows), whole[rows])
     assert not whole[[0, n // 2, n - 1]].any() and not whole[:, n - 1].any()
+    if sparse:
+        # the packed similarity gives the same rows; each read refills one
+        # buffer, so the order of the reads does not matter
+        packed = PackedSimilarity(x)
+        assert packed.shape == (n, n) and packed.blocks == blocks
+        for rows in blocks[::-1] + blocks:
+            assert same_bits(packed[rows], whole[rows])
+
+
+@st.composite
+def csr_cases(draw):
+    """CSR matrices with empty rows, rows listing their columns in any
+    order and more than once, and copies of a row with its entries
+    reordered; and a block size."""
+    dim = draw(st.integers(1, 12))
+    entry = st.tuples(st.integers(0, dim - 1),
+                      st.floats(-8.0, 8.0, allow_subnormal=False))
+    rows = draw(st.lists(st.lists(entry, max_size=2 * dim), min_size=1, max_size=30))
+    for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=8)):
+        rows.append(draw(st.permutations(rows[k])))
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([c for r in rows for c, _ in r], dtype=np.int32)
+    data = np.array([v for r in rows for _, v in r], dtype=np.float64)
+    x = scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(rows), dim))
+    return x, draw(st.integers(1, len(rows))) * len(rows)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(csr_cases())
+def test_sparse_similarity_is_symmetric_bit_for_bit(case):
+    # the packed similarity reads its upper half from the lower one
+    x, block_elements = case
+    whole = similarity_matrix(x)
+    assert same_bits(whole, np.ascontiguousarray(whole.T))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tfidf, "PAIRING_BLOCK_ELEMENTS", block_elements)
+        packed = PackedSimilarity(x)
+        for rows in packed.blocks:
+            assert same_bits(packed[rows], whole[rows])
+
+
+def test_packed_similarity_names_a_slice_that_is_not_one_of_its_blocks():
+    x = scipy.sparse.random(40, 30, density=0.2, random_state=2, format="csr")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tfidf, "PAIRING_BLOCK_ELEMENTS", 7 * 40)
+        packed = PackedSimilarity(x)
+    assert packed.blocks[:2] == [slice(0, 7), slice(7, 14)]
+    for rows in (slice(0, 6), slice(1, 8), slice(0, 40), slice(7, 14, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"{rows} is not one of the 6")):
+            packed[rows]
 
 
 def reference_build_vocab(texts, max_vocab):

@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from sadcluster import tfidf
 from sadcluster.corpus import Corpus, Document
 from sadcluster.tfidf import (
     PAIRING_BLOCK_ELEMENTS,
+    PackedSimilarity,
     PositivePairing,
     blended_similarity,
     fit_tfidf,
@@ -39,16 +39,6 @@ def fitted(*texts):
 
 def tfidf_matrix(corpus):
     return fitted(*(doc.text for doc in corpus.documents))[2]
-
-
-def peak_bytes(call):
-    """Peak bytes that ``call()`` allocates beyond what exists before it."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def row(x, i):
@@ -260,7 +250,7 @@ class TestTop1Sampling:
                            re.escape("(4, 4)")):
             top1_from_matrix(np.zeros((4, 4)), np.ones(shape), 0.5, 2)
 
-    def test_blend_makes_no_n_by_n_temporary(self):
+    def test_blend_makes_no_n_by_n_temporary(self, peak_bytes):
         # a block of model similarity, its blend and one temporary; a fourth
         # block (say the previous block's, still alive) is past 3.5 of them,
         # and the whole model similarity alone would be n*n*8 bytes
@@ -284,12 +274,24 @@ class TestSimilarityMatrix:
         assert np.allclose(similarity_matrix(x), similarity_matrix(x.toarray()),
                            atol=1e-12)
 
-    def test_sparse_path_holds_little_beside_its_result(self):
+    def test_sparse_path_holds_little_beside_its_result(self, peak_bytes):
         # the product of all rows at once (87% dense here) would sit beside
         # the n*n*8-byte result
         n = 3000
         x = scipy.sparse.random(n, 50, density=0.2, random_state=1, format="csr")
         assert peak_bytes(lambda: similarity_matrix(x)) < 1.5 * n * n * 8
+
+    def test_packed_similarity_holds_about_half_of_the_matrix(self, peak_bytes):
+        # the block-lower triangle (0.56 of n*n*8 bytes at this n), one
+        # block of rows for building and reading, and one block's product
+        n = 3000
+        x = scipy.sparse.random(n, 50, density=0.2, random_state=1, format="csr")
+        assert peak_bytes(lambda: PackedSimilarity(x)) < 0.8 * n * n * 8
+
+    def test_packed_similarity_takes_only_sparse_matrices(self):
+        # a dense product is not promised to be symmetric bit for bit
+        with pytest.raises(TypeError, match="sparse"):
+            PackedSimilarity(np.eye(3))
 
     def test_other_inputs_rejected(self):
         with pytest.raises(TypeError):
