@@ -34,8 +34,8 @@ from .encoder import (
 from .evaluate import silhouette_score
 from .rng import derive_rng, derive_seed
 from .tfidf import (
-    PackedSimilarity,
     PositivePairing,
+    TopKSimilarity,
     fit_tfidf,
     index_tokens,
     label_match_rate,
@@ -430,7 +430,7 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
                          seed=config.seed)
     state = OptimizerState()
 
-    sim_tfidf = None if sad else PackedSimilarity(tfidf)
+    sim_tfidf = None if sad else TopKSimilarity(tfidf)
 
     all_labeled = all(doc.label is not None for doc in corpus.documents)
     history: list[dict] = []

@@ -6,7 +6,10 @@ document gets a smoothed TF-IDF row in one CSR matrix over those
 indices, every document is paired with its most cosine-similar neighbor,
 and across epochs the lexical similarity is blended with model-embedding
 similarity by a decaying weight so the pairing shifts from lexical to
-semantic as training progresses.
+semantic as training progresses. The n x n TF-IDF similarity is never
+held: ``TopKSimilarity`` keeps each row's largest entries and a bound on
+the rest, and the pairing forms a row's whole similarity again only when
+that bound cannot rule out the entries left out.
 """
 
 import re
@@ -21,6 +24,10 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # about 1M float64 elements (8 MB) per block, so their temporaries stay
 # small at any n.
 PAIRING_BLOCK_ELEMENTS = 1 << 20
+# The TF-IDF similarity keeps this many of each row's largest entries
+# (``TopKSimilarity``): 128 settle all but a few percent of the rows in the
+# first blended epochs.
+TOP_K = 128
 
 
 def tokenize_text(text: str) -> list[str]:
@@ -109,11 +116,9 @@ def _row_blocks(n: int):
 
 class _UnitRows(NamedTuple):
     """What every block of a cosine similarity reads: the rows scaled to
-    unit norm (zero-norm rows stay 0), their transpose, and which rows
-    have zero norm."""
+    unit norm (zero-norm rows stay 0) and which rows have zero norm."""
 
     unit: np.ndarray | scipy.sparse.csr_matrix
-    unit_t: np.ndarray | scipy.sparse.csr_matrix
     zero: np.ndarray
 
 
@@ -122,8 +127,7 @@ def _unit_rows(vectors) -> _UnitRows:
         x = np.asarray(vectors, dtype=np.float64)
         norms = np.linalg.norm(x, axis=1)
         safe = np.where(norms > 0, norms, 1.0)
-        unit = x / safe[:, None]
-        return _UnitRows(unit, unit.T, norms == 0)
+        return _UnitRows(x / safe[:, None], norms == 0)
     if scipy.sparse.issparse(vectors):
         # a canonical copy (sorted columns, duplicates summed), which the
         # product below turns into rows that all list their columns in
@@ -133,23 +137,28 @@ def _unit_rows(vectors) -> _UnitRows:
         x.sum_duplicates()
         norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
         safe = np.where(norms > 0, norms, 1.0)
-        unit = scipy.sparse.diags(1.0 / safe) @ x
-        return _UnitRows(unit, unit.T.tocsr(), norms == 0)
+        return _UnitRows(scipy.sparse.diags(1.0 / safe) @ x, norms == 0)
     raise TypeError("expected a 2-D array or a scipy sparse matrix")
 
 
-def _similarity_rows(u: _UnitRows, rows: slice, out: np.ndarray | None) -> np.ndarray:
+def _similarity_rows(u: _UnitRows, rows: slice | np.ndarray,
+                     out: np.ndarray | None) -> np.ndarray:
     if scipy.sparse.issparse(u.unit):
-        block = (u.unit[rows] @ u.unit_t).toarray(out=out)
+        # sparse x dense, transposed: entry (i, j) adds row j's products in
+        # row j's order, which is S_ji and so S_ij bit for bit. Each entry's
+        # bits depend on its two rows only, not on which rows are asked for
+        product = u.unit @ u.unit[rows].T.toarray()
+        block = np.empty(product.shape[::-1]) if out is None else out
+        np.copyto(block, product.T)
     else:
-        block = np.matmul(u.unit[rows], u.unit_t, out=out)
+        block = np.matmul(u.unit[rows], u.unit.T, out=out)
     if np.any(u.zero):
         block[u.zero[rows]] = 0.0
         block[:, u.zero] = 0.0
     return block
 
 
-def similarity_matrix(vectors, rows: slice | None = None,
+def similarity_matrix(vectors, rows: slice | np.ndarray | None = None,
                       out: np.ndarray | None = None) -> np.ndarray:
     """Dense cosine similarity of the rows of a dense or sparse matrix,
     into ``out`` if given.
@@ -157,9 +166,11 @@ def similarity_matrix(vectors, rows: slice | None = None,
     The whole n x n matrix, or with ``rows`` only those rows of it. The
     whole matrix is filled one block of ``_row_blocks(n)`` at a time, so
     for each such block ``rows`` gives its rows bit for bit, and the
-    product of all rows never sits beside the result. Zero-norm rows
-    give 0 rows and columns. ``vectors`` may also be the ``_unit_rows``
-    of a matrix, so a caller asking for many blocks normalizes it once.
+    product of all rows never sits beside the result. For a sparse
+    matrix ``rows`` may also be any array of row indices, and gives
+    those rows bit for bit. Zero-norm rows give 0 rows and columns.
+    ``vectors`` may also be the ``_unit_rows`` of a matrix, so a caller
+    asking for many blocks normalizes it once.
     """
     u = vectors if isinstance(vectors, _UnitRows) else _unit_rows(vectors)
     if rows is not None:
@@ -171,63 +182,67 @@ def similarity_matrix(vectors, rows: slice | None = None,
     return sims
 
 
-class PackedSimilarity:
-    """``similarity_matrix(vectors)`` of a sparse matrix, held as its
-    block-lower triangle: for each block I of ``_row_blocks(n)`` only
-    ``S[I, :I.stop]``, about 4·n² bytes instead of 8·n².
+class TopKSimilarity:
+    """``similarity_matrix(vectors)`` of a sparse matrix, held as each
+    row's ``TOP_K`` largest off-diagonal entries and a bound on the rest:
+    O(n·TOP_K) memory instead of n².
 
-    The sparse similarity is symmetric bit for bit (see ``_unit_rows``),
-    so ``packed[rows]`` for one of the blocks gives those rows of the
-    whole matrix bit for bit: its own tile, then the transpose of every
-    later block's columns ``rows``. The rows come back in one buffer
-    that every read reuses, so each read overwrites the one before.
+    With k = min(TOP_K, n - 1), row i keeps in ``index[i]`` the columns
+    of its k largest off-diagonal similarities, ascending (of entries
+    tied at the k-th place, any may be kept), and in ``value[i]`` those
+    entries of the whole matrix bit for bit. ``bound[i]`` is its (k+1)-th
+    largest off-diagonal entry, so no entry left out exceeds it; when
+    k = n - 1 every entry is kept and the bound is -inf. ``unit`` is
+    what ``similarity_matrix(unit, rows)`` reads to give any rows of the
+    whole matrix again, bit for bit. The matrix is formed one block of
+    ``_row_blocks(n)`` at a time, and each block is read once.
     """
 
     def __init__(self, vectors):
         if not scipy.sparse.issparse(vectors):
             raise TypeError("expected a scipy sparse matrix")
-        u = _unit_rows(vectors)
-        n = u.zero.size
+        self.unit = _unit_rows(vectors)
+        n = self.unit.zero.size
         self.shape = (n, n)
-        self.blocks = _row_blocks(n)  # the first is the largest
-        # one buffer takes each block's whole rows, then every read
-        self._buffer = np.empty((self.blocks[0].stop if self.blocks else 0, n))
-        self._tiles = []
-        for rows in self.blocks:
-            block = similarity_matrix(u, rows, self._buffer[:rows.stop - rows.start])
-            self._tiles.append(block[:, :rows.stop].copy())
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        if rows not in self.blocks:
-            raise ValueError(f"{rows} is not one of the {len(self.blocks)} row blocks "
-                             "of the packed similarity")
-        i = self.blocks.index(rows)
-        out = self._buffer[:rows.stop - rows.start]
-        out[:, :rows.stop] = self._tiles[i]
-        for later, tile in zip(self.blocks[i + 1:], self._tiles[i + 1:]):
-            out[:, later] = tile[:, rows].T
-        return out
+        k = min(TOP_K, max(n - 1, 0))
+        self.index = np.empty((n, k), dtype=np.int64)
+        self.value = np.empty((n, k))
+        self.bound = np.empty(n)
+        blocks = _row_blocks(n)  # the first is the largest
+        buffer = np.empty((blocks[0].stop if blocks else 0, n))
+        for rows in blocks:
+            block = similarity_matrix(self.unit, rows, buffer[:rows.stop - rows.start])
+            r = np.arange(block.shape[0])
+            block[r, r + rows.start] = -np.inf  # below every entry, so never kept
+            # the (k+1)-th largest, then the k largest; the whole order is freed
+            top = np.argpartition(block, n - 1 - k, axis=1)[:, n - 1 - k:].copy()
+            self.bound[rows] = block[r, top[:, 0]]
+            kept = np.sort(top[:, 1:], axis=1)
+            self.index[rows] = kept
+            self.value[rows] = np.take_along_axis(block, kept, axis=1)
 
 
-def top1_from_matrix(sim_tfidf: np.ndarray | PackedSimilarity,
-                     embeddings: np.ndarray | None = None,
+def top1_from_matrix(sim_tfidf: TopKSimilarity, embeddings: np.ndarray | None = None,
                      alpha: float = 1.0, epoch: int = 1) -> PositivePairing:
     """Partner of each row = argmax off the diagonal, ties to smallest index.
 
-    The rows compared are those of ``blended_similarity(sim_tfidf,
-    similarity_matrix(embeddings), alpha, epoch)``, which is sim_tfidf
-    alone at epoch 1 (when ``embeddings`` is not read and may be None).
-    ``sim_tfidf`` is an n x n array or a ``PackedSimilarity``: either is
-    read as ``sim_tfidf[rows]`` for each block of ``_row_blocks(n)``.
-    The model similarity and the blend are formed one block of rows at a
-    time, each model block by ``similarity_matrix(embeddings, rows)``,
-    so no n x n array is made.
+    The rows compared are those of ``blended_similarity(S,
+    similarity_matrix(embeddings), alpha, epoch)``, where S is the whole
+    TF-IDF similarity that ``sim_tfidf`` keeps the top of; at epoch 1 the
+    blend is S alone (and ``embeddings`` is not read and may be None).
+    The partner and its similarity are those of the whole blended row,
+    bit for bit. One block of ``_row_blocks(n)`` at a time, the model
+    similarity is formed by ``similarity_matrix(embeddings, rows)`` and
+    the kept entries are blended. A row's best kept blend wins outright
+    when it is strictly above the blend of the row's TF-IDF bound and
+    its largest off-diagonal model similarity: rounding is monotone, so
+    no entry left out can reach it. Any other row forms its whole TF-IDF
+    row again and takes the argmax of its whole blended row. No n x n
+    array is made.
     """
     n = sim_tfidf.shape[0]
     if n < 2:
         raise ValueError("need at least 2 documents to sample positives")
-    if sim_tfidf.shape != (n, n):
-        raise ValueError("similarity matrix must be square")
     model = None
     if epoch > 1:
         if embeddings is None:
@@ -237,25 +252,47 @@ def top1_from_matrix(sim_tfidf: np.ndarray | PackedSimilarity,
             raise ValueError(f"embeddings of shape {np.shape(embeddings)} do not give "
                              f"one row per row of the {sim_tfidf.shape} similarity")
         model = _unit_rows(embeddings)
+    every_entry_kept = sim_tfidf.index.shape[1] == n - 1
     partner = np.empty(n, dtype=np.int64)
     similarity = np.empty(n)
     blocks = _row_blocks(n)  # the first is the largest
-    # one buffer holds each block's blend and one its model similarity: new
-    # arrays per block, freed together, are trimmed from the heap and fault
-    # in fresh pages for the next block
-    buffer = np.empty((blocks[0].stop, n))
-    model_buffer = None if model is None else np.empty_like(buffer)
+    # one buffer holds every block's model similarity: new arrays per block
+    # are trimmed from the heap and fault in fresh pages for the next block
+    model_buffer = None if model is None else np.empty((blocks[0].stop, n))
     for rows in blocks:
         size = rows.stop - rows.start
-        blk = blended_similarity(
-            sim_tfidf[rows],
-            None if model is None else similarity_matrix(model, rows, model_buffer[:size]),
-            alpha, epoch, out=buffer[:size])
-        r = np.arange(blk.shape[0])
-        blk[r, r + rows.start] = -np.inf
-        best = np.argmax(blk, axis=1)
-        partner[rows] = best
-        similarity[rows] = blk[r, best]
+        r = np.arange(size)
+        index = sim_tfidf.index[rows]
+        sim_model = None if model is None else similarity_matrix(model, rows,
+                                                                 model_buffer[:size])
+        kept = blended_similarity(
+            sim_tfidf.value[rows],
+            None if sim_model is None else np.take_along_axis(sim_model, index, axis=1),
+            alpha, epoch)
+        best = np.argmax(kept, axis=1)  # the first of equal entries: the smallest column
+        partner[rows] = index[r, best]
+        similarity[rows] = kept[r, best]
+        if every_entry_kept:
+            continue
+        model_max = None
+        if sim_model is not None:
+            diagonal = sim_model[r, r + rows.start]
+            sim_model[r, r + rows.start] = -np.inf
+            model_max = sim_model.max(axis=1)
+            sim_model[r, r + rows.start] = diagonal
+        bound = blended_similarity(sim_tfidf.bound[rows], model_max, alpha, epoch)
+        unsettled = np.flatnonzero(similarity[rows] <= bound)
+        if unsettled.size:
+            i, j = unsettled + rows.start, np.arange(unsettled.size)
+            if sim_model is not None:  # to the top of the block: the settled rows are done
+                sim_model[j] = sim_model[unsettled]
+                sim_model = sim_model[:j.size]
+            exact = similarity_matrix(sim_tfidf.unit, i)
+            whole = blended_similarity(exact, sim_model, alpha, epoch, out=exact)
+            whole[j, i] = -np.inf
+            best = np.argmax(whole, axis=1)
+            partner[i] = best
+            similarity[i] = whole[j, best]
     return PositivePairing(partner, similarity)
 
 

@@ -18,7 +18,9 @@ the per-swap draws do; the one-pass TF-IDF matrix must give the same
 similarities, the row-blocked similarity and pairing passes the
 same bytes at any block size, and each row block of the similarity the
 rows of the whole matrix; the sparse similarity must equal its
-transpose, so the packed one gives the whole matrix's rows; and the
+transpose, the top-K store must keep each row's largest entries and
+bound the rest, and pairing on it must give the whole blended matrix's
+top-1 at any kept count; and the
 vocabulary and ids built from token indices must equal the counted
 ones, in dict order and id for id. k-means must match bit for bit; the
 metrics, whose sums run in another order, must agree within 1e-12, and
@@ -82,7 +84,7 @@ from sadcluster.rng import derive_rng, fisher_yates
 from sadcluster.synth import generate_synthetic_corpus
 from test_encoder import vocab_of
 from sadcluster.tfidf import (
-    PackedSimilarity,
+    TopKSimilarity,
     blended_similarity,
     fit_tfidf,
     index_tokens,
@@ -531,6 +533,12 @@ def reference_top1(sims):
     return partner, masked[np.arange(n), partner]
 
 
+def reference_pairing(x, model_rows, alpha, epoch):
+    """Top-1 of the whole blended matrix, ties to the smallest index."""
+    return reference_top1(blended_similarity(
+        similarity_matrix(x), similarity_matrix(model_rows), alpha, epoch))
+
+
 def tied_vectors(rng, n, dim, duplicates, zeros):
     """Random rows, some copied from others (ties) and some all-zero."""
     x = rng.normal(size=(n, dim))
@@ -549,7 +557,7 @@ def pairing_cases(draw):
                               draw(st.integers(0, n)), draw(st.integers(0, 3)))
     block_rows = draw(st.integers(1, n))
     block_elements = block_rows * n + draw(st.integers(0, n - 1))
-    return (similarity_matrix(tfidf_rows), model_rows,
+    return (scipy.sparse.csr_matrix(tfidf_rows), model_rows,
             draw(st.sampled_from([0.0, 0.37, 0.5, 1.0])), draw(st.integers(1, 5)),
             block_elements)
 
@@ -558,14 +566,51 @@ def pairing_cases(draw):
 @given(pairing_cases())
 def test_blocked_top1_matches_the_whole_blend_reference(case):
     # the model similarity's bits depend on the row blocks it is formed in,
-    # so the reference forms the whole one under the same block size
-    sim_tfidf, model_rows, alpha, epoch, block_elements = case
+    # so the reference forms the whole one under the same block size; past
+    # n = TOP_K + 1 rows keep only their top entries
+    x, model_rows, alpha, epoch, block_elements = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tfidf, "PAIRING_BLOCK_ELEMENTS", block_elements)
-        expected_partner, expected_similarity = reference_top1(
-            blended_similarity(sim_tfidf, similarity_matrix(model_rows), alpha, epoch))
-        pairing = top1_from_matrix(sim_tfidf, None if epoch == 1 else model_rows,
+        expected_partner, expected_similarity = reference_pairing(x, model_rows,
+                                                                  alpha, epoch)
+        pairing = top1_from_matrix(TopKSimilarity(x), None if epoch == 1 else model_rows,
                                    alpha, epoch)
+    assert same_bits(pairing.partner, expected_partner)
+    assert same_bits(pairing.similarity, expected_similarity)
+
+
+@st.composite
+def top_k_cases(draw):
+    """A kept count K of 2-4; CSR matrices of n = K+1, K+2 or more rows,
+    with empty rows and more than K copies of one row; embeddings with
+    copied rows; every blended epoch."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.sampled_from([k + 1, k + 2, draw(st.integers(k + 3, 40))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 5))
+    # few distinct values and columns, so that sums and blends tie often
+    dense = rng.integers(-2, 4, size=(n, dim)) * (rng.random((n, dim)) < 0.6) / 2.0
+    copies = rng.choice(n, size=min(n, draw(st.integers(0, k + 2))), replace=False)
+    dense[copies] = dense[copies[:1]]
+    dense[rng.integers(0, n, size=draw(st.integers(0, 3)))] = 0.0
+    model_rows = tied_vectors(rng, n, draw(st.integers(1, 4)),
+                              draw(st.integers(0, n)), draw(st.integers(0, 2)))
+    return (k, scipy.sparse.csr_matrix(dense), np.round(model_rows, 1),
+            draw(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0])), draw(st.integers(1, 6)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(top_k_cases())
+def test_top_k_pairing_matches_the_whole_blend_reference(case):
+    # with K of 2-4, ties at the K-th place and rows whose best kept blend
+    # does not clear the bound fall back on their whole row
+    k, x, model_rows, alpha, epoch = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tfidf, "TOP_K", k)
+        store = TopKSimilarity(x)
+    assert store.index.shape == (x.shape[0], min(k, x.shape[0] - 1))
+    expected_partner, expected_similarity = reference_pairing(x, model_rows, alpha, epoch)
+    pairing = top1_from_matrix(store, None if epoch == 1 else model_rows, alpha, epoch)
     assert same_bits(pairing.partner, expected_partner)
     assert same_bits(pairing.similarity, expected_similarity)
 
@@ -593,12 +638,18 @@ def test_row_blocks_of_the_similarity_are_the_whole_ones_rows(sparse, n, last_ro
         assert same_bits(similarity_matrix(x, rows), whole[rows])
     assert not whole[[0, n // 2, n - 1]].any() and not whole[:, n - 1].any()
     if sparse:
-        # the packed similarity gives the same rows; each read refills one
-        # buffer, so the order of the reads does not matter
-        packed = PackedSimilarity(x)
-        assert packed.shape == (n, n) and packed.blocks == blocks
-        for rows in blocks[::-1] + blocks:
-            assert same_bits(packed[rows], whole[rows])
+        # the store keeps each row's largest off-diagonal entries, and the
+        # next largest bounds every entry left out
+        store = TopKSimilarity(x)
+        k = min(tfidf.TOP_K, n - 1)
+        r = np.arange(n)
+        assert store.index.shape == (n, k)
+        assert np.all(np.diff(store.index, axis=1) > 0) and not np.any(store.index == r[:, None])
+        assert same_bits(store.value, whole[r[:, None], store.index])
+        np.fill_diagonal(whole, -np.inf)
+        ranked = -np.sort(-whole, axis=1)
+        assert same_bits(np.sort(store.value, axis=1), ranked[:, k - 1::-1])
+        assert same_bits(store.bound, ranked[:, k])
 
 
 @st.composite
@@ -622,26 +673,17 @@ def csr_cases(draw):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(csr_cases())
 def test_sparse_similarity_is_symmetric_bit_for_bit(case):
-    # the packed similarity reads its upper half from the lower one
+    # each row block is formed as the transpose of a sparse x dense
+    # product, so it holds S_ji where S_ij is asked for; and a row asked
+    # for on its own, as the top-1 pass does for a row that does not
+    # settle, is the same row of the whole matrix
     x, block_elements = case
-    whole = similarity_matrix(x)
-    assert same_bits(whole, np.ascontiguousarray(whole.T))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tfidf, "PAIRING_BLOCK_ELEMENTS", block_elements)
-        packed = PackedSimilarity(x)
-        for rows in packed.blocks:
-            assert same_bits(packed[rows], whole[rows])
-
-
-def test_packed_similarity_names_a_slice_that_is_not_one_of_its_blocks():
-    x = scipy.sparse.random(40, 30, density=0.2, random_state=2, format="csr")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tfidf, "PAIRING_BLOCK_ELEMENTS", 7 * 40)
-        packed = PackedSimilarity(x)
-    assert packed.blocks[:2] == [slice(0, 7), slice(7, 14)]
-    for rows in (slice(0, 6), slice(1, 8), slice(0, 40), slice(7, 14, 1)):
-        with pytest.raises(ValueError, match=re.escape(f"{rows} is not one of the 6")):
-            packed[rows]
+        whole = similarity_matrix(x)
+    assert same_bits(whole, np.ascontiguousarray(whole.T))
+    rows = np.arange(x.shape[0])[::-2]
+    assert same_bits(similarity_matrix(x, rows), whole[rows])
 
 
 def reference_build_vocab(texts, max_vocab):

@@ -18,9 +18,9 @@ from sadcluster.encoder import init_params, save_checkpoint, tokenize
 from sadcluster.corpus import load_corpus, save_corpus, Corpus
 from sadcluster.synth import generate_synthetic_corpus
 from sadcluster.tfidf import (
+    TopKSimilarity,
     fit_tfidf,
     index_tokens,
-    similarity_matrix,
     top1_from_matrix,
     transform_corpus,
 )
@@ -219,7 +219,7 @@ class TestTrainCommand:
                            "--dump-pairs", str(pairs))
         assert code == 0, err
         tokens, terms = index_tokens(doc.text for doc in load_corpus(corpus_path).documents)
-        pairing = top1_from_matrix(similarity_matrix(
+        pairing = top1_from_matrix(TopKSimilarity(
             transform_corpus(fit_tfidf(terms, len(tokens)), terms)))
         expected = [{"n": n, "m": int(m), "sim": float(sim)}
                     for n, (m, sim) in enumerate(zip(pairing.partner, pairing.similarity))]

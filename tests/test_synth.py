@@ -6,10 +6,10 @@ import pytest
 from sadcluster.corpus import save_corpus
 from sadcluster.synth import generate_synthetic_corpus
 from sadcluster.tfidf import (
+    TopKSimilarity,
     fit_tfidf,
     index_tokens,
     label_match_rate,
-    similarity_matrix,
     top1_from_matrix,
     transform_corpus,
 )
@@ -76,8 +76,8 @@ class TestGenerateSyntheticCorpus:
         corpus = generate_synthetic_corpus(topics=4, docs_per_topic=10,
                                            overlap=0.0, seed=5)
         tokens, terms = index_tokens(doc.text for doc in corpus.documents)
-        sims = similarity_matrix(transform_corpus(fit_tfidf(terms, len(tokens)), terms))
-        pairing = top1_from_matrix(sims)
+        pairing = top1_from_matrix(TopKSimilarity(
+            transform_corpus(fit_tfidf(terms, len(tokens)), terms)))
         assert label_match_rate(pairing, corpus.labels_array()) == 1.0
 
     def test_parameter_validation(self):

@@ -7,10 +7,12 @@ import scipy.sparse
 
 from sadcluster import tfidf
 from sadcluster.corpus import Corpus, Document
+from sadcluster.synth import generate_synthetic_corpus
 from sadcluster.tfidf import (
     PAIRING_BLOCK_ELEMENTS,
-    PackedSimilarity,
+    TOP_K,
     PositivePairing,
+    TopKSimilarity,
     blended_similarity,
     fit_tfidf,
     index_tokens,
@@ -194,28 +196,32 @@ class TestCosineSimilarity:
 class TestTop1Sampling:
     def test_two_docs_mutual_partners(self):
         corpus = corpus_of("apple banana", "apple cherry")
-        sims = similarity_matrix(tfidf_matrix(corpus))
-        assert top1_from_matrix(sims).partner.tolist() == [1, 0]
+        pairing = top1_from_matrix(TopKSimilarity(tfidf_matrix(corpus)))
+        assert pairing.partner.tolist() == [1, 0]
 
     def test_one_hot_tie_breaking(self):
-        pairing = top1_from_matrix(similarity_matrix(one_hots([0, 0, 1], 3)))
+        pairing = top1_from_matrix(TopKSimilarity(one_hots([0, 0, 1], 3)))
         # doc2 is orthogonal to both others: tie at 0 broken to index 0
         assert pairing.partner.tolist() == [1, 0, 0]
 
-    def test_all_identical_smallest_other_index(self):
-        pairing = top1_from_matrix(similarity_matrix(one_hots([0] * 4, 2)))
-        assert pairing.partner.tolist() == [1, 0, 0, 0]
+    def test_all_identical_smallest_other_index(self, monkeypatch):
+        # with fewer kept entries than equal ones, every row ties with its
+        # bound and is paired on its whole row
+        for top_k in (1, 2, TOP_K):
+            monkeypatch.setattr(tfidf, "TOP_K", top_k)
+            pairing = top1_from_matrix(TopKSimilarity(one_hots([0] * 4, 2)))
+            assert pairing.partner.tolist() == [1, 0, 0, 0]
 
     def test_fewer_than_two_errors(self):
         with pytest.raises(ValueError):
-            top1_from_matrix(similarity_matrix(one_hots([0], 2)))
+            top1_from_matrix(TopKSimilarity(one_hots([0], 2)))
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(7)
         for trial in range(20):
             n = int(rng.integers(2, 40))
             x = rng.normal(size=(n, 8))
-            pairing = top1_from_matrix(similarity_matrix(x))
+            pairing = top1_from_matrix(TopKSimilarity(scipy.sparse.csr_matrix(x)))
             for i in range(n):
                 best_j, best_s = -1, -np.inf
                 for j in range(n):
@@ -227,39 +233,67 @@ class TestTop1Sampling:
                 assert pairing.partner[i] == best_j
                 assert pairing.similarity[i] == pytest.approx(best_s, abs=1e-9)
 
-    def test_input_left_unchanged(self):
-        sims = np.random.default_rng(3).normal(size=(6, 6))
-        before = sims.copy()
-        top1_from_matrix(sims)
-        assert sims.tobytes() == before.tobytes()
+    def test_input_left_unchanged(self, monkeypatch):
+        # two kept entries of 12 rows: some rows are paired on their whole row
+        monkeypatch.setattr(tfidf, "TOP_K", 2)
+        rng = np.random.default_rng(3)
+        store = TopKSimilarity(scipy.sparse.csr_matrix(rng.normal(size=(12, 3))))
+        embeddings = rng.normal(size=(12, 4))
+        before = [a.tobytes() for a in (store.index, store.value, store.bound, embeddings)]
+        for epoch in (1, 2, 3):
+            top1_from_matrix(store, embeddings, 0.5, epoch)
+        after = [a.tobytes() for a in (store.index, store.value, store.bound, embeddings)]
+        assert after == before
 
     def test_blend_argument_checks(self):
-        m = np.zeros((3, 3))
+        x = one_hots([0, 1, 1], 2)
         with pytest.raises(ValueError, match="alpha"):
-            top1_from_matrix(m, m, 1.5, 2)
+            top1_from_matrix(TopKSimilarity(x), np.ones((3, 2)), 1.5, 2)
 
     def test_blended_epoch_without_embeddings_fails_before_any_block(self, monkeypatch):
         monkeypatch.setattr(tfidf, "blended_similarity",
                             lambda *args, **kwargs: pytest.fail("a block ran"))
         with pytest.raises(ValueError, match="epoch 2 .* no embeddings"):
-            top1_from_matrix(np.zeros((4, 4)), None, 0.5, 2)
+            top1_from_matrix(TopKSimilarity(one_hots([0, 1, 0, 1], 2)), None, 0.5, 2)
 
     @pytest.mark.parametrize("shape", [(3, 5), (5, 5), (4,)])
     def test_embeddings_need_one_row_per_document(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"{shape}") + ".*" +
                            re.escape("(4, 4)")):
-            top1_from_matrix(np.zeros((4, 4)), np.ones(shape), 0.5, 2)
+            top1_from_matrix(TopKSimilarity(one_hots([0, 1, 0, 1], 2)), np.ones(shape), 0.5, 2)
 
     def test_blend_makes_no_n_by_n_temporary(self, peak_bytes):
-        # a block of model similarity, its blend and one temporary; a fourth
-        # block (say the previous block's, still alive) is past 3.5 of them,
-        # and the whole model similarity alone would be n*n*8 bytes
+        # a block of model similarity, the blend of the kept entries and the
+        # whole rows of the rows that do not settle; a fourth block (say the
+        # previous block's, still alive) is past 3.5 of them, and the whole
+        # model similarity alone would be n*n*8 bytes
         n = 3000
         rng = np.random.default_rng(10)
-        sim_tfidf, embeddings = rng.random((n, n)), rng.normal(size=(n, 8))
+        x = scipy.sparse.random(n, 50, density=0.2, random_state=rng, format="csr")
+        store, embeddings = TopKSimilarity(x), rng.normal(size=(n, 8))
         block_bytes = PAIRING_BLOCK_ELEMENTS // n * n * 8
-        assert peak_bytes(lambda: top1_from_matrix(sim_tfidf, embeddings, 0.5, 2)) \
+        assert peak_bytes(lambda: top1_from_matrix(store, embeddings, 0.5, 2)) \
             < 3.5 * block_bytes
+
+    def test_rows_settle_when_the_model_agrees_with_tfidf(self, monkeypatch):
+        # embeddings that are the TF-IDF rows give each row's best kept blend
+        # a margin over the bound, which leaves the diagonal out of the model
+        # maximum; a row that does not settle would form its whole TF-IDF
+        # row again, the only similarity_matrix call with an array of rows
+        x = tfidf_matrix(generate_synthetic_corpus(topics=4, docs_per_topic=150, seed=3))
+        store = TopKSimilarity(x)
+        recomputed = []
+        real = tfidf.similarity_matrix
+
+        def counting(vectors, rows=None, out=None):
+            if isinstance(rows, np.ndarray):
+                recomputed.append(rows.size)
+            return real(vectors, rows, out)
+
+        monkeypatch.setattr(tfidf, "similarity_matrix", counting)
+        for epoch in (1, 2, 3):
+            top1_from_matrix(store, x.toarray(), 0.5, epoch)
+        assert recomputed == []
 
     def test_self_partner_rejected_by_type(self):
         with pytest.raises(ValueError):
@@ -281,17 +315,19 @@ class TestSimilarityMatrix:
         x = scipy.sparse.random(n, 50, density=0.2, random_state=1, format="csr")
         assert peak_bytes(lambda: similarity_matrix(x)) < 1.5 * n * n * 8
 
-    def test_packed_similarity_holds_about_half_of_the_matrix(self, peak_bytes):
-        # the block-lower triangle (0.56 of n*n*8 bytes at this n), one
-        # block of rows for building and reading, and one block's product
+    def test_top_k_store_holds_its_entries_and_one_block(self, peak_bytes):
+        # the kept columns and values (16 bytes an entry), one block of rows
+        # and either its product or its argpartition order: 0.34 of n*n*8
+        # bytes at this n
         n = 3000
         x = scipy.sparse.random(n, 50, density=0.2, random_state=1, format="csr")
-        assert peak_bytes(lambda: PackedSimilarity(x)) < 0.8 * n * n * 8
+        block_bytes = PAIRING_BLOCK_ELEMENTS // n * n * 8
+        assert peak_bytes(lambda: TopKSimilarity(x)) < n * TOP_K * 16 + 2.5 * block_bytes
 
-    def test_packed_similarity_takes_only_sparse_matrices(self):
-        # a dense product is not promised to be symmetric bit for bit
+    def test_top_k_store_takes_only_sparse_matrices(self):
+        # a dense product's bits depend on the rows it is asked for
         with pytest.raises(TypeError, match="sparse"):
-            PackedSimilarity(np.eye(3))
+            TopKSimilarity(np.eye(3))
 
     def test_other_inputs_rejected(self):
         with pytest.raises(TypeError):
@@ -371,7 +407,7 @@ class TestLabelMatchRate:
                 texts.append(" ".join(rng.choice(words, size=12)))
                 labels.append(topic)
         corpus = corpus_of(*texts, labels=labels)
-        pairing = top1_from_matrix(similarity_matrix(tfidf_matrix(corpus)))
+        pairing = top1_from_matrix(TopKSimilarity(tfidf_matrix(corpus)))
         assert label_match_rate(pairing, labels) == 1.0
 
     def test_missing_label_errors(self):
