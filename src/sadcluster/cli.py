@@ -189,10 +189,11 @@ def cmd_preprocess(args) -> int:
         raise ValueError("min_sentences must be >= 0 (0 keeps every document)")
     corpus = load_corpus(getattr(args, "in"))
     before = len(corpus)
-    if args.profile == "newsgroup":
-        corpus = preprocess_newsgroup_style(corpus, min_words=args.min_words)
-    elif args.profile == "reuters":
-        corpus = preprocess_reuters_style(corpus, top_k_classes=args.top_k_classes)
+    profiles = {"newsgroup": (preprocess_newsgroup_style, "min_words"),
+                "reuters": (preprocess_reuters_style, "top_k_classes")}
+    if args.profile in profiles:  # its option is set only when given
+        clean, option = profiles[args.profile]
+        corpus = clean(corpus, **{k: v for k, v in vars(args).items() if k == option})
     if args.min_sentences > 0:
         corpus = filter_min_sentences(corpus, args.min_sentences)
     save_corpus(corpus, args.out)
@@ -418,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--profile", choices=("newsgroup", "reuters", "none"),
                    default="none")
-    p.add_argument("--min-words", type=int, default=10)
-    p.add_argument("--top-k-classes", type=int, default=10)
+    p.add_argument("--min-words", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--top-k-classes", type=int, default=argparse.SUPPRESS)
     p.add_argument("--min-sentences", type=int, default=0)
     p.add_argument("--stats", default=None)
     p.set_defaults(func=cmd_preprocess, inputs=("--in",), outputs=("--out", "--stats"))

@@ -45,15 +45,27 @@ class ClusterModel:
             raise ValueError("assignment out of range")
 
 
-def unit_rows(x) -> tuple[np.ndarray, np.ndarray]:
+def unit_rows(x) -> tuple[np.ndarray | scipy.sparse.csr_matrix, np.ndarray]:
     """The rows of ``x`` as float64 scaled to unit L2 norm, and their norms.
-    Raises ValueError naming the first row of zero or non-finite norm."""
-    x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1)
-    for bad, what in ((norms == 0, "zero-norm"), (~np.isfinite(norms), "non-finite")):
-        if np.any(bad):
-            raise ValueError(f"{what} row {np.flatnonzero(bad)[0]}")
-    return x / norms[:, None], norms
+    Raises ValueError naming the first row of zero or non-finite norm.
+    A scipy sparse ``x`` gives a CSR matrix."""
+    sparse = scipy.sparse.issparse(x)
+    if sparse:
+        # a canonical copy (sorted columns, duplicates summed), which the
+        # product below turns into rows that all list their columns in
+        # descending order, so S_ij and S_ji of a cosine similarity add the
+        # same products in the same order and are equal bit for bit
+        x = scipy.sparse.csr_matrix(x, copy=True)
+        x.sum_duplicates()
+        norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
+    else:
+        x = np.asarray(x, dtype=np.float64)
+        norms = np.linalg.norm(x, axis=1)
+    bad = np.flatnonzero(~(norms > 0) | ~np.isfinite(norms))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{'zero-norm' if norms[i] == 0 else 'non-finite'} row {i}")
+    return (scipy.sparse.diags(1.0 / norms) @ x if sparse else x / norms[:, None]), norms
 
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -512,11 +512,11 @@ def supervised_finetune(params: EncoderParams, vocab: Vocabulary,
                         use_sad: bool, config: TrainConfig) -> tuple[dict, float]:
     """Fine-tune encoder + a linear softmax head on labeled documents.
 
-    With ``use_sad``, every training document is replaced each epoch by
-    one freshly shuffled half (train-time augmentation). Returns the head
-    tensors and the held-out accuracy. The head starts at zero, so with
-    0 epochs predictions collapse to class 0 (chance level on balanced
-    data).
+    With ``use_sad``, every training document of at least 2 sentences is
+    replaced each epoch by one freshly shuffled half (train-time
+    augmentation); one of fewer trains on its whole text. Returns the head
+    tensors and the held-out accuracy. The head starts at zero, so with 0
+    epochs predictions collapse to class 0 (chance level on balanced data).
     """
     train_labels = np.array(train_corpus.labels_array())
     test_labels = np.array(test_corpus.labels_array())

@@ -150,8 +150,8 @@ def _parse_jsonl_line(line: str, lineno: int) -> Document:
 
 
 def load_corpus(path) -> Corpus:
-    """Load a corpus: a directory is read as one folder per class, any
-    other path as jsonl.
+    """Load a corpus: a directory is read as one folder per class (UTF-8,
+    an undecodable byte read as U+FFFD), any other path as jsonl.
 
     Document order is deterministic: input order for jsonl, lexicographic
     path order for a directory. Duplicate ids and malformed lines raise

@@ -19,6 +19,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse
 
+from .cluster import unit_rows
+
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # The n x n similarity and pairing passes work one block of rows at a time,
 # about 1M float64 elements (8 MB) per block, so their temporaries stay
@@ -115,30 +117,15 @@ def _row_blocks(n: int):
 
 
 class _UnitRows(NamedTuple):
-    """What every block of a cosine similarity reads: the rows scaled to
-    unit norm (zero-norm rows stay 0) and which rows have zero norm."""
+    """Rows scaled to unit norm: what every block of their cosine similarity reads."""
 
     unit: np.ndarray | scipy.sparse.csr_matrix
-    zero: np.ndarray
 
 
 def _unit_rows(vectors) -> _UnitRows:
-    if isinstance(vectors, np.ndarray):
-        x = np.asarray(vectors, dtype=np.float64)
-        norms = np.linalg.norm(x, axis=1)
-        safe = np.where(norms > 0, norms, 1.0)
-        return _UnitRows(x / safe[:, None], norms == 0)
-    if scipy.sparse.issparse(vectors):
-        # a canonical copy (sorted columns, duplicates summed), which the
-        # product below turns into rows that all list their columns in
-        # descending order, so S_ij and S_ji add the same products in the
-        # same order and the similarity is symmetric bit for bit
-        x = scipy.sparse.csr_matrix(vectors, copy=True)
-        x.sum_duplicates()
-        norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
-        safe = np.where(norms > 0, norms, 1.0)
-        return _UnitRows(scipy.sparse.diags(1.0 / safe) @ x, norms == 0)
-    raise TypeError("expected a 2-D array or a scipy sparse matrix")
+    if not (isinstance(vectors, np.ndarray) or scipy.sparse.issparse(vectors)):
+        raise TypeError("expected a 2-D array or a scipy sparse matrix")
+    return _UnitRows(unit_rows(vectors)[0])
 
 
 def _similarity_rows(u: _UnitRows, rows: slice | np.ndarray,
@@ -150,12 +137,8 @@ def _similarity_rows(u: _UnitRows, rows: slice | np.ndarray,
         product = u.unit @ u.unit[rows].T.toarray()
         block = np.empty(product.shape[::-1]) if out is None else out
         np.copyto(block, product.T)
-    else:
-        block = np.matmul(u.unit[rows], u.unit.T, out=out)
-    if np.any(u.zero):
-        block[u.zero[rows]] = 0.0
-        block[:, u.zero] = 0.0
-    return block
+        return block
+    return np.matmul(u.unit[rows], u.unit.T, out=out)
 
 
 def similarity_matrix(vectors, rows: slice | np.ndarray | None = None,
@@ -168,14 +151,15 @@ def similarity_matrix(vectors, rows: slice | np.ndarray | None = None,
     for each such block ``rows`` gives its rows bit for bit, and the
     product of all rows never sits beside the result. For a sparse
     matrix ``rows`` may also be any array of row indices, and gives
-    those rows bit for bit. Zero-norm rows give 0 rows and columns.
+    those rows bit for bit. A row of zero or non-finite norm, asked for
+    or not, raises ValueError naming the first one (``cluster.unit_rows``).
     ``vectors`` may also be the ``_unit_rows`` of a matrix, so a caller
     asking for many blocks normalizes it once.
     """
     u = vectors if isinstance(vectors, _UnitRows) else _unit_rows(vectors)
     if rows is not None:
         return _similarity_rows(u, rows, out)
-    n = u.zero.size
+    n = u.unit.shape[0]
     sims = np.empty((n, n)) if out is None else out
     for block in _row_blocks(n):
         _similarity_rows(u, block, sims[block])
@@ -195,14 +179,15 @@ class TopKSimilarity:
     k = n - 1 every entry is kept and the bound is -inf. ``unit`` is
     what ``similarity_matrix(unit, rows)`` reads to give any rows of the
     whole matrix again, bit for bit. The matrix is formed one block of
-    ``_row_blocks(n)`` at a time, and each block is read once.
+    ``_row_blocks(n)`` at a time, and each block is read once. Rows are
+    checked as in ``similarity_matrix``: a token-free document's row raises.
     """
 
     def __init__(self, vectors):
         if not scipy.sparse.issparse(vectors):
             raise TypeError("expected a scipy sparse matrix")
         self.unit = _unit_rows(vectors)
-        n = self.unit.zero.size
+        n = vectors.shape[0]
         self.shape = (n, n)
         k = min(TOP_K, max(n - 1, 0))
         self.index = np.empty((n, k), dtype=np.int64)
@@ -238,7 +223,7 @@ def top1_from_matrix(sim_tfidf: TopKSimilarity, embeddings: np.ndarray | None = 
     its largest off-diagonal model similarity: rounding is monotone, so
     no entry left out can reach it. Any other row forms its whole TF-IDF
     row again and takes the argmax of its whole blended row. No n x n
-    array is made.
+    array is made. A bad embedding row raises as in ``similarity_matrix``.
     """
     n = sim_tfidf.shape[0]
     if n < 2:

@@ -34,7 +34,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -452,8 +452,8 @@ def reference_transform(vocabulary, idf, text):
     return indices, values
 
 
-def reference_similarity(texts):
-    """Per-document vectors stacked into CSR, then the sparse cosine."""
+def reference_tfidf(texts):
+    """Per-document vectors stacked into CSR."""
     vocabulary, idf = reference_fit(texts)
     vectors = [reference_transform(vocabulary, idf, text) for text in texts]
     indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
@@ -462,19 +462,14 @@ def reference_similarity(texts):
     x = scipy.sparse.csr_matrix(
         (np.concatenate([v for _, v in vectors]), np.concatenate([i for i, _ in vectors]),
          indptr), shape=(len(vectors), len(vocabulary)))
-    return idf, x, reference_sparse_similarity(x)
+    return idf, x
 
 
 def reference_sparse_similarity(x):
     """Cosine of the unit rows as one sparse product, then made dense."""
     norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = scipy.sparse.diags(1.0 / safe) @ x
-    sims = np.asarray((unit @ unit.T).todense())
-    zero = norms == 0
-    sims[zero, :] = 0.0
-    sims[:, zero] = 0.0
-    return sims
+    unit = scipy.sparse.diags(1.0 / norms) @ x
+    return np.asarray((unit @ unit.T).todense())
 
 
 def tfidf_case(name):
@@ -500,7 +495,7 @@ def tfidf_case(name):
                                   "random-words", "synthetic-n120"])
 def test_tfidf_matrix_matches_the_per_document_reference(case):
     texts = tfidf_case(case)
-    expected_idf, expected_x, expected_sims = reference_similarity(texts)
+    expected_idf, expected_x = reference_tfidf(texts)
     tokens, terms = index_tokens(texts)
     idf = fit_tfidf(terms, len(tokens))
     assert same_bits(idf, expected_idf)
@@ -509,18 +504,24 @@ def test_tfidf_matrix_matches_the_per_document_reference(case):
     assert np.array_equal(x.indptr, expected_x.indptr)
     assert np.array_equal(x.indices, expected_x.indices)
     assert same_bits(x.data, expected_x.data)
-    assert same_bits(similarity_matrix(x), expected_sims)
+    # a token-free document's empty row has no cosine and is rejected
+    # (tests/test_tfidf.py); every other row's is the one product's
+    nonempty = np.diff(x.indptr) > 0
+    assert same_bits(similarity_matrix(x[nonempty]),
+                     reference_sparse_similarity(expected_x[nonempty]))
 
 
 @pytest.mark.parametrize("case", ["oov-only-and-zero-rows", "synthetic-n120"])
 @pytest.mark.parametrize("block_rows", [1, 7, 1000])
 def test_sparse_similarity_blocks_match_the_one_product_reference(case, block_rows):
-    # 7-row blocks leave a ragged last block; the first case has empty rows
+    # 7-row blocks leave a ragged last block; the first case's empty rows
+    # are rejected (tests/test_tfidf.py), so its other rows are compared
     texts = tfidf_case(case)
     tokens, terms = index_tokens(texts)
     x = transform_corpus(fit_tfidf(terms, len(tokens)), terms)
+    x = x[np.diff(x.indptr) > 0]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tfidf, "PAIRING_BLOCK_ELEMENTS", block_rows * len(texts))
+        mp.setattr(tfidf, "PAIRING_BLOCK_ELEMENTS", block_rows * x.shape[0])
         assert same_bits(similarity_matrix(x), reference_sparse_similarity(x))
 
 
@@ -539,22 +540,32 @@ def reference_pairing(x, model_rows, alpha, epoch):
         similarity_matrix(x), similarity_matrix(model_rows), alpha, epoch))
 
 
-def tied_vectors(rng, n, dim, duplicates, zeros):
-    """Random rows, some copied from others (ties) and some all-zero."""
+def tied_vectors(rng, n, dim, duplicates):
+    """Random rows, some copied from others (ties)."""
     x = rng.normal(size=(n, dim))
     x[rng.integers(0, n, size=duplicates)] = x[rng.integers(0, n, size=duplicates)]
-    x[rng.integers(0, n, size=zeros)] = 0.0
     return x
+
+
+def with_rows_set(x, rows, value, columns=slice(None)):
+    """``x`` with ``value`` at the given rows and columns, in the format of ``x``."""
+    x = x.tolil(copy=True) if scipy.sparse.issparse(x) else x.copy()
+    x[rows, columns] = value
+    return x.tocsr() if scipy.sparse.issparse(x) else x
+
+
+def with_no_zero_row(x):
+    """``x`` with a 1 in the first column of each all-zero row: a row of
+    zero norm has no cosine and is rejected (tests/test_tfidf.py)."""
+    return with_rows_set(x, np.flatnonzero(abs(x).sum(axis=1) == 0), 1.0, 0)
 
 
 @st.composite
 def pairing_cases(draw):
     n = draw(st.integers(2, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    tfidf_rows = tied_vectors(rng, n, draw(st.integers(1, 6)),
-                              draw(st.integers(0, n)), draw(st.integers(0, 3)))
-    model_rows = tied_vectors(rng, n, draw(st.integers(1, 6)),
-                              draw(st.integers(0, n)), draw(st.integers(0, 3)))
+    tfidf_rows = tied_vectors(rng, n, draw(st.integers(1, 6)), draw(st.integers(0, n)))
+    model_rows = tied_vectors(rng, n, draw(st.integers(1, 6)), draw(st.integers(0, n)))
     block_rows = draw(st.integers(1, n))
     block_elements = block_rows * n + draw(st.integers(0, n - 1))
     return (scipy.sparse.csr_matrix(tfidf_rows), model_rows,
@@ -582,8 +593,8 @@ def test_blocked_top1_matches_the_whole_blend_reference(case):
 @st.composite
 def top_k_cases(draw):
     """A kept count K of 2-4; CSR matrices of n = K+1, K+2 or more rows,
-    with empty rows and more than K copies of one row; embeddings with
-    copied rows; every blended epoch."""
+    with more than K copies of one row; embeddings with copied rows;
+    every blended epoch."""
     k = draw(st.integers(2, 4))
     n = draw(st.sampled_from([k + 1, k + 2, draw(st.integers(k + 3, 40))]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -592,10 +603,9 @@ def top_k_cases(draw):
     dense = rng.integers(-2, 4, size=(n, dim)) * (rng.random((n, dim)) < 0.6) / 2.0
     copies = rng.choice(n, size=min(n, draw(st.integers(0, k + 2))), replace=False)
     dense[copies] = dense[copies[:1]]
-    dense[rng.integers(0, n, size=draw(st.integers(0, 3)))] = 0.0
-    model_rows = tied_vectors(rng, n, draw(st.integers(1, 4)),
-                              draw(st.integers(0, n)), draw(st.integers(0, 2)))
-    return (k, scipy.sparse.csr_matrix(dense), np.round(model_rows, 1),
+    model_rows = np.round(tied_vectors(rng, n, draw(st.integers(1, 4)),
+                                       draw(st.integers(0, n))), 1)
+    return (k, scipy.sparse.csr_matrix(with_no_zero_row(dense)), with_no_zero_row(model_rows),
             draw(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0])), draw(st.integers(1, 6)))
 
 
@@ -615,28 +625,26 @@ def test_top_k_pairing_matches_the_whole_blend_reference(case):
     assert same_bits(pairing.similarity, expected_similarity)
 
 
-def with_zero_rows(x, rows):
-    """``x`` with the given rows set to zero, in the format of ``x``."""
-    x = x.tolil(copy=True) if scipy.sparse.issparse(x) else x.copy()
-    x[rows] = 0.0
-    return x.tocsr() if scipy.sparse.issparse(x) else x
-
-
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 @pytest.mark.parametrize("n, last_rows", [(6000, 84), (6001, 85), (1774, 1), (40, 40)])
 def test_row_blocks_of_the_similarity_are_the_whole_ones_rows(sparse, n, last_rows):
     # 6000 x 64 is the tps-short-n6000 embedding; 6001 and 1774 leave a
-    # short and a one-row last block, and one block covers a small n
+    # short and a one-row last block, and one block covers a small n. The
+    # sparse draw at n = 1774 has an empty row, which is given an entry
     rng = np.random.default_rng(n)
-    x = (scipy.sparse.random(n, 300, density=0.03, random_state=rng, format="csr")
-         if sparse else rng.normal(size=(n, 64)))
-    x = with_zero_rows(x, [0, n // 2, n - 1])
+    x = with_no_zero_row(
+        scipy.sparse.random(n, 300, density=0.03, random_state=rng, format="csr")
+        if sparse else rng.normal(size=(n, 64)))
     blocks = tfidf._row_blocks(n)
     assert blocks[-1].stop - blocks[-1].start == last_rows
     whole = similarity_matrix(x)
     for rows in blocks:
         assert same_bits(similarity_matrix(x, rows), whole[rows])
-    assert not whole[[0, n // 2, n - 1]].any() and not whole[:, n - 1].any()
+    # a zero-norm row is named, whether or not the rows asked for hold it
+    zeroed = with_rows_set(x, [n // 2, n - 1], 0.0)
+    for rows in (blocks[0], blocks[-1]):
+        with pytest.raises(ValueError, match=f"^zero-norm row {n // 2}$"):
+            similarity_matrix(zeroed, rows)
     if sparse:
         # the store keeps each row's largest off-diagonal entries, and the
         # next largest bounds every entry left out
@@ -654,19 +662,26 @@ def test_row_blocks_of_the_similarity_are_the_whole_ones_rows(sparse, n, last_ro
 
 @st.composite
 def csr_cases(draw):
-    """CSR matrices with empty rows, rows listing their columns in any
-    order and more than once, and copies of a row with its entries
-    reordered; and a block size."""
+    """CSR matrices with rows listing their columns in any order and more
+    than once, and copies of a row with its entries reordered; and a
+    block size. A row of zero norm is rejected (tests/test_tfidf.py), so
+    none is drawn."""
     dim = draw(st.integers(1, 12))
     entry = st.tuples(st.integers(0, dim - 1),
                       st.floats(-8.0, 8.0, allow_subnormal=False))
-    rows = draw(st.lists(st.lists(entry, max_size=2 * dim), min_size=1, max_size=30))
+    rows = draw(st.lists(st.lists(entry, min_size=1, max_size=2 * dim), min_size=1,
+                         max_size=30))
     for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=8)):
         rows.append(draw(st.permutations(rows[k])))
     indptr = np.cumsum([0] + [len(r) for r in rows])
     indices = np.array([c for r in rows for c, _ in r], dtype=np.int32)
     data = np.array([v for r in rows for _, v in r], dtype=np.float64)
     x = scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(rows), dim))
+    # entries can be zero, cancel once duplicates are summed or underflow
+    # when squared
+    canonical = x.copy()
+    canonical.sum_duplicates()
+    assume(np.all(np.linalg.norm(canonical.toarray(), axis=1) > 0))
     return x, draw(st.integers(1, len(rows))) * len(rows)
 
 

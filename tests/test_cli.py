@@ -101,6 +101,28 @@ class TestPreprocessCommand:
         assert "example.com" not in cleaned.documents[0].text
         assert "actual body text" in cleaned.documents[0].text
 
+    @pytest.mark.parametrize("profile, function, option", [
+        ("newsgroup", "preprocess_newsgroup_style", "min_words"),
+        ("reuters", "preprocess_reuters_style", "top_k_classes"),
+    ])
+    def test_profile_option_passed_on_only_when_given(self, capsys, tmp_path, monkeypatch,
+                                                      profile, function, option):
+        # an option left out takes the default of the function in corpus.py
+        src = make_synth(capsys, tmp_path)
+        calls = []
+
+        def record(corpus, **kwargs):
+            calls.append(kwargs)
+            return corpus
+
+        monkeypatch.setattr(cli, function, record)
+        flag = "--" + option.replace("_", "-")
+        for extra in ([], [flag, "3"]):
+            code, _, err = run(capsys, "preprocess", "--in", str(src), "--out",
+                               str(tmp_path / "clean.jsonl"), "--profile", profile, *extra)
+            assert code == 0, err
+        assert calls == [{}, {option: 3}]
+
     def test_stats_reports_counts_and_histogram(self, capsys, tmp_path):
         src = make_synth(capsys, tmp_path)
         out = tmp_path / "clean.jsonl"

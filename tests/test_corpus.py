@@ -13,6 +13,7 @@ from sadcluster.corpus import (
     save_corpus,
     split_sentences,
 )
+from sadcluster.tfidf import tokenize_text
 
 
 class TestSplitSentences:
@@ -145,6 +146,13 @@ class TestLoadCorpus:
             "arts/z.txt", "sports/a.txt", "sports/b.txt",
         ]
         assert [d.label for d in corpus.documents] == [0, 1, 1]
+
+    def test_dir_undecodable_byte_becomes_replacement_character(self, tmp_path):
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "a.txt").write_bytes(b"caf\xffbar here.")
+        text = load_corpus(tmp_path).documents[0].text
+        assert text == "caf\ufffdbar here."
+        assert tokenize_text(text) == ["caf", "bar", "here"]
 
     def test_roundtrip_through_save(self, tmp_path):
         p = tmp_path / "c.jsonl"

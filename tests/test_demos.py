@@ -1,6 +1,7 @@
 """The demos run to completion against the package in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ("01_sentences_and_pairs.py", "02_tfidf_neighbors.py",
          "03_train_and_select.py")
+# demo 02 checks its pairing against the whole similarity matrix five times
+SELF_CHECKS = {"02_tfidf_neighbors.py": 5}
+SELF_CHECK = re.compile(r"(?:same partners as the whole [^:]*|bit-identical to TF-IDF): (\w+)")
 
 
 def src_env():
@@ -25,6 +29,7 @@ def test_demo_exits_cleanly(demo, tmp_path):
                           env=src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    assert SELF_CHECK.findall(proc.stdout) == ["True"] * SELF_CHECKS.get(demo, 0)
 
 
 def test_cli_pipeline_script_exits_cleanly(tmp_path):

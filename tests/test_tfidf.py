@@ -160,10 +160,12 @@ class TestCosineSimilarity:
     def test_hand_computed_dense(self):
         assert cosine([1, 1, 0], [1, 0, 1]) == pytest.approx(0.5, abs=1e-12)
 
-    def test_zero_norm_defined_as_zero(self):
+    def test_zero_norm_has_no_cosine(self):
         x = scipy.sparse.csr_matrix((np.ones(1), [1], [0, 0, 1]), shape=(2, 4))
-        assert cosine(x[0], x[1]) == 0.0
-        assert cosine([0.0, 0.0], [1.0, 0.0]) == 0.0
+        with pytest.raises(ValueError, match="^zero-norm row 0$"):
+            cosine(x[0], x[1])
+        with pytest.raises(ValueError, match="^zero-norm row 1$"):
+            cosine([1.0, 0.0], [0.0, 0.0])
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(2)
@@ -295,6 +297,17 @@ class TestTop1Sampling:
             top1_from_matrix(store, x.toarray(), 0.5, epoch)
         assert recomputed == []
 
+    @pytest.mark.parametrize("value, what", [(np.nan, "non-finite"), (np.inf, "non-finite"),
+                                             (0.0, "zero-norm")], ids=["nan", "inf", "zero"])
+    def test_bad_embedding_row_named(self, value, what):
+        # a NaN row would make the blend of every row NaN in its column
+        rng = np.random.default_rng(11)
+        store = TopKSimilarity(scipy.sparse.csr_matrix(rng.normal(size=(6, 3))))
+        embeddings = rng.normal(size=(6, 4))
+        embeddings[4] = value
+        with pytest.raises(ValueError, match=f"^{what} row 4$"):
+            top1_from_matrix(store, embeddings, 0.5, 2)
+
     def test_self_partner_rejected_by_type(self):
         with pytest.raises(ValueError):
             PositivePairing(np.array([0, 0]), np.array([1.0, 1.0]))
@@ -333,11 +346,22 @@ class TestSimilarityMatrix:
         with pytest.raises(TypeError):
             similarity_matrix([[1.0, 0.0], [0.0, 1.0]])
 
-    def test_zero_rows_give_zero_similarity(self):
-        x = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
-        s = similarity_matrix(x)
-        assert np.all(s[1, :] == 0.0)
-        assert np.all(s[:, 1] == 0.0)
+    def test_first_bad_row_named(self):
+        # dense and sparse, whole or in blocks, whether or not the rows
+        # asked for hold it, and before a later bad row of the other kind
+        for value, what, later in ((0.0, "zero-norm", np.nan), (np.nan, "non-finite", 0.0),
+                                   (np.inf, "non-finite", 0.0)):
+            x = np.array([[1.0, 0.0], [0.0, 2.0], [value, value], [1.0, 1.0], [0.0, later]])
+            for vectors in (x, scipy.sparse.csr_matrix(x)):
+                for rows in (None, slice(0, 2), np.array([3])):
+                    with pytest.raises(ValueError, match=f"^{what} row 2$"):
+                        similarity_matrix(vectors, rows)
+
+    def test_top_k_store_names_a_token_free_documents_empty_row(self):
+        # train rejects such a document before it builds the store
+        _, _, x = fitted("a b", "c a", "... !!!", "b c", "")
+        with pytest.raises(ValueError, match="^zero-norm row 2$"):
+            TopKSimilarity(x)
 
 
 class TestBlendedSimilarity:
