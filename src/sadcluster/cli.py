@@ -22,7 +22,9 @@ from .corpus import (
     load_corpus,
     preprocess_newsgroup_style,
     preprocess_reuters_style,
+    read_jsonl,
     save_corpus,
+    write_jsonl,
 )
 from .encoder import (
     PAD_TOKEN,
@@ -161,7 +163,11 @@ def _check_outputs(args) -> None:
             raise FileNotFoundError(f"{flag} {path}: directory {path.parent} "
                                     "does not exist")
     if args.command == "train":  # its --out-dir need not exist yet
-        files += [("--out-dir", path) for path in _train_files(args.out_dir)]
+        out_dir = Path(args.out_dir)
+        nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if not nearest.is_dir():
+            raise NotADirectoryError(f"--out-dir {out_dir}: {nearest} is not a directory")
+        files += [("--out-dir", path) for path in _train_files(out_dir)]
     seen = {path.resolve(): (flag, path) for flag, path in inputs}
     for flag, path in files:
         if path.is_dir():
@@ -219,46 +225,37 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _dump_tfidf(corpus: Corpus, path) -> None:
+def _tfidf_records(corpus: Corpus):
     tokens, terms = index_tokens(doc.text for doc in corpus.documents)
     x = transform_corpus(fit_tfidf(terms, len(tokens)), terms)
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc, start, stop in zip(corpus.documents, x.indptr[:-1], x.indptr[1:]):
-            record = {
-                "id": doc.id,
-                "indices": x.indices[start:stop].tolist(),
-                "values": x.data[start:stop].tolist(),
+    return ({"id": doc.id,
+             "indices": x.indices[start:stop].tolist(),
+             "values": x.data[start:stop].tolist()}
+            for doc, start, stop in zip(corpus.documents, x.indptr[:-1], x.indptr[1:]))
+
+
+def _pair_records(corpus: Corpus, method: str, first_pairs):
+    """The ``--dump-pairs`` lines: the positives epoch 1 trained on. sad
+    pairs come in corpus order with their batch index; a document in a
+    skipped batch has no pair and no line."""
+    if method == "sad":
+        for b, i, (half_a, half_b) in sorted(first_pairs, key=lambda p: p[1]):
+            sentences = corpus.documents[i].sentences
+            yield {
+                "batch": b,
+                "source_id": corpus.documents[i].id,
+                "view_a": " ".join(sentences[j] for j in half_a),
+                "view_b": " ".join(sentences[j] for j in half_b),
+                "sentence_ids_a": half_a.tolist(),
+                "sentence_ids_b": half_b.tolist(),
             }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def _dump_pairs(corpus: Corpus, method: str, first_pairs, path) -> None:
-    """Debugging dump of the positives epoch 1 trained on.
-
-    sad pairs are written in corpus order with their batch index; a
-    document in a skipped batch has no pair and no line.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        if method == "sad":
-            for b, i, (half_a, half_b) in sorted(first_pairs, key=lambda p: p[1]):
-                sentences = corpus.documents[i].sentences
-                record = {
-                    "batch": b,
-                    "source_id": corpus.documents[i].id,
-                    "view_a": " ".join(sentences[j] for j in half_a),
-                    "view_b": " ".join(sentences[j] for j in half_b),
-                    "sentence_ids_a": half_a.tolist(),
-                    "sentence_ids_b": half_b.tolist(),
-                }
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-        else:
-            for n in range(first_pairs.partner.shape[0]):
-                record = {
-                    "n": n,
-                    "m": int(first_pairs.partner[n]),
-                    "sim": float(first_pairs.similarity[n]),
-                }
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+    else:
+        for n in range(first_pairs.partner.shape[0]):
+            yield {
+                "n": n,
+                "m": int(first_pairs.partner[n]),
+                "sim": float(first_pairs.similarity[n]),
+            }
 
 
 def _train_files(out_dir) -> list[Path]:
@@ -272,12 +269,8 @@ def cmd_train(args) -> int:
     settings = vars(args)
     config = TrainConfig(**{f.name: settings[f.name] for f in dataclasses.fields(TrainConfig)
                             if f.name in settings})
-    # a bad id or an out-dir train cannot create fails now, not after the run
-    check_ids([doc.id for doc in corpus.documents])
+    check_ids([doc.id for doc in corpus.documents])  # fails now, not after the run
     out_dir = Path(args.out_dir)
-    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
-    if not nearest.is_dir():
-        raise NotADirectoryError(f"--out-dir {out_dir}: {nearest} is not a directory")
     result = train(corpus, config)
     best, final, vocab, metrics = _train_files(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -295,9 +288,9 @@ def cmd_train(args) -> int:
         metrics,
     )
     if args.dump_tfidf:
-        _dump_tfidf(corpus, args.dump_tfidf)
+        write_jsonl(_tfidf_records(corpus), args.dump_tfidf)
     if args.dump_pairs:
-        _dump_pairs(corpus, config.method, result.first_pairs, args.dump_pairs)
+        write_jsonl(_pair_records(corpus, config.method, result.first_pairs), args.dump_pairs)
     print(json.dumps({"best_epoch": result.best_epoch,
                       "epochs": len(result.history),
                       "out_dir": str(out_dir)}, sort_keys=True))
@@ -323,10 +316,8 @@ def cmd_embed(args) -> int:
 def cmd_cluster(args) -> int:
     ids, embeddings = read_embeddings(args.embeddings)
     model = spherical_kmeans(embeddings, **_given(args, "embeddings", "out"))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for doc_id, cluster in zip(ids, model.assignments):
-            fh.write(json.dumps({"cluster": int(cluster), "id": doc_id},
-                                sort_keys=True) + "\n")
+    write_jsonl(({"cluster": int(cluster), "id": doc_id}
+                 for doc_id, cluster in zip(ids, model.assignments)), args.out)
     print(json.dumps({"iterations": model.iterations_run, "k": args.k,
                       "n": len(ids), "objective": model.objective},
                      sort_keys=True))
@@ -335,23 +326,16 @@ def cmd_cluster(args) -> int:
 
 def _read_assignments(path) -> dict[str, int]:
     assignments: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"line {lineno}: invalid JSON: {err}") from err
-            if not isinstance(record, dict) or not {"id", "cluster"} <= record.keys():
-                raise ValueError(f"line {lineno}: expected keys 'id' and 'cluster'")
-            doc_id = record["id"]
-            if doc_id in assignments:
-                raise ValueError(f"line {lineno}: duplicate id {doc_id!r}")
-            cluster = record["cluster"]
-            if type(cluster) is not int or cluster < 0:  # JSON true/false are bool
-                raise ValueError(f"line {lineno}: cluster must be a non-negative integer")
-            assignments[doc_id] = cluster
+    for lineno, record in read_jsonl(path):
+        if not isinstance(record, dict) or not {"id", "cluster"} <= record.keys():
+            raise ValueError(f"line {lineno}: expected keys 'id' and 'cluster'")
+        doc_id = record["id"]
+        if doc_id in assignments:
+            raise ValueError(f"line {lineno}: duplicate id {doc_id!r}")
+        cluster = record["cluster"]
+        if type(cluster) is not int or cluster < 0:  # JSON true/false are bool
+            raise ValueError(f"line {lineno}: cluster must be a non-negative integer")
+        assignments[doc_id] = cluster
     if not assignments:
         raise ValueError(f"assignments file is empty: {path}")
     return assignments

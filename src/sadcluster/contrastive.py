@@ -275,9 +275,9 @@ def optimizer_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                    rows: dict[str, np.ndarray] | None = None) -> None:
     """One in-place AdamW (decoupled weight decay) update.
 
-    ``tensors`` maps names to the arrays to update in place (for an
-    encoder, ``params.tensors()``). ``rows`` maps a name to the sorted
-    distinct rows its gradient covers, as ``encode_batch_backward``
+    ``tensors`` maps names to the 1-d or 2-d arrays to update in place
+    (for an encoder, ``params.tensors()``). ``rows`` maps a name to the
+    sorted distinct rows its gradient covers, as ``encode_batch_backward``
     returns them: ``grads[name]`` then holds just those rows, and every
     other row takes a zero gradient's step bit for bit. That needs no
     moment to be -0.0, which holds from ``OptimizerState()`` on: moments
@@ -300,8 +300,7 @@ def optimizer_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         if name not in state.m:
             state.m[name] = np.zeros_like(tensors[name])
             state.v[name] = np.zeros_like(tensors[name])
-        # row blocks of 1-d views, so 0-d tensors are updated in place too
-        p, g, m, v = np.atleast_1d(tensors[name], grad, state.m[name], state.v[name])
+        p, g, m, v = tensors[name], grad, state.m[name], state.v[name]
         size = max(1, ADAMW_BLOCK_ELEMENTS // max(1, math.prod(p.shape[1:])))
         a, b = np.empty_like(p[:size]), np.empty_like(p[:size])
         # a dense gradient is the case where every row is touched

@@ -122,11 +122,27 @@ def split_sentences(text: str) -> list[str]:
     return sentences
 
 
-def _parse_jsonl_line(line: str, lineno: int) -> Document:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"line {lineno}: invalid JSON ({err.msg})") from err
+def read_jsonl(path):
+    """Yield ``(line number, value)`` of each non-blank line of a UTF-8
+    JSON-lines file; a line that is not JSON raises ValueError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"line {lineno}: invalid JSON ({err.msg})") from err
+            yield lineno, value
+
+
+def write_jsonl(records, path) -> None:
+    """Write each record as one ``json.dumps(record, sort_keys=True)`` line, in UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
+
+
+def _document(record, lineno: int) -> Document:
     if not isinstance(record, dict):
         raise ValueError(f"line {lineno}: expected a JSON object")
     doc_id = record.get("id")
@@ -173,31 +189,30 @@ def load_corpus(path) -> Corpus:
         return Corpus(documents, label_names=label_names)
     documents = []
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            doc = _parse_jsonl_line(line, lineno)
-            if doc.id in seen:
-                raise ValueError(
-                    f"line {lineno}: duplicate id {doc.id!r} "
-                    f"(first seen on line {seen[doc.id]})"
-                )
-            seen[doc.id] = lineno
-            documents.append(doc)
+    for lineno, record in read_jsonl(path):
+        doc = _document(record, lineno)
+        if doc.id in seen:
+            raise ValueError(
+                f"line {lineno}: duplicate id {doc.id!r} "
+                f"(first seen on line {seen[doc.id]})"
+            )
+        seen[doc.id] = lineno
+        documents.append(doc)
     return Corpus(documents)
+
+
+def _record(doc: Document) -> dict:
+    record: dict = {"id": doc.id, "text": doc.text}
+    if doc.labels is not None and len(doc.labels) != 1:
+        record["labels"] = list(doc.labels)
+    elif doc.label is not None:
+        record["label"] = doc.label
+    return record
 
 
 def save_corpus(corpus: Corpus, path) -> None:
     """Write a corpus back to jsonl (re-loadable by ``load_corpus``)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in corpus.documents:
-            record: dict = {"id": doc.id, "text": doc.text}
-            if doc.labels is not None and len(doc.labels) != 1:
-                record["labels"] = list(doc.labels)
-            elif doc.label is not None:
-                record["label"] = doc.label
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(map(_record, corpus.documents), path)
 
 
 def _strip_header(text: str) -> str:

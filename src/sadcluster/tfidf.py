@@ -143,24 +143,24 @@ def _similarity_rows(u: _UnitRows, rows: slice | np.ndarray,
 
 def similarity_matrix(vectors, rows: slice | np.ndarray | None = None,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """Dense cosine similarity of the rows of a dense or sparse matrix,
-    into ``out`` if given.
+    """Dense cosine similarity of the rows of a dense or sparse matrix.
 
-    The whole n x n matrix, or with ``rows`` only those rows of it. The
-    whole matrix is filled one block of ``_row_blocks(n)`` at a time, so
-    for each such block ``rows`` gives its rows bit for bit, and the
-    product of all rows never sits beside the result. For a sparse
-    matrix ``rows`` may also be any array of row indices, and gives
-    those rows bit for bit. A row of zero or non-finite norm, asked for
-    or not, raises ValueError naming the first one (``cluster.unit_rows``).
-    ``vectors`` may also be the ``_unit_rows`` of a matrix, so a caller
-    asking for many blocks normalizes it once.
+    The whole n x n matrix as a new array, or with ``rows`` only those
+    rows of it, into ``out`` if given. The whole matrix is filled one
+    block of ``_row_blocks(n)`` at a time, so for each such block
+    ``rows`` gives its rows bit for bit, and the product of all rows
+    never sits beside the result. For a sparse matrix ``rows`` may also
+    be any array of row indices, and gives those rows bit for bit. A row
+    of zero or non-finite norm, asked for or not, raises ValueError naming
+    the first one (``cluster.unit_rows``). ``vectors`` may also be the
+    ``_unit_rows`` of a matrix, so a caller asking for many blocks
+    normalizes it once.
     """
     u = vectors if isinstance(vectors, _UnitRows) else _unit_rows(vectors)
     if rows is not None:
         return _similarity_rows(u, rows, out)
     n = u.unit.shape[0]
-    sims = np.empty((n, n)) if out is None else out
+    sims = np.empty((n, n))
     for block in _row_blocks(n):
         _similarity_rows(u, block, sims[block])
     return sims

@@ -248,7 +248,7 @@ def test_optimizer_matches_the_reference_over_many_steps(weight_decay):
     table = rng.normal(size=(9000, 16))
     table[:50] = rng.choice([0.0, -0.0, 5e-324, -5e-324], size=(50, 16))
     tensors = {"table": table, "bias": rng.normal(size=16),
-               "dense": rng.normal(size=(5, 3)), "scale": np.array(rng.normal())}
+               "dense": rng.normal(size=(5, 3))}
     check_row_sparse_steps(config, tensors, {"table", "bias"}, 20, 11)
 
 

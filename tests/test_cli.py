@@ -592,6 +592,20 @@ class TestEmbedClusterEval:
             == model.assignments.tolist()
         assert json.loads(out)["iterations"] == model.iterations_run
 
+    def test_cluster_writes_sorted_keys_and_escapes_non_ascii(self, capsys, tmp_path,
+                                                              monkeypatch):
+        emb, assign = tmp_path / "emb.txt", tmp_path / "a.jsonl"
+        write_embeddings(["\u00e9t\u00e9", "b"], np.eye(2), emb)
+        model = dataclasses.make_dataclass("Model", ["assignments", "iterations_run",
+                                                     "objective"])
+        monkeypatch.setattr(cli, "spherical_kmeans",
+                            lambda *args, **kwargs: model(np.array([1, 0]), 1, 2.0))
+        code, _, err = run(capsys, "cluster", "--embeddings", str(emb),
+                           "--out", str(assign), "--k", "2")
+        assert code == 0, err
+        assert assign.read_bytes() == (b'{"cluster": 1, "id": "\\u00e9t\\u00e9"}\n'
+                                       b'{"cluster": 0, "id": "b"}\n')
+
     def test_eval_silhouette_seed_default_is_the_library_default(self, capsys, tmp_path,
                                                                   monkeypatch):
         # a sample smaller than n, so the seed picks the points scored
@@ -665,6 +679,23 @@ class TestEmbedClusterEval:
         assert code == 1
         assert json.loads(err) == {"error": "ValueError", "message":
                                    "line 2: expected keys 'id' and 'cluster'"}
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"id": "t0d0", "cluster": 0}\nnot json\n', "line 2: invalid JSON (Expecting value)"),
+        ('{"id": "t0d0", "cluster": 0}\n\nnot json\n',
+         "line 3: invalid JSON (Expecting value)"),
+        ('{"id": "t0d0", "cluster": 0}\n\n{"id": "t0d0", "cluster": 1}\n',
+         "line 3: duplicate id 't0d0'"),
+    ], ids=["invalid-json", "blank-then-invalid-json", "blank-then-duplicate"])
+    def test_eval_names_the_bad_assignments_line(self, capsys, tmp_path, text, message):
+        corpus_path = make_synth(capsys, tmp_path)
+        assign = tmp_path / "assign.jsonl"
+        assign.write_text(text)
+        code, _, err = run(capsys, "eval", "--assignments", str(assign),
+                           "--corpus", str(corpus_path), "--out", str(tmp_path / "m.json"))
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message}
         assert not (tmp_path / "m.json").exists()
 
     def test_eval_missing_assignment_is_an_error(self, capsys, tmp_path):

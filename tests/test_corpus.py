@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from sadcluster import cli
+from sadcluster import corpus as corpus_module
 from sadcluster.corpus import (
     Corpus,
     Document,
@@ -10,6 +12,7 @@ from sadcluster.corpus import (
     load_corpus,
     preprocess_newsgroup_style,
     preprocess_reuters_style,
+    read_jsonl,
     save_corpus,
     split_sentences,
 )
@@ -130,6 +133,17 @@ class TestLoadCorpus:
             with pytest.raises(ValueError, match=f"line 1: '{field}' must be"):
                 load_corpus(p)
 
+    @pytest.mark.parametrize("third, message", [
+        ('{"id": "a", "text": "z"}', "line 3: duplicate id 'a' (first seen on line 1)"),
+        ("not json", "line 3: invalid JSON (Expecting value)"),
+    ], ids=["duplicate", "invalid-json"])
+    def test_jsonl_blank_line_is_skipped_but_counted(self, tmp_path, third, message):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"id": "a", "text": "x"}\n \t\n' + third + "\n")
+        with pytest.raises(ValueError) as err:
+            load_corpus(p)
+        assert str(err.value) == message
+
     def test_missing_path(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_corpus(tmp_path / "nope.jsonl")
@@ -167,6 +181,47 @@ class TestLoadCorpus:
         assert [(d.id, d.text, d.label) for d in again.documents] == [
             (d.id, d.text, d.label) for d in corpus.documents
         ]
+
+    def test_save_writes_sorted_keys_and_escapes_non_ascii(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        save_corpus(Corpus([Document("b", "Caf\u00e9.", labels=(2, 0)),
+                            Document("a", "x", label=1), Document("c", "y")]), out)
+        assert out.read_bytes() == (
+            b'{"id": "b", "labels": [2, 0], "text": "Caf\\u00e9."}\n'
+            b'{"id": "a", "label": 1, "text": "x"}\n'
+            b'{"id": "c", "text": "y"}\n')
+
+
+class TestReadJsonl:
+    def test_yields_each_non_blank_line_with_its_number(self, tmp_path):
+        p = tmp_path / "x.jsonl"
+        p.write_text('{"a": 1}\n\n  \n[2]\nnull\n')
+        assert list(read_jsonl(p)) == [(1, {"a": 1}), (4, [2]), (5, None)]
+
+    @pytest.mark.parametrize("lines", [
+        ['{"id": "a", "text": "x"}', '{"id": "a", "text": "y"}', '{"id": "b", "text": "z"}'],
+        ['{"id": "a", "text": "x"}', "not json", '{"id": "b", "text": "z"}'],
+        ['{"id": "a", "cluster": 0}', '{"id": "a", "cluster": 1}', '{"id": "b", "cluster": 0}'],
+        ['{"id": "a", "cluster": 0}', "not json", '{"id": "b", "cluster": 0}'],
+    ], ids=["corpus-duplicate", "corpus-invalid-json", "assignments-duplicate",
+            "assignments-invalid-json"])
+    def test_a_line_rejected_mid_file_leaves_no_file_open(self, tmp_path, monkeypatch,
+                                                           lines):
+        # the duplicate is rejected by the reader's own check while read_jsonl
+        # is suspended at its yield; the invalid line inside read_jsonl
+        p = tmp_path / "x.jsonl"
+        p.write_text("\n".join(lines) + "\n")
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(corpus_module, "open", tracking_open, raising=False)
+        reader = load_corpus if "text" in lines[0] else cli._read_assignments
+        with pytest.raises(ValueError, match="line 2: "):
+            reader(p)
+        assert len(opened) == 1 and opened[0].closed
 
 
 class TestCorpusValidation:
