@@ -80,7 +80,7 @@ def check_ids(ids) -> None:
     """Reject an id the embeddings format cannot hold: empty, or with
     whitespace, which separates the fields of a line."""
     for doc_id in ids:
-        if not doc_id or any(ch.isspace() for ch in doc_id):
+        if doc_id.split() != [doc_id]:  # empty, or holds a whitespace character
             raise ValueError(
                 f"document id {doc_id!r} is empty or contains whitespace and "
                 "cannot be written to the embeddings format"

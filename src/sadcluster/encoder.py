@@ -10,6 +10,7 @@ elsewhere (e.g. by a pre-trained transformer run out of process) skip
 this module: ``cluster`` and ``eval`` read them as text.
 """
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -109,9 +110,9 @@ def build_vocab(tokens: list[str], terms: list[np.ndarray],
 
 def text_ids(text: str, vocab: Vocabulary) -> np.ndarray:
     """Ids of every token of ``text``, OOV mapped to unk, not truncated."""
-    get, unk = vocab.token_to_id.get, vocab.unk_id
-    return np.array([get(token, unk) for token in tokenize_text(text)],
-                    dtype=np.int64)
+    tokens = tokenize_text(text)
+    return np.fromiter(map(vocab.token_to_id.get, tokens, itertools.repeat(vocab.unk_id)),
+                       np.int64, len(tokens))
 
 
 def tokenize(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:

@@ -50,9 +50,9 @@ from sadcluster.tfidf import (
     label_match_rate,
     blended_similarity,
     top1_from_matrix,
-    tokenize_text,
     transform_corpus,
 )
+from test_tfidf import oracle_tokens
 
 
 def random_token_batch(rng, num_views, vocab_size, max_len):
@@ -309,14 +309,14 @@ def test_criterion_08_tfidf_matches_counting_oracle():
     n = len(texts)
     df = Counter()
     for text in texts:
-        df.update(set(tokenize_text(text)))
+        df.update(set(oracle_tokens(text)))
     # column j is the j-th distinct token in sorted order
     assert tokens == sorted(df)
     column = {token: j for j, token in enumerate(sorted(df))}
     worst = 0.0
     assert x.shape == (n, len(df))
     for doc, dense in zip(corpus.documents, x.toarray()):
-        tf = Counter(tokenize_text(doc.text))
+        tf = Counter(oracle_tokens(doc.text))
         oracle = np.zeros(len(df))
         for token, count in tf.items():
             idf = math.log((1 + n) / (1 + df[token])) + 1

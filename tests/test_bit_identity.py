@@ -21,8 +21,9 @@ rows of the whole matrix; the sparse similarity must equal its
 transpose, the top-K store must keep each row's largest entries and
 bound the rest, and pairing on it must give the whole blended matrix's
 top-1 at any kept count; and the
-vocabulary and ids built from token indices must equal the counted
-ones, in dict order and id for id. k-means must match bit for bit; the
+vocabulary and ids built from token indices must equal the ones
+counted over the tokens of the regex the tokenizer is defined by, in
+dict order and id for id. k-means must match bit for bit; the
 metrics, whose sums run in another order, must agree within 1e-12, and
 the row-blocked silhouette must equal the whole-sample one on the
 benchmark's shapes.
@@ -83,6 +84,7 @@ from sadcluster.encoder import (
 from sadcluster.rng import derive_rng, fisher_yates
 from sadcluster.synth import generate_synthetic_corpus
 from test_encoder import vocab_of
+from test_tfidf import oracle_tokens
 from sadcluster.tfidf import (
     TopKSimilarity,
     blended_similarity,
@@ -435,7 +437,7 @@ def reference_fit(texts):
     """Column of each distinct token (sorted) and its smoothed idf, by counting."""
     df = Counter()
     for text in texts:
-        df.update(set(tokenize_text(text)))
+        df.update(set(oracle_tokens(text)))
     vocabulary = {token: i for i, token in enumerate(sorted(df))}
     df_arr = np.array([df[token] for token in vocabulary], dtype=np.float64)
     return vocabulary, np.log((1.0 + len(texts)) / (1.0 + df_arr)) + 1.0
@@ -443,7 +445,7 @@ def reference_fit(texts):
 
 def reference_transform(vocabulary, idf, text):
     """One document's TF-IDF vector as sorted (indices, values)."""
-    counts = Counter(vocabulary[token] for token in tokenize_text(text))
+    counts = Counter(vocabulary[token] for token in oracle_tokens(text))
     if not counts:
         return np.empty(0, dtype=np.int64), np.empty(0)
     indices = np.array(sorted(counts), dtype=np.int64)
@@ -705,7 +707,7 @@ def reference_build_vocab(texts, max_vocab):
     """Count every token, keep the most frequent, ties lexicographic."""
     counts = Counter()
     for text in texts:
-        counts.update(tokenize_text(text))
+        counts.update(oracle_tokens(text))
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     token_to_id = {PAD_TOKEN: 0, UNK_TOKEN: 1}
     for token, _ in ranked[:max_vocab]:
@@ -714,7 +716,7 @@ def reference_build_vocab(texts, max_vocab):
 
 
 def reference_text_ids(text, token_to_id):
-    return [token_to_id.get(token, 1) for token in tokenize_text(text)]
+    return [token_to_id.get(token, 1) for token in oracle_tokens(text)]
 
 
 @pytest.mark.parametrize("max_vocab", [1, 5, 100, 3000, 30000])
@@ -731,7 +733,7 @@ def test_vocabulary_and_ids_match_the_counting_reference(max_vocab):
         docs.append(Document(f"d{d}", " ".join(sentences)))
     texts = [doc.text for doc in docs]
     expected = reference_build_vocab(texts, max_vocab)
-    distinct = {token for text in texts for token in tokenize_text(text)}
+    distinct = {token for text in texts for token in oracle_tokens(text)}
     assert (len(distinct) > max_vocab) == (max_vocab < 30000)  # about 3400
     for units in ([[t] for t in texts], [doc.sentences for doc in docs]):
         tokens, terms = index_tokens(u for unit in units for u in unit)

@@ -899,6 +899,24 @@ class TestEmbedCheckpointCheck:
         assert UNPICKLED == []
 
 
+class TestCheckIds:
+    """An id the embeddings format cannot hold is empty or has a character
+    ``str.isspace`` accepts, which would split its line's fields."""
+
+    def test_empty_and_every_whitespace_character_are_rejected(self):
+        spaces = [chr(code) for code in range(0x110000) if chr(code).isspace()]
+        for bad_id in ["", *spaces, *("a" + space + "b" for space in spaces)]:
+            with pytest.raises(ValueError) as err:
+                cli.check_ids(["ok", bad_id])
+            assert str(err.value) == (
+                f"document id {bad_id!r} is empty or contains whitespace and "
+                "cannot be written to the embeddings format")
+
+    def test_every_other_code_point_is_accepted(self):
+        cli.check_ids(["a" + "".join(ch for ch in map(chr, range(0x110000))
+                                     if not ch.isspace()) + "b"])
+
+
 class TestEmbedInputChecks:
     def embed(self, capsys, tmp_path, bad_id="b", max_len="256", docs=None):
         corpus = tmp_path / "corpus.jsonl"

@@ -16,6 +16,7 @@ from sadcluster.encoder import (
     init_params,
     load_checkpoint,
     save_checkpoint,
+    text_ids,
     tokenize,
 )
 from sadcluster.tfidf import index_tokens
@@ -111,6 +112,15 @@ class TestTokenize:
         vocab = vocab_of(corpus_of("a"), max_vocab=10)
         seq = tokenize("", vocab, max_len=4)
         assert seq.length == 0
+
+    @pytest.mark.parametrize("text,expected", [("", []), ("...", []), ("zzz Q_q 7", [1] * 4)],
+                             ids=["empty", "token-free", "all-oov"])
+    def test_text_ids_without_known_tokens(self, text, expected):
+        vocab = vocab_of(corpus_of("a"), max_vocab=10)
+        ids = text_ids(text, vocab)
+        assert vocab.unk_id == 1
+        assert ids.dtype == np.int64 and ids.shape == (len(expected),)
+        assert ids.tolist() == expected
 
 
 class TestTokenSequenceValidation:

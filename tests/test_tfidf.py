@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sadcluster import tfidf
 from sadcluster.corpus import Corpus, Document
@@ -22,6 +24,21 @@ from sadcluster.tfidf import (
     top1_from_matrix,
     transform_corpus,
 )
+
+
+def oracle_tokens(text):
+    """The tokenizer's definition, kept apart from its implementation."""
+    return re.findall(r"[^\W_]+", text.lower())
+
+
+# Where a tokenizer could part from the regex: dotted capital I and the
+# Kelvin sign (which lowercase to other letters), final sigma, a
+# superscript, an Arabic-Indic digit, a Roman numeral, the underscore,
+# the separators that str.split breaks at (0x1c-0x1f, U+0085, U+3000),
+# the BOM, a combining accent and a lone surrogate.
+TOKEN_PIECES = ["İ", "\u212a", "ΟΔΟΣ", "Σ", "ς", "²", "٣", "Ⅻ", "_", "\x1c", "\x1d",
+                "\x1e", "\x1f", "\x85", "\u3000", "\ufeff", "\u0301", "\ud800",
+                "a", "Z", "7", " ", ".", "-"]
 
 
 def corpus_of(*texts, labels=None):
@@ -73,6 +90,20 @@ class TestTokenize:
     def test_empty(self):
         assert tokenize_text("...") == []
 
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(TOKEN_PIECES), st.characters()),
+                    max_size=32).map("".join))
+    def test_matches_the_regex_oracle(self, text):
+        assert tokenize_text(text) == oracle_tokens(text)
+
+    def test_every_code_point_matches_the_regex_oracle(self, monkeypatch):
+        # a table of its own, so the session does not keep an entry for
+        # every code point
+        monkeypatch.setattr(tfidf, "_SEPARATORS", tfidf._Separators())
+        for code in range(0x110000):
+            text = "a" + chr(code) + "b"
+            assert tokenize_text(text) == oracle_tokens(text), hex(code)
+
 
 class TestIndexTokens:
     def test_sorted_tokens_and_indices_in_text_order(self):
@@ -84,6 +115,11 @@ class TestIndexTokens:
     def test_no_texts(self):
         tokens, terms = index_tokens([])
         assert tokens == [] and terms == []
+
+    def test_only_token_free_texts(self):
+        tokens, terms = index_tokens(["", "..."])
+        assert tokens == []
+        assert [(t.dtype, t.shape) for t in terms] == [(np.int64, (0,))] * 2
 
 
 class TestFitTfidf:
