@@ -225,9 +225,12 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _tfidf_records(corpus: Corpus):
-    tokens, terms = index_tokens(doc.text for doc in corpus.documents)
-    x = transform_corpus(fit_tfidf(terms, len(tokens)), terms)
+def _tfidf_records(corpus: Corpus, x=None):
+    """The ``--dump-tfidf`` lines: each document's row of the TF-IDF matrix
+    ``x``, built from the corpus when not given (sad trains without one)."""
+    if x is None:
+        tokens, terms = index_tokens(doc.text for doc in corpus.documents)
+        x = transform_corpus(fit_tfidf(terms, len(tokens)), terms)
     return ({"id": doc.id,
              "indices": x.indices[start:stop].tolist(),
              "values": x.data[start:stop].tolist()}
@@ -272,6 +275,8 @@ def cmd_train(args) -> int:
     check_ids([doc.id for doc in corpus.documents])  # fails now, not after the run
     out_dir = Path(args.out_dir)
     result = train(corpus, config)
+    if not args.dump_tfidf:
+        result.tfidf = None  # only the dump reads it: not held through the writes
     best, final, vocab, metrics = _train_files(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.best_params, best)
@@ -288,7 +293,7 @@ def cmd_train(args) -> int:
         metrics,
     )
     if args.dump_tfidf:
-        write_jsonl(_tfidf_records(corpus), args.dump_tfidf)
+        write_jsonl(_tfidf_records(corpus, result.tfidf), args.dump_tfidf)
     if args.dump_pairs:
         write_jsonl(_pair_records(corpus, config.method, result.first_pairs), args.dump_pairs)
     print(json.dumps({"best_epoch": result.best_epoch,

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
+import scipy.sparse
 
 from .augment import shuffle_divide
 from .cluster import spherical_kmeans, unit_rows
@@ -105,7 +106,7 @@ class TrainConfig:
 class TrainResult:
     """``first_pairs`` are epoch 1's positives: for sad, ``(batch, document
     index, halves)`` per trained document in training order; for tps, the
-    pairing."""
+    pairing. ``tfidf`` is the TF-IDF matrix tps pairs on (None for sad)."""
 
     best_params: EncoderParams
     final_params: EncoderParams
@@ -113,6 +114,7 @@ class TrainResult:
     history: list[dict]
     best_epoch: int
     first_pairs: list[tuple[int, int, tuple[np.ndarray, np.ndarray]]] | PositivePairing
+    tfidf: scipy.sparse.csr_matrix | None
 
 
 def sad_batches(n: int, batch_size: int,
@@ -255,18 +257,30 @@ def nt_xent_gradient(embeddings: np.ndarray, temperature: float) -> np.ndarray:
 
 @dataclass
 class OptimizerState:
+    """AdamW's step count and moments. Each moment is one scale, shared by
+    every tensor, times an array per tensor: tensor ``name`` has first
+    moment ``m_scale * m[name]`` and second moment ``v_scale * r[name]**2``.
+    The zero arrays a tensor first seen at a later step starts with are
+    right at any scale."""
+
     step: int = 0
+    m_scale: float = 1.0
+    v_scale: float = 1.0
     m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    r: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 # AdamW's moment decay rates and denominator term: the usual values, fixed
 ADAMW_BETA1 = 0.9
 ADAMW_BETA2 = 0.999
 ADAMW_EPS = 1e-8
-# AdamW makes nine elementwise passes over every row; running all of them
-# on one block of rows before the next keeps the block in cache. About 64k
-# elements (512 KB) per block.
+# A scale below this is multiplied into its arrays and reset to 1, long
+# before the arrays (about gradient / scale) could overflow: with
+# beta1 = 0.9 every 2185 steps, with beta2 = 0.999 every 230k.
+ADAMW_RESCALE_BELOW = 1e-100
+# A step updates the moments of a block's touched rows and then makes four
+# elementwise passes over the block before it goes on to the next, so the
+# block stays in cache. About 64k elements (512 KB) per block.
 ADAMW_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -279,11 +293,18 @@ def optimizer_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     (for an encoder, ``params.tensors()``). ``rows`` maps a name to the
     sorted distinct rows its gradient covers, as ``encode_batch_backward``
     returns them: ``grads[name]`` then holds just those rows, and every
-    other row takes a zero gradient's step bit for bit. That needs no
-    moment to be -0.0, which holds from ``OptimizerState()`` on: moments
-    start at +0.0, m b1 is never zero for nonzero m (0.9 rounds even the
-    smallest subnormal away from zero), and an exact cancellation gives +0.0.
-    A gradient not named in ``rows`` covers its whole tensor. Non-finite
+    other row takes a zero gradient's step. A gradient not named in
+    ``rows`` covers its whole tensor. With the moments held as in
+    ``OptimizerState`` (M = ``m[name]``, R = ``r[name]``), AdamW on the
+    full gradient,
+        m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g**2,
+        p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p),
+    becomes, up to rounding,
+        m_scale *= b1,  M[rows] += (1 - b1) g / m_scale,
+        v_scale *= b2,  R[rows] = sqrt(R[rows]**2 + (1 - b2) g**2 / v_scale),
+        p -= rate M / (R + eps'),  after p *= 1 - lr wd,
+    where sqrt(v_hat) = c R with c = sqrt(v_scale / (1 - b2**t)), so
+    eps' = eps / c and rate = lr m_scale / ((1 - b1**t) c). Non-finite
     gradients, or values after the update, abort with the tensor name.
     """
     rows = rows or {}
@@ -296,50 +317,66 @@ def optimizer_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         if grad.shape != shape:
             raise ValueError(f"shape mismatch for {name}")
     state.step += 1
+    t, b1, b2 = state.step, ADAMW_BETA1, ADAMW_BETA2
+    state.m_scale *= b1
+    state.v_scale *= b2
+    if state.m_scale < ADAMW_RESCALE_BELOW:
+        for m in state.m.values():
+            m *= state.m_scale
+        state.m_scale = 1.0
+    if state.v_scale < ADAMW_RESCALE_BELOW:
+        for r in state.r.values():
+            r *= math.sqrt(state.v_scale)
+        state.v_scale = 1.0
+    m_coef, v_coef = (1 - b1) / state.m_scale, (1 - b2) / state.v_scale
+    c = math.sqrt(state.v_scale / (1 - b2**t))
+    eps, rate = ADAMW_EPS / c, config.learning_rate * state.m_scale / ((1 - b1**t) * c)
+    decay = 1 - config.learning_rate * config.weight_decay
     for name, grad in grads.items():
+        p = tensors[name]
         if name not in state.m:
-            state.m[name] = np.zeros_like(tensors[name])
-            state.v[name] = np.zeros_like(tensors[name])
-        p, g, m, v = tensors[name], grad, state.m[name], state.v[name]
-        size = max(1, ADAMW_BLOCK_ELEMENTS // max(1, math.prod(p.shape[1:])))
-        a, b = np.empty_like(p[:size]), np.empty_like(p[:size])
+            state.m[name] = np.zeros_like(p)
+            state.r[name] = np.zeros_like(p)
+        m, r = state.m[name], state.r[name]
         # a dense gradient is the case where every row is touched
         touched = rows[name] if name in rows else np.arange(len(p))
+        size = max(1, ADAMW_BLOCK_ELEMENTS // max(1, math.prod(p.shape[1:])))
+        a = np.empty_like(p[:size])
         for start in range(0, len(p), size):
             block, n = slice(start, start + size), min(size, len(p) - start)
             lo, hi = np.searchsorted(touched, (start, start + n))
-            local, g_block = touched[lo:hi] - start, g[lo:hi]
-            _adamw_block(p[block], m[block], v[block], a[:n], b[:n], local,
-                         g_block, state.step, config)
+            _add_gradient(m[block], r[block], touched[lo:hi] - start, grad[lo:hi],
+                          m_coef, v_coef)
+            _adamw_block(p[block], m[block], r[block], a[:n], eps, rate, decay)
             if not np.all(np.isfinite(p[block])):
                 raise FloatingPointError(f"non-finite values in {name} after update")
 
 
-def _adamw_block(p, m, v, a, b, rows, g, t: int, config: TrainConfig) -> None:
-    """AdamW on one block, in place, with ``a`` and ``b`` as work space.
+def _add_gradient(m, r, rows, g, m_coef: float, v_coef: float) -> None:
+    """``m[rows] += m_coef g`` and ``r[rows] = sqrt(r[rows]**2 + v_coef
+    g**2)`` on one block, through two arrays of its touched rows' size."""
+    part, term = np.take(m, rows, axis=0), np.multiply(g, m_coef)
+    part += term
+    m[rows] = part
+    np.take(r, rows, axis=0, out=part)
+    np.square(part, out=part)
+    np.square(g, out=term)
+    term *= v_coef
+    part += term
+    np.sqrt(part, out=part)
+    r[rows] = part
 
-    ``g`` holds the gradient of the block's ``rows``, sorted distinct
-    indices; every other row's is +0.0. While m holds no -0.0 (see
-    ``optimizer_step``), this is bit for bit the whole-array form
-        m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g**2,
-        p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p)
-    on the full gradient, with the gradient terms computed for ``rows``.
-    """
-    b1, b2 = ADAMW_BETA1, ADAMW_BETA2
-    m *= b1
-    m[rows] += g * (1 - b1)
-    v *= b2
-    v[rows] += np.square(g) * (1 - b2)
-    np.divide(v, 1 - b2**t, out=a)
-    np.sqrt(a, out=a)
-    a += ADAMW_EPS
-    np.divide(m, 1 - b1**t, out=b)
-    b /= a
-    if config.weight_decay:  # adding wd p = 0 to a finite step changes nothing
-        np.multiply(p, config.weight_decay, out=a)
-        b += a
-    b *= config.learning_rate
-    p -= b
+
+def _adamw_block(p, m, r, a, eps: float, rate: float, decay: float) -> None:
+    """``p -= rate m / (r + eps)`` on one block, in place, with ``a`` as
+    work space: four passes, and a fifth, ``p *= decay``, first when there
+    is weight decay (1 - lr wd, which is p -= lr wd p in one pass)."""
+    np.add(r, eps, out=a)
+    np.divide(m, a, out=a)
+    a *= rate
+    if decay != 1:
+        p *= decay
+    p -= a
 
 
 def _train_step(params: EncoderParams, state: OptimizerState,
@@ -503,6 +540,7 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
         history=history,
         best_epoch=best_epoch,
         first_pairs=first_pairs,
+        tfidf=tfidf,
     )
 
 

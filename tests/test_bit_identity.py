@@ -8,9 +8,11 @@ product of all rows, top-1 pairing on a whole masked copy of the
 epoch's blended matrix, the vocabulary counted
 token by token with a ``Counter``, and k-means, silhouette,
 MI and EMI written as loops over clusters, samples and table cells, and
-Fisher-Yates with one draw per swap. The sparse pooling, the gradient of
-the touched table rows (scattered into zeros) and the row-sparse in-place
-optimizer must reproduce them bit for bit, step after step; views built
+Fisher-Yates with one draw per swap. The sparse pooling and the gradient
+of the touched table rows (scattered into zeros) must reproduce them bit
+for bit, step after step, and the row-sparse in-place optimizer, whose
+moments are scaled arrays, its parameters and true moments to
+``ADAMW_RTOL``; views built
 from per-sentence token ids must equal tokenizing the joined view, and a
 text's sentences must tokenize to the text's tokens; the one-call
 Fisher-Yates must give the same permutations and leave the stream where
@@ -147,6 +149,37 @@ def reference_optimizer_step(tensors, grads, config, state):
                                + wd * tensors[name])
 
 
+# The row-sparse optimizer holds each moment as a scale times an array
+# (``OptimizerState``), so it rounds differently from the reference above.
+# The largest relative deviation these tests measure is 3.5e-11, on a
+# first moment of 5.9e-7 left when terms of about 0.1 cancel; a wrong
+# step, decay or bias correction is off by far more.
+ADAMW_RTOL = 1e-9
+# ±0.0 and subnormal entries, where the reference loses the bits that the
+# scaled arrays keep in the normal range
+ADAMW_ATOL = 1e-300
+
+
+def assert_adamw_close(actual, expected, name):
+    np.testing.assert_allclose(actual, expected, rtol=ADAMW_RTOL, atol=ADAMW_ATOL,
+                               err_msg=name)
+
+
+def true_moments(state, name):
+    """The first and second moments that ``state`` holds for ``name``."""
+    return state.m_scale * state.m[name], state.v_scale * np.square(state.r[name])
+
+
+def assert_matches_reference(tensors, state, ref, ref_state):
+    """Parameters and both true moments agree with the reference's."""
+    for name in ref:
+        assert_adamw_close(tensors[name], ref[name], name)
+    for name in ref_state["m"]:
+        m, v = true_moments(state, name)
+        assert_adamw_close(m, ref_state["m"][name], f"m of {name}")
+        assert_adamw_close(v, ref_state["v"][name], f"v of {name}")
+
+
 def random_views(rng, n, vocab_size, max_len, high=12):
     """Views of ids below ``high``, with many repeats, so pooling order matters."""
     views = []
@@ -173,22 +206,23 @@ def full_gradients(grads, rows, tensors):
 @pytest.mark.parametrize("output_dim", [8])
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 def test_training_steps_match_the_reference(output_dim, weight_decay):
+    # the forward pass and the gradient must equal the references' on the
+    # same parameters; the optimizer steps both on the same gradients
     rng = np.random.default_rng(17)
     config = TrainConfig(weight_decay=weight_decay, learning_rate=0.05, temperature=0.5)
     fast = init_params(40, 6, output_dim, seed=3)
-    ref = fast.copy()
-    ref_tensors = ref.tensors()
+    ref_tensors = {name: tensor.copy() for name, tensor in fast.tensors().items()}
     state = OptimizerState()
     ref_state = {"step": 0, "m": {}, "v": {}}
     for step in range(12):
         # rows 12..39 go untouched for six steps, then batches reach them
         views = random_views(rng, 8, 40, 9, high=12 if step < 6 else 40)
         out, cache = encode_batch_forward(fast, views)
-        ref_out, ref_cache = reference_forward(ref, views)
+        ref_out, ref_cache = reference_forward(fast, views)
         assert same_bits(out, ref_out)
         grad_out = nt_xent_gradient(out, config.temperature)
         grads, rows = encode_batch_backward(fast, cache, grad_out)
-        ref_grads = reference_backward(ref, ref_cache, grad_out)
+        ref_grads = reference_backward(fast, ref_cache, grad_out)
         assert rows.keys() == {"embedding_table"}
         assert same_bits(rows["embedding_table"],
                          np.unique(np.concatenate([view.ids for view in views])))
@@ -198,8 +232,7 @@ def test_training_steps_match_the_reference(output_dim, weight_decay):
             assert same_bits(full[name], ref_grads[name]), name
         optimizer_step(fast.tensors(), grads, config, state, rows)
         reference_optimizer_step(ref_tensors, ref_grads, config, ref_state)
-        for name, tensor in fast.tensors().items():
-            assert same_bits(tensor, ref_tensors[name]), name
+        assert_matches_reference(fast.tensors(), state, ref_tensors, ref_state)
 
 
 def sparse_gradient(rng, shape, touched):
@@ -212,9 +245,8 @@ def sparse_gradient(rng, shape, touched):
 def check_row_sparse_steps(config, tensors, sparse, steps, seed):
     """Step the optimizer with random row subsets of the ``sparse`` tensors
     and dense gradients for the others; the reference steps on the full
-    gradients. Both start from zero moments and must stay bit-identical,
-    moments included, and no moment may become -0.0: the row-sparse step
-    is exact only on states without one."""
+    gradients. Both start from zero moments, and after every step the
+    parameters and true moments must agree within ``ADAMW_RTOL``."""
     rng = np.random.default_rng(seed)
     ref = {name: tensor.copy() for name, tensor in tensors.items()}
     state = OptimizerState()
@@ -233,12 +265,7 @@ def check_row_sparse_steps(config, tensors, sparse, steps, seed):
         optimizer_step(tensors, grads, config, state, rows)
         reference_optimizer_step(ref, full_gradients(grads, rows, tensors), config,
                                  ref_state)
-        for name in tensors:
-            assert same_bits(tensors[name], ref[name]), name
-            assert same_bits(state.m[name], ref_state["m"][name]), name
-            assert same_bits(state.v[name], ref_state["v"][name]), name
-            for moment in (state.m[name], state.v[name]):
-                assert not np.any((moment == 0) & np.signbit(moment)), name
+        assert_matches_reference(tensors, state, ref, ref_state)
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
@@ -314,7 +341,7 @@ def test_finetune_with_one_state_matches_two_state_reference(use_sad, weight_dec
                                                 use_sad, config)
     assert head.keys() == ref_head.keys()
     for name in head:
-        assert same_bits(head[name], ref_head[name]), name
+        assert_adamw_close(head[name], ref_head[name], name)
     assert accuracy == ref_accuracy
 
 

@@ -530,6 +530,28 @@ class TestTrainCommand:
             norm = sum(v * v for v in record["values"]) ** 0.5
             assert norm == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("method", ["sad", "tps"])
+    def test_dump_tfidf_reuses_the_tps_matrix(self, capsys, tmp_path, monkeypatch, method):
+        # tps dumps the matrix it paired on; sad trains on sentences, so its
+        # dump tokenizes the texts itself. Either way the bytes are the same.
+        corpus = make_synth(capsys, tmp_path)
+        calls, index_tokens = [], cli.index_tokens
+
+        def counting(texts):
+            calls.append(method)
+            return index_tokens(texts)
+
+        monkeypatch.setattr(contrastive, "index_tokens", counting)
+        monkeypatch.setattr(cli, "index_tokens", counting)
+        dump = tmp_path / "tfidf.jsonl"
+        code, _, err = run(capsys, *train_args(corpus, tmp_path / "run", method=method,
+                                               epochs="1"), "--dump-tfidf", str(dump))
+        assert code == 0, err
+        assert len(calls) == (1 if method == "tps" else 2)
+        expected = tmp_path / "expected.jsonl"
+        corpus_module.write_jsonl(cli._tfidf_records(load_corpus(corpus)), expected)
+        assert dump.read_bytes() == expected.read_bytes()
+
 
 class TestEmbedClusterEval:
     def pipeline(self, capsys, tmp_path):

@@ -8,6 +8,7 @@ from sadcluster import contrastive, encoder, evaluate, tfidf
 from sadcluster.augment import shuffle_divide
 from sadcluster.contrastive import (
     ADAMW_BETA1,
+    ADAMW_BETA2,
     OptimizerState,
     TrainConfig,
     build_batch_sad,
@@ -25,6 +26,7 @@ from sadcluster.encoder import init_params, text_ids, tokenize
 from sadcluster.rng import derive_rng
 from sadcluster.synth import generate_synthetic_corpus
 from sadcluster.tfidf import PositivePairing
+from test_bit_identity import assert_matches_reference, reference_optimizer_step
 from test_encoder import vocab_of
 
 
@@ -462,31 +464,73 @@ class TestOptimizerStep:
             optimizer_step(params, grads, cfg, state)
         assert np.array_equal(params["w"], np.array([1.5, -0.5]))
 
-    def test_no_moment_turns_minus_zero(self):
-        # step 1 sets m = (1 - b1) g: about 0.1 on row 0 and -5e-324, the
-        # smallest subnormal, on row 1
-        params = {"w": np.ones((2, 1))}
-        cfg = TrainConfig(learning_rate=1e-3)
+    def test_a_step_leaves_untouched_rows_moments_alone(self):
+        rng = np.random.default_rng(3)
+        params = {"w": rng.normal(size=(50, 4))}
+        cfg = TrainConfig(learning_rate=1e-2, weight_decay=0.1)
         state = OptimizerState()
-        optimizer_step(params, {"w": np.array([[1.0], [-5e-323]])}, cfg, state)
-        decayed = state.m["w"][0, 0] * ADAMW_BETA1
-        assert state.m["w"][1, 0] == -5e-324
-        # step 2 touches row 0 alone, with the g whose term cancels m b1
-        # exactly: walk g by units in the last place until it does
-        g = -decayed / (1 - ADAMW_BETA1)
-        for _ in range(8):
-            gap = decayed + g * (1 - ADAMW_BETA1)
-            if gap == 0.0:
-                break
-            g = np.nextafter(g, -np.inf if gap > 0 else np.inf)
-        assert g * (1 - ADAMW_BETA1) == -decayed
-        optimizer_step(params, {"w": np.array([[g]])}, cfg, state, {"w": np.array([0])})
-        m = state.m["w"]
-        # an exact cancellation gives +0.0
-        assert m[0, 0] == 0.0 and not np.signbit(m[0, 0])
-        # b1 = 0.9 rounds the smallest subnormal away from zero, so an
-        # untouched row keeps it: it never becomes -0.0
-        assert m[1, 0] == -5e-324
+        optimizer_step(params, {"w": rng.normal(size=(50, 4))}, cfg, state)
+        for _ in range(5):
+            rows = np.sort(rng.choice(50, size=10, replace=False))
+            untouched = np.setdiff1d(np.arange(50), rows)
+            m, r = state.m["w"].copy(), state.r["w"].copy()
+            optimizer_step(params, {"w": rng.normal(size=(10, 4))}, cfg, state,
+                           {"w": rows})
+            # the step decayed both moments through their scales alone
+            assert state.m_scale == pytest.approx(ADAMW_BETA1 ** state.step)
+            assert state.v_scale == pytest.approx(ADAMW_BETA2 ** state.step)
+            assert state.m["w"][untouched].tobytes() == m[untouched].tobytes()
+            assert state.r["w"][untouched].tobytes() == r[untouched].tobytes()
+            assert not np.any(state.m["w"][rows] == m[rows])
+
+    @staticmethod
+    def run_against_reference(steps, late_step=None):
+        """AdamW on random touched rows, checked against the whole-array
+        reference after every step; returns the steps after which the first
+        and the second moment's scale had been reset to 1. With
+        ``late_step``, a second tensor gets its first gradient then."""
+        rng = np.random.default_rng(8)
+        params = {"w": rng.normal(size=(3, 2)), "late": rng.normal(size=4)}
+        ref = {name: tensor.copy() for name, tensor in params.items()}
+        cfg = TrainConfig(learning_rate=1e-3, weight_decay=0.01)
+        state, ref_state = OptimizerState(), {"step": 0, "m": {}, "v": {}}
+        resets = {"m": [], "v": []}
+        for step in range(1, steps + 1):
+            rows = np.flatnonzero(rng.random(3) < 0.7)
+            grads, full = {"w": rng.normal(size=(len(rows), 2))}, {"w": np.zeros((3, 2))}
+            full["w"][rows] = grads["w"]
+            if late_step is not None and step >= late_step:
+                grads["late"] = full["late"] = rng.normal(size=4)
+            optimizer_step(params, grads, cfg, state, {"w": rows})
+            reference_optimizer_step(ref, full, cfg, ref_state)
+            assert_matches_reference(params, state, ref, ref_state)
+            for moment, scale in (("m", state.m_scale), ("v", state.v_scale)):
+                if scale == 1.0:
+                    resets[moment].append(step)
+        return resets
+
+    def test_a_long_run_crosses_a_first_moment_rescale(self):
+        # 0.9**2186 is the first power of beta1 below 1e-100
+        assert ADAMW_BETA1 ** 2186 < contrastive.ADAMW_RESCALE_BELOW < ADAMW_BETA1 ** 2185
+        assert self.run_against_reference(2200) == {"m": [2186], "v": []}
+
+    def test_both_scales_rescale_and_reset_to_one(self, monkeypatch):
+        # below 0.5, beta1**7 and beta2**693 are the first powers
+        monkeypatch.setattr(contrastive, "ADAMW_RESCALE_BELOW", 0.5)
+        resets = self.run_against_reference(700, late_step=100)
+        assert resets == {"m": list(range(7, 701, 7)), "v": [693]}
+
+    def test_a_row_sparse_step_allocates_less_than_one_table(self, peak_bytes):
+        # no V x d gradient or temporary: the touched rows and one block
+        rng = np.random.default_rng(0)
+        params = {"table": rng.normal(size=(20_000, 64))}
+        cfg = TrainConfig(learning_rate=1e-3, weight_decay=0.01)
+        state = OptimizerState()
+        optimizer_step(params, {"table": rng.normal(size=(20_000, 64))}, cfg, state)
+        rows = {"table": np.sort(rng.choice(20_000, size=1000, replace=False))}
+        grads = {"table": rng.normal(size=(1000, 64))}
+        peak = peak_bytes(lambda: optimizer_step(params, grads, cfg, state, rows))
+        assert peak < params["table"].nbytes
 
     def test_nonfinite_gradient_rejected_with_name(self):
         params = {"w": np.array([1.0])}
