@@ -108,15 +108,16 @@ def _reseed_empty(x, sims, assignments, centroids):
         sims[:, j] = x @ x[worst]
 
 
-def _update_centroids(x, assignments, centroids):
-    """Normalized member sum of each cluster; a zero sum keeps the centroid.
-
-    The k x n indicator product adds each cluster's members in index
-    order, one row after another, as a masked ``sum(axis=0)`` does.
-    """
+def cluster_sums(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """The k x d row sums of ``x`` per label 0..k-1: the indicator product adds
+    each cluster's members in index order, as a masked ``sum(axis=0)`` does."""
     n = x.shape[0]
-    sums = scipy.sparse.csr_array((np.ones(n), (assignments, np.arange(n))),
-                                  shape=(centroids.shape[0], n)) @ x
+    return scipy.sparse.csr_array((np.ones(n), (labels, np.arange(n))), shape=(k, n)) @ x
+
+
+def _update_centroids(x, assignments, centroids):
+    """Normalized member sum of each cluster; a zero sum keeps the centroid."""
+    sums = cluster_sums(x, assignments, centroids.shape[0])
     # the norm of one vector is a BLAS dot, which an axis=1 norm does not match
     norms = np.array([np.linalg.norm(row) for row in sums])
     nonzero = norms > 0

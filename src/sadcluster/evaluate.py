@@ -12,15 +12,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import gammaln
 
-from .cluster import unit_rows
+from .cluster import cluster_sums, unit_rows
 from .rng import derive_rng
 
 # At most this many points are scored; train and the eval command share it.
 SILHOUETTE_SAMPLE_CAP = 2000
-# Distances are held for this many (scored point, point) pairs at a time,
-# up to twice that (less a row), or for the whole sample if it is smaller:
-# 8 MB, where the whole 2000 x n sample takes 128 MB at n = 8000.
-SILHOUETTE_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass
@@ -154,13 +150,22 @@ def silhouette_score(embeddings: np.ndarray, assignments, seed: int = 0) -> floa
     s(i) = (b - a) / max(a, b) with a = mean intra-cluster distance
     (excluding self) and b = smallest mean distance to another cluster.
     Singletons score 0, as does the a = b = 0 degenerate case, and each
-    score is clipped to [-1, 1], which rounding can leave. When n
-    exceeds ``SILHOUETTE_SAMPLE_CAP``, scores are averaged over a seeded
-    subsample of that many points (distances still use the full dataset).
+    score is clipped to [-1, 1]. When n exceeds ``SILHOUETTE_SAMPLE_CAP``,
+    scores are averaged over a seeded subsample of that many points
+    (distances still use the full dataset).
+
+    For unit rows |x - u|^2 = 2 (1 - x.u), a factor s(i) cancels. Centered
+    on their mean, the rows give squared distances from x to a cluster C
+    that add up to |C| |x|^2 - 2 x.S_C + Q_C (S_C the sum of C's rows, Q_C
+    of their squared norms), so one s x d by d x k product scores the
+    sample. To first order in the machine epsilon e, a mean squared
+    distance is off by at most 4 e (n + d) r^2, r the largest centered |x|,
+    and rows of one direction normalize (d + 4) e apart at most: one no
+    larger than the sum of the two counts as 0.
     """
     unit, _ = unit_rows(embeddings)
     assignments = np.asarray(assignments, dtype=np.int64)
-    n = unit.shape[0]
+    n, d = unit.shape
     if assignments.shape != (n,):
         raise ValueError("assignments must match embeddings rows")
     if n < 3:
@@ -176,32 +181,24 @@ def silhouette_score(embeddings: np.ndarray, assignments, seed: int = 0) -> floa
     else:
         sample = np.arange(n)
 
-    # A block holds about SILHOUETTE_BLOCK_ELEMENTS distances or more, or
-    # the whole sample, so BLAS takes no small-matrix kernel that sums in
-    # another order than the whole-sample product. For some n the bits
-    # still differ from that product (with OpenBLAS at n = 2100); train and
-    # eval share this code, so they agree anyway.
-    members = (index[:, None] == np.arange(cluster_ids.size)).astype(np.float64)
-    sums = np.empty((sample.size, cluster_ids.size))
-    self_dists = np.empty(sample.size)
-    for block in np.array_split(np.arange(sample.size),
-                                max(1, sample.size * n // SILHOUETTE_BLOCK_ELEMENTS)):
-        dists = unit[sample[block]] @ unit.T
-        np.subtract(1.0, dists, out=dists)
-        sums[block] = dists @ members
-        self_dists[block] = dists[np.arange(block.size), sample[block]]
-        del dists  # so the next block is not computed beside this one
+    unit -= unit.mean(axis=0)
+    squares = np.einsum("ij,ij->i", unit, unit)
+    sums = (sizes * squares[sample, None] + np.bincount(index, weights=squares)
+            - 2.0 * (unit[sample] @ cluster_sums(unit, index, cluster_ids.size).T))
     rows = np.arange(sample.size)
     own = index[sample]
     own_size = sizes[own]
-    a = (sums[rows, own] - self_dists) / np.maximum(own_size - 1, 1)
+    a = sums[rows, own] / np.maximum(own_size - 1, 1)
     means = sums / sizes
     means[rows, own] = np.inf
     b = means.min(axis=1)
+    eps = np.finfo(np.float64).eps
+    zero = 4 * eps * (n + d) * squares.max() + ((d + 4) * eps) ** 2
+    a[a <= zero] = 0.0
+    b[b <= zero] = 0.0
     top = np.maximum(a, b)
     scores = np.divide(b - a, top, out=np.zeros(sample.size),
                        where=(own_size > 1) & (top != 0.0))
-    # 1 - cos can round below 0 for equal points, which puts a score past 1
     return float(np.clip(scores, -1.0, 1.0).mean())
 
 

@@ -26,9 +26,9 @@ top-1 at any kept count; and the
 vocabulary and ids built from token indices must equal the ones
 counted over the tokens of the regex the tokenizer is defined by, in
 dict order and id for id. k-means must match bit for bit; the
-metrics, whose sums run in another order, must agree within 1e-12, and
-the row-blocked silhouette must equal the whole-sample one on the
-benchmark's shapes.
+metrics, whose sums run in another order, must agree within 1e-12,
+the silhouette from cluster sums with the one from whole distance rows
+on the benchmark's shapes too.
 """
 
 import re
@@ -981,12 +981,9 @@ def silhouette_case(name):
 def test_silhouette_matches_the_loop_reference(case, monkeypatch):
     x, assignments, cap = silhouette_case(case)
     monkeypatch.setattr(evaluate, "SILHOUETTE_SAMPLE_CAP", cap)
-    # distance blocks of one row, of a few rows, and the whole sample
-    for block_elements in (1, 1000, evaluate.SILHOUETTE_BLOCK_ELEMENTS):
-        monkeypatch.setattr(evaluate, "SILHOUETTE_BLOCK_ELEMENTS", block_elements)
-        for seed in (0, 3):
-            got = silhouette_score(x, assignments, seed=seed)
-            assert abs(got - reference_silhouette(x, assignments, cap, seed)) <= 1e-12
+    for seed in (0, 3):
+        got = silhouette_score(x, assignments, seed=seed)
+        assert abs(got - reference_silhouette(x, assignments, cap, seed)) <= 1e-12
     if case == "identical-points":
         assert got == 0.0
 
@@ -1020,16 +1017,14 @@ def reference_whole_sample_silhouette(embeddings, assignments, seed=0):
 
 
 @pytest.mark.parametrize("n,k", [(1600, 16), (6000, 8), (8000, 20)])
-def test_row_blocked_silhouette_matches_the_whole_sample_reference(n, k):
-    # the benchmark workloads' n, k and d, in 2, 11 and 15 row blocks; on
-    # these shapes BLAS sums every entry of a block in the order it uses
-    # for the whole sample (not on every shape: see silhouette_score)
+def test_cluster_sum_silhouette_matches_the_distance_reference(n, k):
+    # the benchmark workloads' n, k and d, on the sampled path from n = 6000
     rng = np.random.default_rng(n)
     x = rng.normal(size=(n, 64)) + 2.0 * rng.normal(size=(k, 64))[rng.integers(0, k, n)]
     assignments = spherical_kmeans(x, k=k, seed=0).assignments
     for seed in (0, 1):
         expected = reference_whole_sample_silhouette(x, assignments, seed)
-        assert silhouette_score(x, assignments, seed=seed) == expected
+        assert abs(silhouette_score(x, assignments, seed=seed) - expected) <= 1e-12
 
 
 def test_accuracy_mi_emi_and_ami_match_the_loop_references():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sadcluster import contrastive, encoder, evaluate, tfidf
+from sadcluster import contrastive, encoder, tfidf
 from sadcluster.augment import shuffle_divide
 from sadcluster.contrastive import (
     ADAMW_BETA1,
@@ -539,6 +539,13 @@ class TestOptimizerStep:
         with pytest.raises(FloatingPointError, match="w"):
             optimizer_step(params, grads, cfg, OptimizerState())
 
+    @pytest.mark.parametrize("values", [[1.0, np.inf], [np.inf, -np.inf], [np.nan, 1.0]])
+    def test_nonfinite_values_after_update_rejected_with_name(self, values):
+        params = {"w": np.array(values)}
+        with pytest.raises(FloatingPointError, match="^non-finite values in w after update$"):
+            optimizer_step(params, {"w": np.zeros(2)}, TrainConfig(learning_rate=0.1),
+                           OptimizerState())
+
     def test_shape_mismatch_rejected(self):
         params = {"w": np.array([1.0])}
         grads = {"w": np.array([1.0, 2.0])}
@@ -725,13 +732,12 @@ class TestTrain:
         # the TF-IDF similarity is held as each row's TOP_K largest entries
         # (0.21 of n x n here; the whole run peaks at 0.48) and the blended
         # epochs form the model similarity one block of rows at a time.
-        # Blocks of 64 rows keep every blocked pass small beside n x n, as
-        # the default 1M-element blocks are at n = 18.8k but are not at this n
+        # Blocks of 64 rows keep the blocked pairing pass small beside n x n,
+        # as the default 1M-element blocks are at n = 18.8k but are not at this n
         corpus = generate_synthetic_corpus(topics=4, docs_per_topic=300, vocab_per_topic=100,
                                            sentences_per_doc=2, tokens_per_sentence=6, seed=8)
         n = len(corpus)
         monkeypatch.setattr(tfidf, "PAIRING_BLOCK_ELEMENTS", 64 * n)
-        monkeypatch.setattr(evaluate, "SILHOUETTE_BLOCK_ELEMENTS", 64 * n)
         config = self.small_config(method="tps", epochs=2, batch_size=64,
                                    embed_dim=16, output_dim=16)
         assert peak_bytes(lambda: train(corpus, config)) < 0.6 * n * n * 8

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import hypergeom
 
 from sadcluster import evaluate
+from sadcluster.cluster import spherical_kmeans
 from sadcluster.evaluate import (
     adjusted_mutual_information,
     clustering_accuracy,
@@ -282,6 +285,57 @@ class TestSilhouette:
         p = [0.016175294135949037, 0.051191879769472697, 0.07357009648526548]
         q = [-0.009775310582764306, -0.027190815936093727, -0.040956248938201864]
         assert silhouette_score(np.array([p] * 3 + [q] * 3), [0, 0, 0, 1, 1, 1]) == 1.0
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.integers(20, 400), st.integers(2, 64), st.integers(2, 5),
+           st.integers(0, 2**32 - 1))
+    def test_a_collapsed_encoder_scores_zero(self, n, d, k, seed):
+        # one direction at random positive lengths, which k-means still splits:
+        # every distance is 0, so the silhouette is 0 and cannot win an epoch
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.5, 2.0, size=(n, 1)) * rng.normal(size=d)
+        assignments = spherical_kmeans(x, k=k, seed=seed).assignments
+        assert silhouette_score(x, assignments) == 0.0
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.integers(20, 300), st.integers(2, 16), st.integers(2, 5),
+           st.floats(-10.0, -4.0), st.integers(0, 2**32 - 1))
+    def test_a_nearly_collapsed_encoder_is_scored_to_full_precision(self, n, d, k, log_angle,
+                                                                    seed):
+        # one direction plus a jitter of 1e-10 to 1e-4 rad: the mean distances
+        # lie far below n e, and the score still matches a reference that
+        # takes each squared distance from the rows' difference, which does
+        # not cancel (1 - x.u is off by d e, as much as a distance here)
+        rng = np.random.default_rng(seed)
+        direction = rng.normal(size=d)
+        x = direction / np.linalg.norm(direction) + 10.0 ** log_angle * rng.normal(size=(n, d))
+        x *= rng.uniform(0.5, 2.0, size=(n, 1))
+        assignments = spherical_kmeans(x, k=k, seed=seed).assignments
+        if np.unique(assignments).size < 2:
+            return
+        unit = x / np.linalg.norm(x, axis=1)[:, None]
+        diff = unit[:, None, :] - unit[None, :, :]
+        squared = np.einsum("ijk,ijk->ij", diff, diff)
+        same = assignments[:, None] == assignments[None, :]
+        own_size = same.sum(axis=1)
+        a = (squared * same).sum(axis=1) / np.maximum(own_size - 1, 1)
+        b = np.min([np.where(assignments == c, np.inf, squared[:, assignments == c].mean(axis=1))
+                    for c in np.unique(assignments)], axis=0)
+        scores = np.where(own_size > 1, (b - a) / np.maximum(a, b), 0.0)
+        assert abs(silhouette_score(x, assignments) - scores.mean()) <= 1e-12
+
+    def test_two_clusters_of_one_direction_score_zero(self):
+        direction = np.array([0.3, -1.7, 0.05, 2.2])
+        x = np.array([0.5, 1.0, 1.3, 2.0, 0.7, 1.9, 1.1])[:, None] * direction
+        assert silhouette_score(x, [0, 0, 0, 0, 1, 1, 1]) == 0.0
+
+    def test_allocates_less_than_two_copies_of_the_embeddings(self, peak_bytes):
+        # the unit rows are the one n x d array: no s x n distance block
+        n, d, k = 8000, 64, 20
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(n, d))
+        labels = rng.integers(0, k, size=n)
+        assert peak_bytes(lambda: silhouette_score(x, labels)) < 2 * n * d * 8
 
     def test_range_bounds(self):
         rng = np.random.default_rng(8)
