@@ -354,7 +354,10 @@ def cmd_eval(args) -> int:
     for doc in corpus.documents:
         if doc.id not in assignments:
             raise ValueError(f"no cluster assignment for document {doc.id!r}")
-        clusters.append(assignments[doc.id])
+        clusters.append(assignments.pop(doc.id))
+    if assignments:
+        raise ValueError(f"{len(assignments)} assigned ids name no corpus document "
+                         f"(first: {next(iter(assignments))!r})")
 
     embeddings = None
     if args.embeddings:
@@ -366,9 +369,7 @@ def cmd_eval(args) -> int:
         # rebinding frees the file-order copy before the silhouette runs
         embeddings = embeddings[[row[doc.id] for doc in corpus.documents]]
 
-    report = evaluate_clustering(labels, clusters, embeddings=embeddings,
-                                 **_given(args, "assignments", "corpus", "out",
-                                          "embeddings"))
+    report = evaluate_clustering(labels, clusters, embeddings=embeddings)
     payload = {
         "schema_version": METRICS_SCHEMA_VERSION,
         "acc": report.acc,
@@ -454,13 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_cluster, inputs=("--embeddings",), outputs=("--out",))
 
-    p = sub.add_parser("eval", help="score assignments against gold labels",
-                       argument_default=argparse.SUPPRESS)
+    p = sub.add_parser("eval", help="score assignments against gold labels")
     p.add_argument("--assignments", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--embeddings", default=None)
-    p.add_argument("--silhouette-seed", type=int, dest="seed", metavar="SEED")
     p.set_defaults(func=cmd_eval, inputs=("--assignments", "--corpus", "--embeddings"),
                    outputs=("--out",))
 

@@ -218,41 +218,43 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum(axis=1, keepdims=True)
 
 
-def _masked_logits(unit: np.ndarray, temperature: float) -> np.ndarray:
-    logits = (unit @ unit.T) / temperature
-    np.fill_diagonal(logits, -np.inf)
-    return logits
-
-
-def nt_xent_loss(embeddings: np.ndarray, temperature: float) -> float:
-    """Normalized temperature-scaled cross entropy over 2B embeddings.
+def nt_xent(embeddings: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
+    """Normalized temperature-scaled cross entropy over 2B embeddings, and
+    its exact gradient w.r.t. the unnormalized rows.
 
     Row 2i's positive is row 2i+1 and vice versa; all other 2B-2 rows
-    are negatives. Rows are L2-normalized first, and the log-sum-exp is
-    stabilized by max subtraction.
+    are negatives. Rows are L2-normalized first. One array of
+    exp(logit - row max) gives both the stabilized log-sum-exp of the
+    loss and the softmax of the gradient.
     """
-    unit, _ = _normalize_embeddings(embeddings)
-    n = unit.shape[0]
-    logits = _masked_logits(unit, temperature)
-    pos = np.arange(n) ^ 1
-    row_max = logits.max(axis=1)
-    lse = row_max + np.log(np.exp(logits - row_max[:, None]).sum(axis=1))
-    losses = lse - logits[np.arange(n), pos]
-    return float(losses.mean())
-
-
-def nt_xent_gradient(embeddings: np.ndarray, temperature: float) -> np.ndarray:
-    """Exact gradient of ``nt_xent_loss`` w.r.t. the unnormalized rows."""
     unit, norms = _normalize_embeddings(embeddings)
     n = unit.shape[0]
-    logits = _masked_logits(unit, temperature)
-    pos = np.arange(n) ^ 1
-    g = _softmax_rows(logits)
-    g[np.arange(n), pos] -= 1.0
+    rows = np.arange(n)
+    pos = rows ^ 1
+    logits = (unit @ unit.T) / temperature
+    np.fill_diagonal(logits, -np.inf)
+    positive = logits[rows, pos]
+    row_max = logits.max(axis=1)
+    logits -= row_max[:, None]
+    g = np.exp(logits, out=logits)
+    total = g.sum(axis=1)
+    loss = float((row_max + np.log(total) - positive).mean())
+    g /= total[:, None]
+    g[rows, pos] -= 1.0
     g /= n
     grad_unit = (g + g.T) @ unit / temperature
     radial = np.sum(grad_unit * unit, axis=1, keepdims=True)
-    return (grad_unit - radial * unit) / norms[:, None]
+    return loss, (grad_unit - radial * unit) / norms[:, None]
+
+
+def nt_xent_loss(embeddings: np.ndarray, temperature: float) -> float:
+    """The loss of ``nt_xent``."""
+    return nt_xent(embeddings, temperature)[0]
+
+
+def nt_xent_gradient(embeddings: np.ndarray, temperature: float) -> np.ndarray:
+    """The gradient of ``nt_xent``."""
+    return nt_xent(embeddings, temperature)[1]
 
 
 @dataclass
@@ -382,8 +384,7 @@ def _adamw_block(p, m, r, a, eps: float, rate: float, decay: float) -> None:
 def _train_step(params: EncoderParams, state: OptimizerState,
                 views: list[TokenSequence], config: TrainConfig) -> float:
     out, cache = encode_batch_forward(params, views)
-    loss = nt_xent_loss(out, config.temperature)
-    grad_out = nt_xent_gradient(out, config.temperature)
+    loss, grad_out = nt_xent(out, config.temperature)
     grads, rows = encode_batch_backward(params, cache, grad_out)
     optimizer_step(params.tensors(), grads, config, state, rows)
     return loss
@@ -512,18 +513,15 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
 
         embeddings = embed_corpus(params, vocab, corpus, config.max_len_test, doc_ids)
         kmeans_seed = derive_seed(config.seed, "kmeans-epoch", epoch)
-        silhouette_seed = derive_seed(config.seed, "silhouette-epoch", epoch)
         cluster_model = spherical_kmeans(embeddings, k=config.num_clusters,
                                          seed=kmeans_seed)
-        silhouette = silhouette_score(embeddings, cluster_model.assignments,
-                                      seed=silhouette_seed)
+        silhouette = silhouette_score(embeddings, cluster_model.assignments)
         record = {
             "epoch": epoch,
             "loss": float(np.mean(batch_losses)),
             "batch_losses": batch_losses,
             "silhouette": silhouette,
             "kmeans_seed": kmeans_seed,
-            "silhouette_seed": silhouette_seed,
         }
         if match_rate is not None:
             record["label_match_rate"] = match_rate

@@ -13,10 +13,6 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import gammaln
 
 from .cluster import cluster_sums, unit_rows
-from .rng import derive_rng
-
-# At most this many points are scored; train and the eval command share it.
-SILHOUETTE_SAMPLE_CAP = 2000
 
 
 @dataclass
@@ -144,21 +140,19 @@ def adjusted_mutual_information(labels, clusters) -> float:
     return float((mi - emi) / denom)
 
 
-def silhouette_score(embeddings: np.ndarray, assignments, seed: int = 0) -> float:
-    """Mean silhouette with cosine distance d = 1 - cos.
+def silhouette_score(embeddings: np.ndarray, assignments) -> float:
+    """Mean silhouette over every point, with cosine distance d = 1 - cos.
 
     s(i) = (b - a) / max(a, b) with a = mean intra-cluster distance
     (excluding self) and b = smallest mean distance to another cluster.
     Singletons score 0, as does the a = b = 0 degenerate case, and each
-    score is clipped to [-1, 1]. When n exceeds ``SILHOUETTE_SAMPLE_CAP``,
-    scores are averaged over a seeded subsample of that many points
-    (distances still use the full dataset).
+    score is clipped to [-1, 1].
 
     For unit rows |x - u|^2 = 2 (1 - x.u), a factor s(i) cancels. Centered
     on their mean, the rows give squared distances from x to a cluster C
     that add up to |C| |x|^2 - 2 x.S_C + Q_C (S_C the sum of C's rows, Q_C
-    of their squared norms), so one s x d by d x k product scores the
-    sample. To first order in the machine epsilon e, a mean squared
+    of their squared norms), so one n x d by d x k product scores every
+    point. To first order in the machine epsilon e, a mean squared
     distance is off by at most 4 e (n + d) r^2, r the largest centered |x|,
     and rows of one direction normalize (d + 4) e apart at most: one no
     larger than the sum of the two counts as 0.
@@ -175,35 +169,32 @@ def silhouette_score(embeddings: np.ndarray, assignments, seed: int = 0) -> floa
     if cluster_ids.size < 2:
         raise ValueError("silhouette requires at least 2 clusters")
 
-    if n > SILHOUETTE_SAMPLE_CAP:
-        sample = np.sort(derive_rng(seed, "silhouette").choice(
-            n, size=SILHOUETTE_SAMPLE_CAP, replace=False))
-    else:
-        sample = np.arange(n)
-
     unit -= unit.mean(axis=0)
     squares = np.einsum("ij,ij->i", unit, unit)
-    sums = (sizes * squares[sample, None] + np.bincount(index, weights=squares)
-            - 2.0 * (unit[sample] @ cluster_sums(unit, index, cluster_ids.size).T))
-    rows = np.arange(sample.size)
-    own = index[sample]
-    own_size = sizes[own]
-    a = sums[rows, own] / np.maximum(own_size - 1, 1)
-    means = sums / sizes
-    means[rows, own] = np.inf
-    b = means.min(axis=1)
+    sums = sizes * squares[:, None]
+    sums += np.bincount(index, weights=squares)
+    cross = unit @ cluster_sums(unit, index, cluster_ids.size).T
+    cross *= 2.0
+    sums -= cross
+    del cross  # so the per-point arrays below do not add to the peak
+    rows = np.arange(n)
+    own_size = sizes[index]
+    a = sums[rows, index] / np.maximum(own_size - 1, 1)
+    sums /= sizes
+    sums[rows, index] = np.inf
+    b = sums.min(axis=1)
     eps = np.finfo(np.float64).eps
     zero = 4 * eps * (n + d) * squares.max() + ((d + 4) * eps) ** 2
     a[a <= zero] = 0.0
     b[b <= zero] = 0.0
     top = np.maximum(a, b)
-    scores = np.divide(b - a, top, out=np.zeros(sample.size),
+    scores = np.divide(b - a, top, out=np.zeros(n),
                        where=(own_size > 1) & (top != 0.0))
     return float(np.clip(scores, -1.0, 1.0).mean())
 
 
-def evaluate_clustering(labels, clusters, embeddings: np.ndarray | None = None,
-                        seed: int = 0) -> EvalReport:
+def evaluate_clustering(labels, clusters,
+                        embeddings: np.ndarray | None = None) -> EvalReport:
     """Full metric report; silhouette is None when embeddings are omitted."""
     acc, mapping = clustering_accuracy(labels, clusters)
     ami = adjusted_mutual_information(labels, clusters)
@@ -211,7 +202,7 @@ def evaluate_clustering(labels, clusters, embeddings: np.ndarray | None = None,
         acc=acc,
         ami=ami,
         silhouette=(None if embeddings is None
-                    else silhouette_score(embeddings, clusters, seed=seed)),
+                    else silhouette_score(embeddings, clusters)),
         confusion=confusion_matrix(labels, clusters),
         mapping=mapping,
     )

@@ -7,7 +7,7 @@ TF-IDF built one document vector at a time, its cosine as one sparse
 product of all rows, top-1 pairing on a whole masked copy of the
 epoch's blended matrix, the vocabulary counted
 token by token with a ``Counter``, and k-means, silhouette,
-MI and EMI written as loops over clusters, samples and table cells, and
+MI and EMI written as loops over clusters, points and table cells, and
 Fisher-Yates with one draw per swap. The sparse pooling and the gradient
 of the touched table rows (scattered into zeros) must reproduce them bit
 for bit, step after step, and the row-sparse in-place optimizer, whose
@@ -41,7 +41,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from sadcluster import contrastive, evaluate, tfidf
+from sadcluster import contrastive, tfidf
 from sadcluster.augment import shuffle_divide
 from sadcluster.cluster import (
     _kmeanspp_init,
@@ -821,26 +821,21 @@ def reference_kmeans(embeddings, k, seed, max_iter=100, tol=1e-6, restarts=10):
     return best
 
 
-def reference_silhouette(embeddings, assignments, sample_cap=2000, seed=0):
+def reference_silhouette(embeddings, assignments):
     x = np.asarray(embeddings, dtype=np.float64)
     assignments = np.asarray(assignments, dtype=np.int64)
     n = x.shape[0]
     cluster_ids = np.unique(assignments)
     unit = x / np.linalg.norm(x, axis=1)[:, None]
-    if n > sample_cap:
-        sample = np.sort(derive_rng(seed, "silhouette").choice(n, size=sample_cap,
-                                                                replace=False))
-    else:
-        sample = np.arange(n)
     counts = {int(c): int(np.sum(assignments == c)) for c in cluster_ids}
-    dists = 1.0 - unit[sample] @ unit.T
-    scores = np.empty(sample.size)
-    for row, i in enumerate(sample):
+    dists = 1.0 - unit @ unit.T
+    scores = np.empty(n)
+    for i in range(n):
         own = int(assignments[i])
         if counts[own] == 1:
-            scores[row] = 0.0
+            scores[i] = 0.0
             continue
-        d = dists[row]
+        d = dists[i]
         a = (d[assignments == own].sum() - d[i]) / (counts[own] - 1)
         b = np.inf
         for c in cluster_ids:
@@ -849,7 +844,7 @@ def reference_silhouette(embeddings, assignments, sample_cap=2000, seed=0):
                 continue
             b = min(b, d[assignments == c].mean())
         top = max(a, b)
-        scores[row] = 0.0 if top == 0.0 else (b - a) / top
+        scores[i] = 0.0 if top == 0.0 else (b - a) / top
     return float(scores.mean())
 
 
@@ -960,71 +955,65 @@ def test_update_centroids_matches_the_masked_sums():
 
 
 def silhouette_case(name):
-    """(embeddings, assignments, sample_cap) for one named silhouette case."""
+    """(embeddings, assignments) for one named silhouette case."""
     rng = np.random.default_rng(47)
     x = rng.normal(size=(90, 6))
     assignments = rng.integers(0, 4, size=90)
     if name == "singletons":
         assignments[:3] = [4, 5, 6]
         assignments[3:] = np.minimum(assignments[3:], 3)
-        return x, assignments, 2000
+        return x, assignments
     if name == "identical-points":
         # two clusters of one repeated point: a = b = 0 everywhere
-        return np.tile(x[:1], (10, 1)), np.repeat([0, 1], 5), 2000
-    if name == "sampled":
-        return x, assignments, 25
-    return x, np.where(assignments % 2 == 0, 0, 5), 2000  # ids {0, 5}
+        return np.tile(x[:1], (10, 1)), np.repeat([0, 1], 5)
+    return x, np.where(assignments % 2 == 0, 0, 5)  # ids {0, 5}
 
 
-@pytest.mark.parametrize("case", ["singletons", "identical-points", "sampled",
-                                  "non-contiguous-ids"])
-def test_silhouette_matches_the_loop_reference(case, monkeypatch):
-    x, assignments, cap = silhouette_case(case)
-    monkeypatch.setattr(evaluate, "SILHOUETTE_SAMPLE_CAP", cap)
-    for seed in (0, 3):
-        got = silhouette_score(x, assignments, seed=seed)
-        assert abs(got - reference_silhouette(x, assignments, cap, seed)) <= 1e-12
+@pytest.mark.parametrize("case", ["singletons", "identical-points", "non-contiguous-ids"])
+def test_silhouette_matches_the_loop_reference(case):
+    x, assignments = silhouette_case(case)
+    got = silhouette_score(x, assignments)
+    assert abs(got - reference_silhouette(x, assignments)) <= 1e-12
     if case == "identical-points":
         assert got == 0.0
 
 
-def reference_whole_sample_silhouette(embeddings, assignments, seed=0):
-    """The silhouette from one distance array over the whole sample."""
+def reference_distance_silhouette(embeddings, assignments, block_rows=1000):
+    """The silhouette from whole distance rows, built ``block_rows`` at a time."""
     x = np.asarray(embeddings, dtype=np.float64)
     n = x.shape[0]
     cluster_ids, index, sizes = np.unique(assignments, return_inverse=True,
                                            return_counts=True)
     unit = x / np.linalg.norm(x, axis=1)[:, None]
-    if n > evaluate.SILHOUETTE_SAMPLE_CAP:
-        sample = np.sort(derive_rng(seed, "silhouette").choice(
-            n, size=evaluate.SILHOUETTE_SAMPLE_CAP, replace=False))
-    else:
-        sample = np.arange(n)
-    dists = unit[sample] @ unit.T
-    np.subtract(1.0, dists, out=dists)
-    sums = dists @ (index[:, None] == np.arange(cluster_ids.size))
-    rows = np.arange(sample.size)
-    own = index[sample]
-    own_size = sizes[own]
-    a = (sums[rows, own] - dists[rows, sample]) / np.maximum(own_size - 1, 1)
-    means = sums / sizes
-    means[rows, own] = np.inf
-    b = means.min(axis=1)
-    top = np.maximum(a, b)
-    scores = np.divide(b - a, top, out=np.zeros(sample.size),
-                       where=(own_size > 1) & (top != 0.0))
+    members = index[:, None] == np.arange(cluster_ids.size)
+    scores = np.zeros(n)
+    for start in range(0, n, block_rows):
+        stop = min(start + block_rows, n)
+        block = np.arange(start, stop)
+        dists = unit[block] @ unit.T
+        np.subtract(1.0, dists, out=dists)
+        sums = dists @ members
+        rows = np.arange(block.size)
+        own = index[block]
+        own_size = sizes[own]
+        a = (sums[rows, own] - dists[rows, block]) / np.maximum(own_size - 1, 1)
+        means = sums / sizes
+        means[rows, own] = np.inf
+        b = means.min(axis=1)
+        top = np.maximum(a, b)
+        np.divide(b - a, top, out=scores[start:stop],
+                  where=(own_size > 1) & (top != 0.0))
     return float(scores.mean())
 
 
 @pytest.mark.parametrize("n,k", [(1600, 16), (6000, 8), (8000, 20)])
 def test_cluster_sum_silhouette_matches_the_distance_reference(n, k):
-    # the benchmark workloads' n, k and d, on the sampled path from n = 6000
+    # the benchmark workloads' n, k and d, every point scored
     rng = np.random.default_rng(n)
     x = rng.normal(size=(n, 64)) + 2.0 * rng.normal(size=(k, 64))[rng.integers(0, k, n)]
     assignments = spherical_kmeans(x, k=k, seed=0).assignments
-    for seed in (0, 1):
-        expected = reference_whole_sample_silhouette(x, assignments, seed)
-        assert abs(silhouette_score(x, assignments, seed=seed) - expected) <= 1e-12
+    expected = reference_distance_silhouette(x, assignments)
+    assert abs(silhouette_score(x, assignments) - expected) <= 1e-12
 
 
 def test_accuracy_mi_emi_and_ami_match_the_loop_references():

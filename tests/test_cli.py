@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sadcluster import cli, contrastive, evaluate
+from sadcluster import cli, contrastive
 from sadcluster import corpus as corpus_module
 from sadcluster.cli import main, read_embeddings, write_embeddings
 from sadcluster.cluster import spherical_kmeans
@@ -193,7 +193,7 @@ class TestTrainCommand:
         assert len(metrics["history"]) == 3
         for record in metrics["history"]:
             assert {"epoch", "loss", "batch_losses", "silhouette",
-                    "kmeans_seed", "silhouette_seed"} <= set(record)
+                    "kmeans_seed"} <= set(record)
         assert metrics["best_epoch"] == summary["best_epoch"]
 
     def test_same_seed_identical_metrics_bytes(self, capsys, tmp_path):
@@ -628,34 +628,6 @@ class TestEmbedClusterEval:
         assert assign.read_bytes() == (b'{"cluster": 1, "id": "\\u00e9t\\u00e9"}\n'
                                        b'{"cluster": 0, "id": "b"}\n')
 
-    def test_eval_silhouette_seed_default_is_the_library_default(self, capsys, tmp_path,
-                                                                  monkeypatch):
-        # a sample smaller than n, so the seed picks the points scored
-        monkeypatch.setattr(evaluate, "SILHOUETTE_SAMPLE_CAP", 10)
-        corpus_path = make_synth(capsys, tmp_path)
-        corpus = load_corpus(corpus_path)
-        ids = [doc.id for doc in corpus.documents]
-        embeddings = np.random.default_rng(0).normal(size=(len(ids), 5))
-        write_embeddings(ids, embeddings, tmp_path / "emb.txt")
-        clusters = [i % 4 for i in range(len(ids))]
-        with open(tmp_path / "a.jsonl", "w") as fh:
-            for doc_id, cluster in zip(ids, clusters):
-                fh.write(json.dumps({"id": doc_id, "cluster": cluster}) + "\n")
-        silhouettes = []
-        for seed in ([], ["--silhouette-seed", "7"]):
-            code, out, err = run(capsys, "eval", "--assignments", str(tmp_path / "a.jsonl"),
-                                 "--corpus", str(corpus_path), "--embeddings",
-                                 str(tmp_path / "emb.txt"), "--out",
-                                 str(tmp_path / "m.json"), *seed)
-            assert code == 0, err
-            silhouettes.append(json.loads(out)["silhouette"])
-        labels = corpus.labels_array()
-        assert silhouettes == [
-            evaluate.evaluate_clustering(labels, clusters, embeddings=embeddings).silhouette,
-            evaluate.evaluate_clustering(labels, clusters, embeddings=embeddings,
-                                         seed=7).silhouette]
-        assert silhouettes[0] != silhouettes[1]
-
     def test_eval_on_gold_labels_scores_perfect(self, capsys, tmp_path):
         corpus_path = make_synth(capsys, tmp_path)
         corpus = load_corpus(corpus_path)
@@ -731,12 +703,26 @@ class TestEmbedClusterEval:
         payload = json.loads(err)
         assert "no cluster assignment" in payload["message"]
 
-    def test_pipeline_composition_matches_train_history(self, capsys, tmp_path,
-                                                        monkeypatch):
-        # embed -> cluster -> eval with an epoch's recorded seeds gives that
-        # epoch's silhouette bit for bit; a cap below n = 40 makes train and
-        # eval both score a seeded subsample
-        monkeypatch.setattr(evaluate, "SILHOUETTE_SAMPLE_CAP", 25)
+    def test_eval_assignment_for_no_document_is_an_error(self, capsys, tmp_path):
+        # every document assigned, plus two ids the corpus does not have
+        corpus_path = make_synth(capsys, tmp_path)
+        ids = [doc.id for doc in load_corpus(corpus_path).documents]
+        assign = tmp_path / "extra.jsonl"
+        assign.write_text("".join(json.dumps({"id": doc_id, "cluster": 0}) + "\n"
+                                  for doc_id in [ids[0], "stray1", *ids[1:], "stray2"]))
+        code, out, err = run(capsys, "eval", "--assignments", str(assign),
+                             "--corpus", str(corpus_path),
+                             "--out", str(tmp_path / "m.json"))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "ValueError", "message":
+                                   "2 assigned ids name no corpus document "
+                                   "(first: 'stray1')"}
+        assert not (tmp_path / "m.json").exists()
+
+    def test_pipeline_composition_matches_train_history(self, capsys, tmp_path):
+        # embed -> cluster -> eval with an epoch's recorded k-means seed gives
+        # that epoch's silhouette bit for bit
         corpus = make_synth(capsys, tmp_path)
         for method in ("sad", "tps"):
             out_dir = tmp_path / method
@@ -756,8 +742,7 @@ class TestEmbedClusterEval:
                     ["cluster", "--embeddings", str(emb), "--k", "4", "--out", str(assign),
                      "--seed", str(record["kmeans_seed"])],
                     ["eval", "--assignments", str(assign), "--corpus", str(corpus),
-                     "--out", str(out_dir / "eval.json"), "--embeddings", str(emb),
-                     "--silhouette-seed", str(record["silhouette_seed"])],
+                     "--out", str(out_dir / "eval.json"), "--embeddings", str(emb)],
                 ):
                     code, _, err = run(capsys, *argv)
                     assert code == 0, err
@@ -1063,10 +1048,12 @@ class TestCliPlumbing:
          "--restarts", "1"],
         ["eval", "--assignments", "{dir}/a.jsonl", "--corpus", "{dir}/c.jsonl",
          "--out", "{dir}/m.json", "--sample-cap", "1"],
+        ["eval", "--assignments", "{dir}/a.jsonl", "--corpus", "{dir}/c.jsonl",
+         "--out", "{dir}/m.json", "--silhouette-seed", "1"],
         ["train", "--corpus", "{dir}/c.jsonl", "--out-dir", "{dir}/run", "--k", "4",
          "--optimizer", "sgd"],
     ], ids=["missing-option", "bad-int", "unknown-command", "no-restarts", "no-sample-cap",
-            "no-optimizer"])
+            "no-silhouette-seed", "no-optimizer"])
     def test_usage_error_exits_2_with_usage_and_no_output(self, capsys, tmp_path, argv):
         with pytest.raises(SystemExit) as exit_info:
             main([arg.format(dir=tmp_path) for arg in argv])

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import hypergeom
 
-from sadcluster import evaluate
 from sadcluster.cluster import spherical_kmeans
 from sadcluster.evaluate import (
     adjusted_mutual_information,
@@ -256,28 +255,6 @@ class TestSilhouette:
     def test_single_cluster_errors(self):
         with pytest.raises(ValueError):
             silhouette_score(np.eye(3), [0, 0, 0])
-
-    def test_subsample_deterministic(self, monkeypatch):
-        monkeypatch.setattr(evaluate, "SILHOUETTE_SAMPLE_CAP", 100)
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(300, 4))
-        labels = rng.integers(0, 3, size=300)
-        a = silhouette_score(x, labels, seed=9)
-        b = silhouette_score(x, labels, seed=9)
-        c = silhouette_score(x, labels, seed=10)
-        assert a == b
-        assert a != c
-
-    def test_subsample_close_to_full(self, monkeypatch):
-        rng = np.random.default_rng(7)
-        a = np.array([1.0, 0.0, 0.0]) + rng.normal(scale=0.1, size=(200, 3))
-        b = np.array([0.0, 1.0, 0.0]) + rng.normal(scale=0.1, size=(200, 3))
-        x = np.vstack([a, b])
-        labels = np.array([0] * 200 + [1] * 200)
-        full = silhouette_score(x, labels)
-        monkeypatch.setattr(evaluate, "SILHOUETTE_SAMPLE_CAP", 150)
-        sub = silhouette_score(x, labels, seed=0)
-        assert abs(full - sub) < 0.05
 
     def test_equal_points_score_at_most_one(self):
         # two clusters of equal points, drawn by the CLI property tests: the
