@@ -15,6 +15,7 @@ from sadcluster.cli import main, read_embeddings, write_embeddings
 from sadcluster.cluster import spherical_kmeans
 from sadcluster.contrastive import TrainConfig, train
 from sadcluster.encoder import init_params, save_checkpoint, tokenize
+from sadcluster.evaluate import silhouette_score
 from sadcluster.corpus import load_corpus, save_corpus, Corpus
 from sadcluster.synth import generate_synthetic_corpus
 from sadcluster.tfidf import (
@@ -719,6 +720,33 @@ class TestEmbedClusterEval:
                                    "2 assigned ids name no corpus document "
                                    "(first: 'stray1')"}
         assert not (tmp_path / "m.json").exists()
+
+    def test_eval_picks_the_embedding_rows_by_id(self, capsys, tmp_path):
+        # rows in reverse corpus order plus two ids the corpus does not have:
+        # eval scores the corpus rows, in corpus order, and ignores the rest
+        corpus_path = make_synth(capsys, tmp_path)
+        ids = [doc.id for doc in load_corpus(corpus_path).documents]
+        rng = np.random.default_rng(12)
+        embeddings = rng.normal(size=(len(ids), 5))
+        clusters = [i % 4 for i in range(len(ids))]
+        write_embeddings(["extra1", *ids[::-1], "extra2"],
+                         np.vstack([rng.normal(size=(1, 5)), embeddings[::-1],
+                                    rng.normal(size=(1, 5))]),
+                         tmp_path / "emb.txt")
+        write_embeddings(ids, embeddings, tmp_path / "in-order.txt")
+        with open(tmp_path / "a.jsonl", "w") as fh:
+            for doc_id, cluster in zip(ids, clusters):
+                fh.write(json.dumps({"id": doc_id, "cluster": cluster}) + "\n")
+        silhouettes = []
+        for name in ("emb.txt", "in-order.txt"):
+            code, out, err = run(capsys, "eval", "--assignments", str(tmp_path / "a.jsonl"),
+                                 "--corpus", str(corpus_path), "--embeddings",
+                                 str(tmp_path / name), "--out", str(tmp_path / "m.json"))
+            assert code == 0, err
+            silhouettes.append(json.loads(out)["silhouette"])
+        assert silhouettes[0] == silhouettes[1]
+        assert silhouettes[0] == silhouette_score(read_embeddings(tmp_path / "in-order.txt")[1],
+                                                  clusters)
 
     def test_pipeline_composition_matches_train_history(self, capsys, tmp_path):
         # embed -> cluster -> eval with an epoch's recorded k-means seed gives

@@ -6,6 +6,7 @@ import pytest
 
 from sadcluster import contrastive, encoder, tfidf
 from sadcluster.augment import shuffle_divide
+from sadcluster.cluster import unit_rows
 from sadcluster.contrastive import (
     ADAMW_BETA1,
     ADAMW_BETA2,
@@ -372,6 +373,32 @@ class TestNtXentLoss:
     def test_rejects_single_pair(self):
         with pytest.raises(ValueError, match="2 pairs"):
             nt_xent_loss(np.ones((2, 3)), 0.5)
+
+
+class TestNtXent:
+    @pytest.mark.parametrize("two_b, d, tau", [(4, 1, 0.05), (10, 7, 0.5), (64, 16, 3.0),
+                                               (128, 64, 0.1)])
+    def test_matches_the_two_pass_loss_and_gradient(self, two_b, d, tau):
+        # one exp array gives the loss and the gradient of a log-sum-exp pass
+        # and a separate softmax pass over the masked logits, bit for bit
+        x = np.random.default_rng(two_b).normal(size=(two_b, d))
+        loss, grad = contrastive.nt_xent(x, tau)
+        unit, norms = unit_rows(x)
+        rows = np.arange(two_b)
+        logits = (unit @ unit.T) / tau
+        np.fill_diagonal(logits, -np.inf)
+        row_max = logits.max(axis=1)
+        lse = row_max + np.log(np.exp(logits - row_max[:, None]).sum(axis=1))
+        assert loss == float((lse - logits[rows, rows ^ 1]).mean())
+        shifted = np.exp(logits - row_max[:, None])
+        g = shifted / shifted.sum(axis=1, keepdims=True)
+        g[rows, rows ^ 1] -= 1.0
+        g /= two_b
+        grad_unit = (g + g.T) @ unit / tau
+        radial = np.sum(grad_unit * unit, axis=1, keepdims=True)
+        assert grad.tobytes() == ((grad_unit - radial * unit) / norms[:, None]).tobytes()
+        assert loss == nt_xent_loss(x, tau)
+        assert grad.tobytes() == nt_xent_gradient(x, tau).tobytes()
 
 
 class TestNtXentGradient:

@@ -314,6 +314,17 @@ class TestSilhouette:
         labels = rng.integers(0, k, size=n)
         assert peak_bytes(lambda: silhouette_score(x, labels)) < 2 * n * d * 8
 
+    def test_every_point_is_scored_whatever_the_row_order(self):
+        # n above 2000: a score over a sample of row positions would change
+        # when the same points come in another order
+        rng = np.random.default_rng(11)
+        n = 2500
+        x = rng.normal(size=(n, 8)) + 1.5 * rng.normal(size=(5, 8))[rng.integers(0, 5, n)]
+        labels = spherical_kmeans(x, k=5, seed=0).assignments
+        perm = rng.permutation(n)
+        assert abs(silhouette_score(x[perm], labels[perm])
+                   - silhouette_score(x, labels)) <= 1e-12
+
     def test_range_bounds(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
