@@ -193,12 +193,16 @@ def cmd_synth(args) -> int:
 def cmd_preprocess(args) -> int:
     if args.min_sentences < 0:
         raise ValueError("min_sentences must be >= 0 (0 keeps every document)")
-    corpus = load_corpus(getattr(args, "in"))
-    before = len(corpus)
     profiles = {"newsgroup": (preprocess_newsgroup_style, "min_words"),
                 "reuters": (preprocess_reuters_style, "top_k_classes")}
-    if args.profile in profiles:  # its option is set only when given
-        clean, option = profiles[args.profile]
+    clean, option = profiles.get(args.profile, (None, None))
+    stray = ["--" + k.replace("_", "-") for k in ("min_words", "top_k_classes")
+             if k in vars(args) and k != option]  # each is set only when given
+    if stray:
+        raise ValueError(f"--profile {args.profile} does not read {' or '.join(stray)}")
+    corpus = load_corpus(getattr(args, "in"))
+    before = len(corpus)
+    if clean is not None:
         corpus = clean(corpus, **{k: v for k, v in vars(args).items() if k == option})
     if args.min_sentences > 0:
         corpus = filter_min_sentences(corpus, args.min_sentences)

@@ -137,16 +137,12 @@ def build_batch_sad(halves: list[tuple[np.ndarray, np.ndarray]],
     """Shuffle-and-divide batch: document k's two halves at rows (2k, 2k+1).
 
     ``halves[k]`` is what ``shuffle_divide`` drew for document k and
-    ``doc_sentence_ids[k]`` are its sentences' ids. A half's ids are its
-    sentences' ids concatenated, then truncated: the same as tokenizing
+    ``doc_sentence_ids[k]`` are its sentences' ids. A half's view cuts its
+    sentences' ids, concatenated, to ``max_len``: the same as tokenizing
     the space-joined half, since no token spans a space.
     """
-    views = []
-    for pair, ids in zip(halves, doc_sentence_ids, strict=True):
-        for half in pair:
-            joined = np.concatenate([ids[i] for i in half.tolist()])
-            views.append(TokenSequence(joined[:max_len], max_len))
-    return views
+    return [TokenSequence(np.concatenate([ids[i] for i in half.tolist()]), max_len)
+            for pair, ids in zip(halves, doc_sentence_ids, strict=True) for half in pair]
 
 
 def build_batch_tps(pairing: PositivePairing, anchors,
@@ -168,8 +164,7 @@ def build_batch_tps(pairing: PositivePairing, anchors,
                 "already sampled"
             )
         used.update((n, m))
-        views += [TokenSequence(doc_ids[n][:max_len], max_len),
-                  TokenSequence(doc_ids[m][:max_len], max_len)]
+        views += [TokenSequence(doc_ids[n], max_len), TokenSequence(doc_ids[m], max_len)]
     return views
 
 
@@ -200,7 +195,7 @@ def plan_tps_batches(pairing: PositivePairing, batch_size: int,
             batches.append(current)
         if not current:
             break
-        remaining = deque(deferred + list(remaining))
+        remaining.extendleft(reversed(deferred))
     return batches
 
 

@@ -30,6 +30,7 @@ ABBREVIATIONS = frozenset({
 })
 
 _TERMINATOR_RE = re.compile(r"[.!?]+")
+_SPACES_RE = re.compile(r"\s*")
 _HEADER_LINE_RE = re.compile(r"^[A-Za-z][A-Za-z0-9-]*:(\s|$)")
 _URL_RE = re.compile(r"(https?://\S+|www\.\S+)", re.IGNORECASE)
 _EMAIL_RE = re.compile(r"[^\s@]+@[^\s@]+\.[^\s@]+")
@@ -104,9 +105,10 @@ def split_sentences(text: str) -> list[str]:
             if len(word) == 2 and word[0].isupper():
                 continue  # single initial, e.g. "J."
             # decimal split across whitespace, e.g. "3. 14"
-            rest = text[end:].lstrip()
-            if start > 0 and text[start - 1].isdigit() and rest[:1].isdigit():
-                continue
+            if start > 0 and text[start - 1].isdigit():
+                after = _SPACES_RE.match(text, end).end()  # \s is str.isspace
+                if after < n and text[after].isdigit():
+                    continue
         boundaries.append(end)
 
     sentences = []

@@ -44,11 +44,10 @@ class Vocabulary:
 
 @dataclass
 class TokenSequence:
-    """One view: its token ids, truncated to at most ``max_len``, unpadded.
+    """One view: the first ``max_len`` of the token ids it is given, unpadded.
 
     The encoder reads only ``ids``. ``max_len`` is the limit the view was
-    truncated to; it stays because the benchmark's token-slot counter
-    reads it.
+    cut to; it stays because the benchmark's token-slot counter reads it.
     """
 
     ids: np.ndarray
@@ -57,9 +56,7 @@ class TokenSequence:
     def __post_init__(self):
         if self.max_len < 1:
             raise ValueError("max_len must be >= 1")
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        if self.ids.size > self.max_len:
-            raise ValueError("ids must have at most max_len entries")
+        self.ids = np.asarray(self.ids, dtype=np.int64)[:self.max_len]
 
     @property
     def length(self) -> int:
@@ -108,16 +105,14 @@ def build_vocab(tokens: list[str], terms: list[np.ndarray],
     return Vocabulary(token_to_id), term_to_id
 
 
-def text_ids(text: str, vocab: Vocabulary) -> np.ndarray:
-    """Ids of every token of ``text``, OOV mapped to unk, not truncated."""
-    tokens = tokenize_text(text)
-    return np.fromiter(map(vocab.token_to_id.get, tokens, itertools.repeat(vocab.unk_id)),
-                       np.int64, len(tokens))
-
-
 def tokenize(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
-    """Tokenize, map OOV to unk and truncate to ``max_len``."""
-    return TokenSequence(text_ids(text, vocab)[:max_len], max_len)
+    """The view of ``text``: its first ``max_len`` tokens, OOV mapped to
+    unk. Only those are looked up, so a long text costs ``max_len`` lookups."""
+    tokens = tokenize_text(text)
+    del tokens[max_len:]  # in place: a text no longer than max_len is not copied
+    ids = np.fromiter(map(vocab.token_to_id.get, tokens, itertools.repeat(vocab.unk_id)),
+                      np.int64, len(tokens))
+    return TokenSequence(ids, max_len)
 
 
 def init_params(vocab_size: int, embed_dim: int, output_dim: int,
@@ -196,15 +191,16 @@ def embed_corpus(params: EncoderParams, vocab: Vocabulary, corpus: Corpus,
                  max_len: int, doc_ids: list[np.ndarray] | None = None) -> np.ndarray:
     """Embed every document of a corpus at the given max length.
 
-    ``doc_ids`` are the documents' ``text_ids`` when the caller already
-    has them; otherwise the corpus is tokenized here.
+    ``doc_ids`` are the documents' token ids when the caller already has
+    them; otherwise the corpus is tokenized here.
     """
     if doc_ids is None:
-        doc_ids = [text_ids(doc.text, vocab) for doc in corpus.documents]
-    empty = [repr(doc.id) for doc, ids in zip(corpus.documents, doc_ids) if ids.size == 0]
+        seqs = [tokenize(doc.text, vocab, max_len) for doc in corpus.documents]
+    else:
+        seqs = [TokenSequence(ids, max_len) for ids in doc_ids]
+    empty = [repr(doc.id) for doc, seq in zip(corpus.documents, seqs) if seq.length == 0]
     if empty:
         raise ValueError(f"{len(empty)} document(s) have no tokens: " + ", ".join(empty))
-    seqs = [TokenSequence(ids[:max_len], max_len) for ids in doc_ids]
     return encode_batch_forward(params, seqs)[0]
 
 

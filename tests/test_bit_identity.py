@@ -80,12 +80,11 @@ from sadcluster.encoder import (
     encode_batch_backward,
     encode_batch_forward,
     init_params,
-    text_ids,
     tokenize,
 )
 from sadcluster.rng import derive_rng, fisher_yates
 from sadcluster.synth import generate_synthetic_corpus
-from test_encoder import vocab_of
+from test_encoder import all_ids, vocab_of
 from test_tfidf import oracle_tokens
 from sadcluster.tfidf import (
     TopKSimilarity,
@@ -404,11 +403,11 @@ def test_sentence_ids_concatenate_to_the_joined_view():
     vocab = vocab_of(corpus, 1000)
     assert len(vocab) > 20  # the non-ASCII pieces are real tokens, not unk
     for doc in docs:
-        joined = np.concatenate([text_ids(s, vocab) for s in doc.sentences])
+        joined = np.concatenate([all_ids(s, vocab) for s in doc.sentences])
         for max_len in (1, 3, 8, 64):
             expected = tokenize(doc.text, vocab, max_len)
             assert np.array_equal(joined[:max_len], expected.ids)
-    sentence_ids = [[text_ids(s, vocab) for s in doc.sentences] for doc in docs]
+    sentence_ids = [[all_ids(s, vocab) for s in doc.sentences] for doc in docs]
     for max_len in (2, 5, 64):
         rng = derive_rng(9, "views")
         halves = [shuffle_divide(doc, rng) for doc in docs]
@@ -742,7 +741,7 @@ def reference_build_vocab(texts, max_vocab):
     return token_to_id
 
 
-def reference_text_ids(text, token_to_id):
+def reference_ids(text, token_to_id):
     return [token_to_id.get(token, 1) for token in oracle_tokens(text)]
 
 
@@ -770,8 +769,9 @@ def test_vocabulary_and_ids_match_the_counting_reference(max_vocab):
         for text, unit in zip(texts, units):
             ids = np.concatenate([np.empty(0, np.int64)]
                                  + [term_to_id[next(rows)] for _ in unit])
-            assert ids.tolist() == reference_text_ids(text, expected), repr(text)
-            assert text_ids(text, vocab).tolist() == ids.tolist()
+            assert ids.tolist() == reference_ids(text, expected), repr(text)
+            for max_len in (1, 8, len(ids) + 1):
+                assert tokenize(text, vocab, max_len).ids.tolist() == ids[:max_len].tolist()
 
 
 def reference_update_centroids(x, assignments, centroids):

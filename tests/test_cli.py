@@ -124,6 +124,28 @@ class TestPreprocessCommand:
             assert code == 0, err
         assert calls == [{}, {option: 3}]
 
+    @pytest.mark.parametrize("profile, options, message", [
+        ("none", ["--min-words", "5"], "--profile none does not read --min-words"),
+        ("none", ["--top-k-classes", "2", "--min-words", "5"],
+         "--profile none does not read --min-words or --top-k-classes"),
+        ("reuters", ["--min-words", "50"], "--profile reuters does not read --min-words"),
+        ("newsgroup", ["--top-k-classes", "1"],
+         "--profile newsgroup does not read --top-k-classes"),
+    ])
+    def test_option_the_profile_does_not_read_is_rejected(self, capsys, tmp_path,
+                                                          monkeypatch, profile, options,
+                                                          message):
+        # rejected before --in is read: the input need not exist, nothing is written
+        monkeypatch.setattr(cli, "load_corpus", lambda path: pytest.fail("read --in"))
+        out, stats = tmp_path / "clean.jsonl", tmp_path / "stats.json"
+        code, stdout, err = run(capsys, "preprocess", "--in", str(tmp_path / "absent.jsonl"),
+                                "--out", str(out), "--stats", str(stats),
+                                "--profile", profile, *options)
+        assert code == 1 and stdout == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+        assert list(tmp_path.iterdir()) == []
+
     def test_stats_reports_counts_and_histogram(self, capsys, tmp_path):
         src = make_synth(capsys, tmp_path)
         out = tmp_path / "clean.jsonl"

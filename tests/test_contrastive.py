@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -23,12 +24,12 @@ from sadcluster.contrastive import (
     train,
 )
 from sadcluster.corpus import Corpus, Document
-from sadcluster.encoder import init_params, text_ids, tokenize
+from sadcluster.encoder import init_params, tokenize
 from sadcluster.rng import derive_rng
 from sadcluster.synth import generate_synthetic_corpus
 from sadcluster.tfidf import PositivePairing
 from test_bit_identity import assert_matches_reference, reference_optimizer_step
-from test_encoder import vocab_of
+from test_encoder import all_ids, vocab_of
 
 
 def reference_nt_xent(embeddings, temperature):
@@ -136,7 +137,7 @@ class TestTrainConfig:
 
 
 def sentence_ids(docs, vocab):
-    return [[text_ids(s, vocab) for s in doc.sentences] for doc in docs]
+    return [[all_ids(s, vocab) for s in doc.sentences] for doc in docs]
 
 
 def draw_halves(docs, rng):
@@ -229,7 +230,7 @@ class TestBuildBatchTps:
                                similarity=np.full(partner.shape, 0.5))
 
     def doc_ids(self, corpus, vocab):
-        return [text_ids(doc.text, vocab) for doc in corpus.documents]
+        return [all_ids(doc.text, vocab) for doc in corpus.documents]
 
     def test_anchor_then_partner_layout(self):
         corpus = toy_corpus(4)
@@ -308,6 +309,42 @@ class TestPlanTpsBatches:
                 assert homes[0] != homes[2]
                 found_split = True
         assert found_split
+
+    def test_matches_the_rebuilt_queue_reference(self):
+        # the reference puts the deferred anchors back in front by building
+        # a new queue after every batch
+        def reference(pairing, batch_size, rng):
+            remaining = deque(int(i) for i in rng.permutation(pairing.partner.shape[0]))
+            batches = []
+            while remaining:
+                current, used, deferred = [], set(), []
+                while remaining and len(current) < batch_size:
+                    i = remaining.popleft()
+                    m = int(pairing.partner[i])
+                    if i in used or m in used:
+                        deferred.append(i)
+                        continue
+                    current.append(i)
+                    used.update((i, m))
+                if len(current) >= 2:
+                    batches.append(current)
+                if not current:
+                    break
+                remaining = deque(deferred + list(remaining))
+            return batches
+
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            n = int(rng.integers(2, 300))
+            # few distinct partners make long deferral chains
+            partner = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+            partner = np.where(partner == np.arange(n), (partner + 1) % n, partner)
+            pairing = self.make_pairing(partner)
+            batch_size = int(rng.integers(1, 70))
+            for seed in range(3):
+                expected = reference(pairing, batch_size, derive_rng(seed, "plan", trial))
+                assert plan_tps_batches(pairing, batch_size,
+                                        derive_rng(seed, "plan", trial)) == expected
 
 
 class TestNtXentLoss:

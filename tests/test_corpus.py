@@ -33,6 +33,42 @@ class TestSplitSentences:
     def test_decimal_no_split(self):
         assert split_sentences("Pi is 3.14 exactly") == ["Pi is 3.14 exactly"]
 
+    @pytest.mark.parametrize("text, expected", [
+        ("Pi is 3. 14 exactly.", ["Pi is 3. 14 exactly."]),
+        ("Pi is 3.\n\t14 exactly.", ["Pi is 3.\n\t14 exactly."]),
+        ("Pi is 3.\xa014 exactly.", ["Pi is 3.\xa014 exactly."]),
+        ("Rank 3. ² here.", ["Rank 3. ² here."]),
+        ("Rank 3. ٣ here.", ["Rank 3. ٣ here."]),
+        ("It cost 3. Then more.", ["It cost 3.", "Then more."]),
+        ("Pi is 3.  x14", ["Pi is 3.", "x14"]),
+        ("Item x. 14 more.", ["Item x.", "14 more."]),
+        ("Item 3! 14 more.", ["Item 3!", "14 more."]),
+        ("Ends in 3.   ", ["Ends in 3."]),
+    ], ids=["space", "newline-tab", "nbsp", "superscript", "arabic-indic", "word-after",
+            "letter-first", "no-digit-before", "not-a-period", "trailing-space"])
+    def test_decimal_split_across_whitespace(self, text, expected):
+        # a '.' after a digit does not split when the next non-space
+        # character is a digit (str.isdigit, whitespace by str.isspace)
+        assert split_sentences(text) == expected
+
+    def test_reads_each_character_a_bounded_number_of_times(self):
+        # characters copied out of the text stay linear in its length; a
+        # copy of the rest of the text at each '.' made this quadratic
+        class Counted(str):
+            copied = 0
+
+            def __getitem__(self, key):
+                piece = str.__getitem__(self, key)
+                Counted.copied += len(piece)
+                return piece
+
+        for sentence in ("item {}.", "word{} and more words here.", "Pi is {}. 14"):
+            text = Counted(" ".join(sentence.format(i) for i in range(2000)))
+            Counted.copied = 0
+            plain = split_sentences(str(text))
+            assert split_sentences(text) == plain
+            assert Counted.copied <= 3 * len(text)
+
     def test_initial_no_split(self):
         assert split_sentences("J. Smith spoke. We listened.") == [
             "J. Smith spoke.",

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from sadcluster.encoder import (
     init_params,
     load_checkpoint,
     save_checkpoint,
-    text_ids,
     tokenize,
 )
 from sadcluster.tfidf import index_tokens
@@ -30,6 +30,11 @@ def vocab_of(corpus, max_vocab):
     """The vocabulary ``train`` builds from a corpus's document texts."""
     tokens, terms = index_tokens(doc.text for doc in corpus.documents)
     return build_vocab(tokens, terms, max_vocab)[0]
+
+
+def all_ids(text, vocab):
+    """Every token id of ``text``: its view at a ``max_len`` that cuts nothing."""
+    return tokenize(text, vocab, sys.maxsize).ids
 
 
 def encode_one(params, seq):
@@ -115,18 +120,40 @@ class TestTokenize:
 
     @pytest.mark.parametrize("text,expected", [("", []), ("...", []), ("zzz Q_q 7", [1] * 4)],
                              ids=["empty", "token-free", "all-oov"])
-    def test_text_ids_without_known_tokens(self, text, expected):
+    def test_ids_without_known_tokens(self, text, expected):
         vocab = vocab_of(corpus_of("a"), max_vocab=10)
-        ids = text_ids(text, vocab)
+        ids = tokenize(text, vocab, max_len=8).ids
         assert vocab.unk_id == 1
         assert ids.dtype == np.int64 and ids.shape == (len(expected),)
         assert ids.tolist() == expected
 
+    def test_looks_up_only_the_first_max_len_tokens(self):
+        words = [f"w{i}" for i in range(1000)]
+        vocab = vocab_of(corpus_of(" ".join(words)), max_vocab=2000)
+        looked_up = []
+
+        class Counting(dict):
+            def get(self, key, default=None):
+                looked_up.append(key)
+                return dict.get(self, key, default)
+
+            def __getitem__(self, key):
+                looked_up.append(key)
+                return dict.__getitem__(self, key)
+
+        vocab.token_to_id = Counting(vocab.token_to_id)
+        seq = tokenize(" ".join(words + ["zzz"]), vocab, max_len=8)
+        assert seq.ids.tolist() == [dict.get(vocab.token_to_id, w) for w in words[:8]]
+        assert [key for key in looked_up if key != "<unk>"] == words[:8]
+
 
 class TestTokenSequenceValidation:
     def test_length_bounds(self):
-        with pytest.raises(ValueError, match="at most max_len"):
-            TokenSequence(np.ones(5, dtype=np.int64), max_len=4)
+        # a view keeps the first max_len ids it is given
+        seq = TokenSequence(np.arange(2, 7), max_len=4)
+        assert seq.ids.dtype == np.int64 and seq.ids.tolist() == [2, 3, 4, 5]
+        assert seq.length == 4 and seq.max_len == 4
+        assert TokenSequence([3, 4], max_len=4).ids.tolist() == [3, 4]
         for max_len in (0, -1):
             with pytest.raises(ValueError, match="max_len must be >= 1"):
                 TokenSequence(np.empty(0, dtype=np.int64), max_len)
